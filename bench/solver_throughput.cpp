@@ -10,7 +10,14 @@
 //                                per-iteration allocations
 //
 // plus two multi-chain solve rows: the legacy independent chains and the
-// replica-exchange tempering ladder (same iteration budget).
+// replica-exchange tempering ladder (same iteration budget), and one
+// workflow row:
+//
+//   workflow_tempering_solve     WorkflowSolver::solve on the five Fig. 9
+//                                deadline workflows at default
+//                                AnnealingOptions on the pool, each result
+//                                checked against a fresh reference
+//                                WorkflowEvaluator::evaluate of its plan
 //
 // Every configuration runs the identical search trajectory (the cache is
 // bit-transparent and the SoA core is draw-for-draw identical to AoS; the
@@ -27,9 +34,11 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/annealing.hpp"
+#include "core/castpp.hpp"
 #include "core/eval_cache.hpp"
 #include "workload/facebook.hpp"
 
@@ -81,6 +90,39 @@ std::string timing_json(const ChainTiming& t, bool with_cache) {
             .add("cache_hit_rate", t.cache.hit_rate(), 4);
     }
     return json.inline_str();
+}
+
+struct WorkflowTiming {
+    int iterations = 0;
+    double seconds = 0.0;
+    int deadlines_met = 0;
+    bool matches_reference = true;
+};
+
+/// One pass over the Fig. 9 workflows: solve each (fresh per-solve cache),
+/// then re-evaluate the returned plan with the uncached reference
+/// evaluator and require the reported evaluation to equal it exactly.
+WorkflowTiming time_workflows(const model::PerfModelSet& models,
+                              const std::vector<workload::Workflow>& workflows,
+                              const core::AnnealingOptions& opts, ThreadPool& pool) {
+    WorkflowTiming t;
+    for (const workload::Workflow& wf : workflows) {
+        const core::WorkflowEvaluator evaluator(models, wf);
+        const core::WorkflowSolver solver(evaluator, opts);
+        const auto start = std::chrono::steady_clock::now();
+        const core::WorkflowSolveResult result = solver.solve(&pool);
+        t.seconds += bench::seconds_since(start);
+        t.iterations += result.iterations;
+        t.deadlines_met += result.evaluation.meets_deadline ? 1 : 0;
+        const core::WorkflowEvaluation ref = evaluator.evaluate(result.plan);
+        t.matches_reference =
+            t.matches_reference && ref.feasible == result.evaluation.feasible &&
+            ref.total_runtime.value() == result.evaluation.total_runtime.value() &&
+            ref.vm_cost.value() == result.evaluation.vm_cost.value() &&
+            ref.storage_cost.value() == result.evaluation.storage_cost.value() &&
+            ref.meets_deadline == result.evaluation.meets_deadline;
+    }
+    return t;
 }
 
 }  // namespace
@@ -183,6 +225,28 @@ int main(int argc, char** argv) {
               << " exchanges accepted, utility " << fmt(temper_result.evaluation.utility, 4)
               << " (independent: " << fmt(solve_result.evaluation.utility, 4) << ")\n";
 
+    // --- Workflow solves: the Fig. 9 deadline workflows at default options
+    // (smoke mode shortens the chains), fastest of `repeats` passes.
+    core::AnnealingOptions wf_opts;
+    if (args.smoke) wf_opts.iter_max = 600;
+    const std::vector<workload::Workflow> workflows =
+        workload::synthesize_deadline_workflows(11);
+    WorkflowTiming wf_timing;
+    bool wf_matches = true;
+    for (int rep = 0; rep < repeats; ++rep) {
+        const WorkflowTiming t = time_workflows(models, workflows, wf_opts, pool);
+        wf_matches = wf_matches && t.matches_reference;
+        if (wf_timing.iterations == 0 || t.seconds < wf_timing.seconds) wf_timing = t;
+    }
+    const double wf_iters_per_sec =
+        wf_timing.seconds > 0.0 ? wf_timing.iterations / wf_timing.seconds : 0.0;
+    std::cerr << "workflow tempering solves: " << wf_timing.iterations << " iterations in "
+              << fmt(wf_timing.seconds, 3) << " s (" << fmt(wf_iters_per_sec, 0)
+              << " it/s), " << wf_timing.deadlines_met << "/" << workflows.size()
+              << " deadlines met"
+              << (wf_matches ? "" : "  [WARNING: differs from reference evaluate()!]")
+              << "\n";
+
     bench::JsonObject multi_chain;
     multi_chain.add("chains", solve_opts.chains)
         .add("iterations", solve_result.iterations)
@@ -205,6 +269,15 @@ int main(int argc, char** argv) {
         .add("utility", temper_result.evaluation.utility, 6)
         .add("cache_hit_rate", temper_result.cache_stats.hit_rate(), 4);
 
+    bench::JsonObject workflow_row;
+    workflow_row.add("workflows", static_cast<int>(workflows.size()))
+        .add("chains", wf_opts.chains)
+        .add("iterations", wf_timing.iterations)
+        .add("seconds", wf_timing.seconds, 4)
+        .add("iters_per_sec", wf_iters_per_sec, 1)
+        .add("deadlines_met", wf_timing.deadlines_met)
+        .add("matches_reference", wf_matches);
+
     bench::JsonObject json;
     json.add("benchmark", "solver_throughput")
         .add("workload", "facebook_100_jobs")
@@ -220,11 +293,16 @@ int main(int argc, char** argv) {
         .add("bit_identical_utility", identical)
         .add_raw("multi_chain_solve", multi_chain.inline_str())
         .add_raw("tempering_solve", tempering.inline_str())
-        .add("tempering_vs_independent_speedup", temper_speedup, 2);
+        .add("tempering_vs_independent_speedup", temper_speedup, 2)
+        .add_raw("workflow_tempering_solve", workflow_row.inline_str());
     bench::write_bench_json("BENCH_solver_throughput.json", json);
 
     if (!identical) {
         std::cerr << "FAIL: cached/soa/uncached utilities differ\n";
+        return 1;
+    }
+    if (!wf_matches) {
+        std::cerr << "FAIL: a workflow solve's evaluation differs from the reference\n";
         return 1;
     }
     // The smoke lane only checks it runs and stays bit-identical; the full

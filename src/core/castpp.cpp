@@ -1,6 +1,9 @@
 #include "core/castpp.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "lint/analyzer.hpp"
@@ -195,19 +198,44 @@ Seconds WorkflowEvaluator::transfer_time(GigaBytes volume, StorageTier from,
 
 WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
                                                EvalCache* cache) const {
+    WorkflowEvaluation eval;
+    evaluate_into(plan, cache, eval);
+    return eval;
+}
+
+void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache,
+                                      WorkflowEvaluation& out, const Base* base) const {
     CAST_EXPECTS_MSG(plan.decisions.size() == workflow_.size(),
                      "plan/workflow size mismatch");
     for (const auto& d : plan.decisions) d.validate();
+    // Only a feasible base carries runtimes to reuse.
+    if (base != nullptr && !base->evaluation.feasible) base = nullptr;
+    if (base != nullptr) {
+        CAST_EXPECTS_MSG(&base->evaluation != &out, "base evaluation aliases the output");
+        CAST_EXPECTS(base->plan.decisions.size() == workflow_.size() &&
+                     base->evaluation.job_runtimes.size() == workflow_.size() &&
+                     base->evaluation.transfer_times.size() == workflow_.edges().size());
+    }
 
-    WorkflowEvaluation eval;
+    // Reset every field (a new field must be reset here too); clear()
+    // keeps the vectors' capacity.
+    out.feasible = false;
+    out.infeasibility.clear();
+    out.total_runtime = Seconds{0.0};
+    out.vm_cost = Dollars{0.0};
+    out.storage_cost = Dollars{0.0};
+    out.meets_deadline = false;
+    out.capacities = CapacityBreakdown{};
+    out.job_runtimes.clear();
+    out.transfer_times.clear();
     {
         // Operator pins via the shared lint check (same rule the deployer
         // and CLI enforce).
         std::vector<lint::Finding> violations;
         lint::check_tier_pins(workflow_.jobs(), plan.decisions, violations);
         if (!violations.empty()) {
-            eval.infeasibility = violations.front().message;
-            return eval;
+            out.infeasibility = violations.front().message;
+            return;
         }
     }
     const int nvm = models_->cluster().worker_count;
@@ -219,11 +247,11 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
         const auto& d = plan.decisions[i];
         const auto& job = workflow_.jobs()[i];
         const GigaBytes ci{job_requirement(plan, i).value() * d.overprovision};
-        eval.capacities.aggregate[tier_index(d.tier)] += ci;
+        out.capacities.aggregate[tier_index(d.tier)] += ci;
         if (d.tier == StorageTier::kEphemeralSsd) {
             GigaBytes backing = job.output();
             if (workflow_.predecessors(i).empty()) backing += job.input;
-            eval.capacities.aggregate[tier_index(StorageTier::kObjectStore)] += backing;
+            out.capacities.aggregate[tier_index(StorageTier::kObjectStore)] += backing;
         }
         if (d.tier == StorageTier::kObjectStore) {
             any_on_object_store = true;
@@ -233,7 +261,7 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
         }
     }
     if (any_on_object_store) {
-        auto& pers = eval.capacities.aggregate[tier_index(StorageTier::kPersistentSsd)];
+        auto& pers = out.capacities.aggregate[tier_index(StorageTier::kPersistentSsd)];
         const GigaBytes floor{
             cloud::object_store_intermediate_volume(max_object_store_inter, nvm).value() *
             nvm};
@@ -241,69 +269,97 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
     }
     try {
         for (StorageTier t : cloud::kAllTiers) {
-            const GigaBytes agg = eval.capacities.aggregate[tier_index(t)];
+            const GigaBytes agg = out.capacities.aggregate[tier_index(t)];
             if (agg.value() <= 0.0) continue;
             if (t == StorageTier::kObjectStore) {
-                eval.capacities.per_vm[tier_index(t)] = GigaBytes{agg.value() / nvm};
+                out.capacities.per_vm[tier_index(t)] = GigaBytes{agg.value() / nvm};
                 continue;
             }
             const auto& service = models_->catalog().service(t);
             const GigaBytes per_vm = service.provision(GigaBytes{agg.value() / nvm});
-            eval.capacities.per_vm[tier_index(t)] = per_vm;
-            eval.capacities.aggregate[tier_index(t)] = GigaBytes{per_vm.value() * nvm};
+            out.capacities.per_vm[tier_index(t)] = per_vm;
+            out.capacities.aggregate[tier_index(t)] = GigaBytes{per_vm.value() * nvm};
         }
     } catch (const ValidationError& e) {
-        eval.infeasibility = e.what();
-        return eval;
+        out.infeasibility = e.what();
+        return;
     }
+
+    // --- Delta reuse. A job's runtime is a pure function of (job, tier,
+    // the tier's per-VM capacity, staging legs), and the legs depend only
+    // on the tier and the fixed DAG. So a job that kept its tier, on a tier
+    // whose per-VM capacity is bit-equal to the base's, has the base's
+    // runtime bits; an edge whose endpoints both qualify has the base's
+    // transfer-time bits.
+    std::array<bool, cloud::kTierCount> same_capacity{};
+    if (base != nullptr) {
+        for (StorageTier t : cloud::kAllTiers) {
+            same_capacity[tier_index(t)] =
+                std::bit_cast<std::uint64_t>(out.capacities.per_vm[tier_index(t)].value()) ==
+                std::bit_cast<std::uint64_t>(
+                    base->evaluation.capacities.per_vm[tier_index(t)].value());
+        }
+    }
+    auto reusable = [&](std::size_t i) {
+        const StorageTier t = plan.decisions[i].tier;
+        return base != nullptr && base->plan.decisions[i].tier == t &&
+               same_capacity[tier_index(t)];
+    };
 
     // --- Runtime: serial execution in topological order (Eq. 9's sum),
     // job estimates via REG plus staging/transfer legs.
     Seconds total{0.0};
-    eval.job_runtimes.assign(workflow_.size(), Seconds{0.0});
+    out.job_runtimes.assign(workflow_.size(), Seconds{0.0});
     for (std::size_t i : workflow_.topological_order()) {
-        const auto& d = plan.decisions[i];
-        model::StagingLegs legs{false, false};
-        if (d.tier == StorageTier::kEphemeralSsd) {
-            // Roots must pull their input down from the object store;
-            // terminal outputs must be persisted back.
-            legs.download_input = workflow_.predecessors(i).empty();
-            legs.upload_output = workflow_.successors(i).empty();
+        Seconds t{0.0};
+        if (reusable(i)) {
+            t = base->evaluation.job_runtimes[i];
+        } else {
+            const auto& d = plan.decisions[i];
+            model::StagingLegs legs{false, false};
+            if (d.tier == StorageTier::kEphemeralSsd) {
+                // Roots must pull their input down from the object store;
+                // terminal outputs must be persisted back.
+                legs.download_input = workflow_.predecessors(i).empty();
+                legs.upload_output = workflow_.successors(i).empty();
+            }
+            const GigaBytes per_vm = out.capacities.per_vm[tier_index(d.tier)];
+            t = cache != nullptr
+                    ? cache->job_runtime(*models_, workflow_.jobs()[i], d.tier, per_vm, legs)
+                    : models_->job_runtime(workflow_.jobs()[i], d.tier, per_vm, legs);
         }
-        const GigaBytes per_vm = eval.capacities.per_vm[tier_index(d.tier)];
-        const Seconds t =
-            cache != nullptr
-                ? cache->job_runtime(*models_, workflow_.jobs()[i], d.tier, per_vm, legs)
-                : models_->job_runtime(workflow_.jobs()[i], d.tier, per_vm, legs);
-        eval.job_runtimes[i] = t;
+        out.job_runtimes[i] = t;
         total += t;
     }
     // Cross-tier transfers on edges (the pipelining of §3.1.3: "the output
     // of one job is pipelined to another storage service where it acts as
     // an input for the subsequent job").
-    eval.transfer_times.reserve(workflow_.edges().size());
-    for (const auto& edge : workflow_.edges()) {
-        const std::size_t u = workflow_.index_of(edge.from_job);
-        const std::size_t v = workflow_.index_of(edge.to_job);
-        const StorageTier su = plan.decisions[u].tier;
-        const StorageTier sv = plan.decisions[v].tier;
-        const Seconds t =
-            transfer_time(workflow_.jobs()[u].output(), su,
-                          eval.capacities.per_vm[tier_index(su)], sv,
-                          eval.capacities.per_vm[tier_index(sv)]);
-        eval.transfer_times.push_back(t);
+    const auto& endpoints = workflow_.edge_endpoints();
+    out.transfer_times.reserve(endpoints.size());
+    for (std::size_t k = 0; k < endpoints.size(); ++k) {
+        const auto [u, v] = endpoints[k];
+        Seconds t{0.0};
+        if (reusable(u) && reusable(v)) {
+            t = base->evaluation.transfer_times[k];
+        } else {
+            const StorageTier su = plan.decisions[u].tier;
+            const StorageTier sv = plan.decisions[v].tier;
+            t = transfer_time(workflow_.jobs()[u].output(), su,
+                              out.capacities.per_vm[tier_index(su)], sv,
+                              out.capacities.per_vm[tier_index(sv)]);
+        }
+        out.transfer_times.push_back(t);
         total += t;
     }
-    eval.total_runtime = total;
+    out.total_runtime = total;
 
     // --- Cost (Eq. 8): the shared Eq. 5-6 formula over the workflow
     // makespan, so workflow plans are costed exactly like tiering plans.
-    const auto [vm, store] = eq5_eq6_costs(*models_, total, eval.capacities);
-    eval.vm_cost = vm;
-    eval.storage_cost = store;
-    eval.meets_deadline = total <= workflow_.deadline();
-    eval.feasible = true;
-    return eval;
+    const auto [vm, store] = eq5_eq6_costs(*models_, total, out.capacities);
+    out.vm_cost = vm;
+    out.storage_cost = store;
+    out.meets_deadline = total <= workflow_.deadline();
+    out.feasible = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -365,6 +421,12 @@ WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cac
 struct WorkflowSolver::WfChainCtx {
     WorkflowPlan curr;
     WorkflowEvaluation curr_eval;
+    /// Move buffers: each move copy-assigns curr's decisions into `next`
+    /// and evaluates into `next_eval`; an accepted move swaps them with
+    /// curr/curr_eval. After the first moves they own enough capacity that
+    /// a feasible move allocates nothing outside EvalCache miss inserts.
+    WorkflowPlan next;
+    WorkflowEvaluation next_eval;
     double curr_score = 0.0;
     double best_score = 0.0;
     /// Metropolis normalization. Per-chain on the legacy path (derived
@@ -407,8 +469,8 @@ void WorkflowSolver::init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed,
 }
 
 void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                                 const std::vector<std::size_t>& dfs, EvalCache* cache,
-                                 const SolveDeadline& deadline) const {
+                                 EvalCache* cache, const SolveDeadline& deadline) const {
+    const std::vector<std::size_t>& dfs = evaluator_->workflow().dfs_order();
     const bool bounded = !deadline.unbounded();
     for (int iter = iter_begin; iter < iter_end; ++iter) {
         // Budget/cancel poll once per segment (incl. iter 0, so a chain
@@ -437,8 +499,8 @@ void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int 
             }
         }
 
-        WorkflowPlan neighbor = ctx.curr;
-        PlacementDecision d = neighbor.decisions[job_idx];
+        ctx.next.decisions = ctx.curr.decisions;
+        PlacementDecision& d = ctx.next.decisions[job_idx];
         if (rng.uniform() < options_.tier_move_probability) {
             StorageTier t;
             do {
@@ -449,20 +511,20 @@ void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int 
             d.overprovision =
                 options_.overprov_choices[rng.below(options_.overprov_choices.size())];
         }
-        neighbor.decisions[job_idx] = d;
 
-        const WorkflowEvaluation neighbor_eval = evaluator_->evaluate(neighbor, cache);
-        const double neighbor_score = score(neighbor_eval);
+        const WorkflowEvaluator::Base base{ctx.curr, ctx.curr_eval};
+        evaluator_->evaluate_into(ctx.next, cache, ctx.next_eval, &base);
+        const double neighbor_score = score(ctx.next_eval);
         ++ctx.best.iterations;
-        if (neighbor_eval.feasible && neighbor_score > ctx.best_score) {
-            ctx.best.plan = neighbor;
-            ctx.best.evaluation = neighbor_eval;
+        if (ctx.next_eval.feasible && neighbor_score > ctx.best_score) {
+            ctx.best.plan = ctx.next;
+            ctx.best.evaluation = ctx.next_eval;
             ctx.best_score = neighbor_score;
         }
         const double delta = (neighbor_score - ctx.curr_score) / ctx.scale;
         if (delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature)) {
-            ctx.curr = std::move(neighbor);
-            ctx.curr_eval = neighbor_eval;
+            std::swap(ctx.curr, ctx.next);
+            std::swap(ctx.curr_eval, ctx.next_eval);
             ctx.curr_score = neighbor_score;
         }
     }
@@ -470,9 +532,7 @@ void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int 
 
 WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cache,
                                               const SolveDeadline& deadline) const {
-    const auto& wf = evaluator_->workflow();
-    const std::vector<std::size_t> dfs = wf.dfs_order();
-    CAST_EXPECTS(!dfs.empty());
+    CAST_EXPECTS(!evaluator_->workflow().dfs_order().empty());
     Rng rng(seed);
 
     std::unique_ptr<EvalCache> owned;
@@ -485,7 +545,7 @@ WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cac
 
     WfChainCtx ctx;
     init_wf_chain(ctx, seed, cache);
-    run_wf_span(ctx, rng, 0, options_.iter_max, dfs, cache, deadline);
+    run_wf_span(ctx, rng, 0, options_.iter_max, cache, deadline);
     return std::move(ctx.best);
 }
 
@@ -575,9 +635,7 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
 
 WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache* cache,
                                                     const SolveDeadline& deadline) const {
-    const auto& wf = evaluator_->workflow();
-    const std::vector<std::size_t> dfs = wf.dfs_order();
-    CAST_EXPECTS(!dfs.empty());
+    CAST_EXPECTS(!evaluator_->workflow().dfs_order().empty());
 
     // The uniform sweep is both the guaranteed result floor and the source
     // of the SHARED Metropolis/exchange normalization scale — replicas must
@@ -614,8 +672,8 @@ WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache*
         auto run_one = [&](std::size_t r) {
             Rng rng(TemperingSchedule::segment_seed(options_.seed, r,
                                                     static_cast<std::uint64_t>(round)));
-            run_wf_span(reps[r], rng, sched.round_begin(round), sched.round_end(round), dfs,
-                        cache, deadline);
+            run_wf_span(reps[r], rng, sched.round_begin(round), sched.round_end(round), cache,
+                        deadline);
         };
         if (pool != nullptr && replicas > 1) {
             pool->parallel_for(replicas, run_one, 1);

@@ -136,9 +136,30 @@ public:
     /// pays a cross-tier transfer of the producer's output; root jobs on
     /// ephSSD stage in from objStore, terminal jobs on ephSSD stage out.
     /// When a cache is supplied, per-job REG runtimes are memoized through
-    /// it (bit-identical — REG is deterministic).
+    /// it (bit-identical — REG is deterministic). The reference evaluation:
+    /// a thin wrapper over evaluate_into() with no base.
     [[nodiscard]] WorkflowEvaluation evaluate(const WorkflowPlan& plan,
                                               EvalCache* cache = nullptr) const;
+
+    /// A plan and its evaluation that evaluate_into() may reuse results
+    /// from (the annealing chain's current state).
+    struct Base {
+        const WorkflowPlan& plan;
+        const WorkflowEvaluation& evaluation;
+    };
+
+    /// evaluate() into a caller-owned buffer: every field of `out` is
+    /// reset (vectors keep their capacity, so a reused buffer needs no new
+    /// storage on the feasible path), including on an infeasible early
+    /// return, which leaves both vectors empty. With a feasible `base`, a
+    /// job whose tier matches the base plan's and whose tier's per-VM
+    /// capacity is bit-equal to the base's keeps the base runtime, and an
+    /// edge whose endpoints both pass that test keeps the base transfer
+    /// time: the inputs are identical, so are the bits. Capacities, the
+    /// runtime total and the costs are always recomputed over all jobs in
+    /// the reference order, so `out` bit-equals evaluate(plan, cache).
+    void evaluate_into(const WorkflowPlan& plan, EvalCache* cache, WorkflowEvaluation& out,
+                       const Base* base = nullptr) const;
 
     /// Eq. 10 capacity requirement of one workflow job under a plan.
     [[nodiscard]] GigaBytes job_requirement(const WorkflowPlan& plan,
@@ -227,8 +248,7 @@ private:
     /// loop body verbatim; the DFS cursor and temperature live in ctx and
     /// carry across segments).
     void run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                     const std::vector<std::size_t>& dfs, EvalCache* cache,
-                     const SolveDeadline& deadline) const;
+                     EvalCache* cache, const SolveDeadline& deadline) const;
     [[nodiscard]] WorkflowSolveResult solve_tempering(ThreadPool* pool, EvalCache* cache,
                                                       const SolveDeadline& deadline) const;
 

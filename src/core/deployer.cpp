@@ -257,9 +257,7 @@ WorkflowDeployment Deployer::deploy_workflow(const WorkflowEvaluator& evaluator,
         dep.job_results[i] = std::move(run.result);
     }
     dep.transfer_times.reserve(wf.edges().size());
-    for (const auto& edge : wf.edges()) {
-        const std::size_t u = wf.index_of(edge.from_job);
-        const std::size_t v = wf.index_of(edge.to_job);
+    for (const auto& [u, v] : wf.edge_endpoints()) {
         // A degraded producer's output now lives on the backing store, so
         // the consumer fetches from there instead of the planned tier.
         auto degraded = [&](std::size_t idx) {

@@ -144,10 +144,9 @@ void write_workflow_report(const WorkflowEvaluator& evaluator, const WorkflowPla
         TextTable edges({"edge", "volume (GB)", "time (s)"});
         for (std::size_t k = 0; k < wf.edges().size(); ++k) {
             if (measured.transfer_times[k].value() <= 0.0) continue;
-            const auto& e = wf.edges()[k];
-            edges.add_row({wf.jobs()[wf.index_of(e.from_job)].name + " -> " +
-                               wf.jobs()[wf.index_of(e.to_job)].name,
-                           fmt(wf.jobs()[wf.index_of(e.from_job)].output().value(), 1),
+            const auto [u, v] = wf.edge_endpoints()[k];
+            edges.add_row({wf.jobs()[u].name + " -> " + wf.jobs()[v].name,
+                           fmt(wf.jobs()[u].output().value(), 1),
                            fmt(measured.transfer_times[k].value(), 0)});
         }
         edges.print(os);

@@ -31,7 +31,7 @@ struct Finding {
     std::string subject;  // what the finding is about, e.g. "job 'Sort-3'"
     std::string message;  // the violated invariant, concretely
     std::string fix_hint; // optional remediation, "" when none applies
-    std::optional<int> line;  // 1-based spec line, when a source map is known
+    std::optional<int> line = std::nullopt;  // 1-based spec line, when a source map is known
 
     /// One-line rendering: "error L014 [job 'x'] (line 4): message. hint: ..."
     [[nodiscard]] std::string format() const;

@@ -28,7 +28,7 @@ struct JobSpec {
     /// Jobs carrying the same reuse_group value share the same input
     /// dataset (fully); CAST++ pins them to one tier (Eq. 7) and counts the
     /// shared input capacity once.
-    std::optional<int> reuse_group;
+    std::optional<int> reuse_group = std::nullopt;
     /// Operator-imposed tier pin (spec option `tier=`): the job's data must
     /// live on this tier. Solvers may use it as a constraint; the Deployer's
     /// failure-aware validation rejects plans that violate it.

@@ -2,6 +2,74 @@
 
 namespace cast::workload {
 
+Workflow::Workflow(std::string name, std::vector<JobSpec> jobs,
+                   std::vector<WorkflowEdge> edges, Seconds deadline)
+    : name_(std::move(name)),
+      jobs_(std::move(jobs)),
+      edges_(std::move(edges)),
+      deadline_(deadline) {
+    validate();
+    build_graph();
+}
+
+void Workflow::validate() const {
+    CAST_EXPECTS_MSG(!name_.empty(), "workflow needs a name");
+    CAST_EXPECTS(deadline_.value() > 0.0);
+    Workload(jobs_).validate();  // ids unique, specs sane
+}
+
+void Workflow::build_graph() {
+    const std::size_t n = jobs_.size();
+    endpoints_.reserve(edges_.size());
+    for (const auto& e : edges_) {
+        const EdgeEndpoints ends{index_of(e.from_job), index_of(e.to_job)};
+        if (ends.from == ends.to) {
+            throw ValidationError("workflow " + name_ + ": self-edge on job " +
+                                  std::to_string(e.from_job));
+        }
+        endpoints_.push_back(ends);
+    }
+    preds_.assign(n, {});
+    succs_.assign(n, {});
+    for (const EdgeEndpoints& ends : endpoints_) {
+        preds_[ends.to].push_back(ends.from);
+        succs_[ends.from].push_back(ends.to);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (preds_[i].empty()) roots_.push_back(i);
+    }
+
+    // Kahn's algorithm, popping the smallest ready index.
+    std::vector<std::size_t> indegree(n, 0);
+    for (const EdgeEndpoints& ends : endpoints_) ++indegree[ends.to];
+    std::vector<std::size_t> ready = roots_;
+    topo_.reserve(n);
+    while (!ready.empty()) {
+        const auto it = std::min_element(ready.begin(), ready.end());
+        const std::size_t u = *it;
+        ready.erase(it);
+        topo_.push_back(u);
+        for (std::size_t v : succs_[u]) {
+            if (--indegree[v] == 0) ready.push_back(v);
+        }
+    }
+    CAST_ENSURES_MSG(topo_.size() == n, "cycle detected in workflow DAG");
+
+    // Preorder DFS from each root, successors in edge order. Every job of
+    // an acyclic graph is reachable from some root, so the sweep over all
+    // jobs afterwards is defensive only.
+    std::vector<bool> visited(n, false);
+    dfs_.reserve(n);
+    auto visit = [&](auto& self, std::size_t u) -> void {
+        if (visited[u]) return;
+        visited[u] = true;
+        dfs_.push_back(u);
+        for (std::size_t v : succs_[u]) self(self, v);
+    };
+    for (std::size_t root : roots_) visit(visit, root);
+    for (std::size_t i = 0; i < n; ++i) visit(visit, i);
+}
+
 namespace {
 
 using literals::operator""_GB;

@@ -22,18 +22,26 @@ struct WorkflowEdge {
     int to_job = 0;    // consumer job id
 };
 
+/// Job indices of one edge's endpoints (positions in Workflow::jobs()).
+struct EdgeEndpoints {
+    std::size_t from = 0;  // producer
+    std::size_t to = 0;    // consumer
+};
+
+/// A workflow is immutable once built: the constructor validates it and
+/// derives the whole DAG structure (edge endpoint indices, predecessor and
+/// successor lists, roots, topological and DFS orders) exactly once, so the
+/// accessors below are O(1) references that hot paths — the workflow
+/// evaluator runs once per annealing move — may call freely.
 class Workflow {
 public:
     Workflow() = default;
 
+    /// Throws ValidationError on an unknown edge endpoint or a self-edge,
+    /// InvariantError on a cycle, PreconditionError on an empty name or a
+    /// non-positive deadline.
     Workflow(std::string name, std::vector<JobSpec> jobs, std::vector<WorkflowEdge> edges,
-             Seconds deadline)
-        : name_(std::move(name)),
-          jobs_(std::move(jobs)),
-          edges_(std::move(edges)),
-          deadline_(deadline) {
-        validate();
-    }
+             Seconds deadline);
 
     [[nodiscard]] const std::string& name() const { return name_; }
     [[nodiscard]] const std::vector<JobSpec>& jobs() const { return jobs_; }
@@ -41,6 +49,8 @@ public:
     [[nodiscard]] Seconds deadline() const { return deadline_; }
     [[nodiscard]] std::size_t size() const { return jobs_.size(); }
 
+    /// Index of the job with `job_id` (a linear scan; hot paths read the
+    /// resolved indices from edge_endpoints() instead).
     [[nodiscard]] std::size_t index_of(int job_id) const {
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
             if (jobs_[i].id == job_id) return i;
@@ -49,104 +59,54 @@ public:
                               std::to_string(job_id));
     }
 
-    /// Direct predecessors (producers) of a job, as indices into jobs().
-    [[nodiscard]] std::vector<std::size_t> predecessors(std::size_t idx) const {
+    /// Endpoint indices parallel to edges().
+    [[nodiscard]] const std::vector<EdgeEndpoints>& edge_endpoints() const {
+        return endpoints_;
+    }
+
+    /// Direct predecessors (producers) of a job, as indices into jobs(), in
+    /// edge order.
+    [[nodiscard]] const std::vector<std::size_t>& predecessors(std::size_t idx) const {
         CAST_EXPECTS(idx < jobs_.size());
-        std::vector<std::size_t> preds;
-        for (const auto& e : edges_) {
-            if (index_of(e.to_job) == idx) preds.push_back(index_of(e.from_job));
-        }
-        return preds;
+        return preds_[idx];
     }
 
-    /// Direct successors (consumers) of a job, as indices into jobs().
-    [[nodiscard]] std::vector<std::size_t> successors(std::size_t idx) const {
+    /// Direct successors (consumers) of a job, as indices into jobs(), in
+    /// edge order.
+    [[nodiscard]] const std::vector<std::size_t>& successors(std::size_t idx) const {
         CAST_EXPECTS(idx < jobs_.size());
-        std::vector<std::size_t> succs;
-        for (const auto& e : edges_) {
-            if (index_of(e.from_job) == idx) succs.push_back(index_of(e.to_job));
-        }
-        return succs;
+        return succs_[idx];
     }
 
-    /// Jobs with no predecessors.
-    [[nodiscard]] std::vector<std::size_t> roots() const {
-        std::vector<std::size_t> result;
-        for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            if (predecessors(i).empty()) result.push_back(i);
-        }
-        return result;
-    }
+    /// Jobs with no predecessors, ascending.
+    [[nodiscard]] const std::vector<std::size_t>& roots() const { return roots_; }
 
-    /// A topological order of job indices (Kahn's algorithm; stable w.r.t.
-    /// job declaration order so results are deterministic).
-    [[nodiscard]] std::vector<std::size_t> topological_order() const {
-        const std::size_t n = jobs_.size();
-        std::vector<int> indegree(n, 0);
-        for (const auto& e : edges_) indegree[index_of(e.to_job)]++;
-        std::vector<std::size_t> ready;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (indegree[i] == 0) ready.push_back(i);
-        }
-        std::vector<std::size_t> order;
-        order.reserve(n);
-        while (!ready.empty()) {
-            // Pop the smallest index for determinism.
-            const auto it = std::min_element(ready.begin(), ready.end());
-            const std::size_t u = *it;
-            ready.erase(it);
-            order.push_back(u);
-            for (std::size_t v : successors(u)) {
-                if (--indegree[v] == 0) ready.push_back(v);
-            }
-        }
-        CAST_ENSURES_MSG(order.size() == n, "cycle detected in workflow DAG");
-        return order;
-    }
+    /// A topological order of job indices (Kahn's algorithm, popping the
+    /// smallest ready index, so it is deterministic).
+    [[nodiscard]] const std::vector<std::size_t>& topological_order() const { return topo_; }
 
     /// Depth-first traversal order from the roots (the order CAST++'s
     /// neighbor generation walks the DAG, §4.3).
-    [[nodiscard]] std::vector<std::size_t> dfs_order() const {
-        std::vector<bool> visited(jobs_.size(), false);
-        std::vector<std::size_t> order;
-        order.reserve(jobs_.size());
-        for (std::size_t root : roots()) dfs_visit(root, visited, order);
-        // Disconnected leftovers (defensive; validate() rejects cycles so
-        // every job is reachable from some root unless the graph is empty).
-        for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            if (!visited[i]) dfs_visit(i, visited, order);
-        }
-        return order;
-    }
+    [[nodiscard]] const std::vector<std::size_t>& dfs_order() const { return dfs_; }
 
-    void validate() const {
-        CAST_EXPECTS_MSG(!name_.empty(), "workflow needs a name");
-        CAST_EXPECTS(deadline_.value() > 0.0);
-        Workload(jobs_).validate();  // ids unique, specs sane
-        for (const auto& e : edges_) {
-            (void)index_of(e.from_job);
-            (void)index_of(e.to_job);
-            if (e.from_job == e.to_job) {
-                throw ValidationError("workflow " + name_ + ": self-edge on job " +
-                                      std::to_string(e.from_job));
-            }
-        }
-        (void)topological_order();  // throws InvariantError on a cycle
-    }
+    /// Re-checks the scalar invariants (name, deadline, job specs); the
+    /// graph invariants were established by the constructor.
+    void validate() const;
 
 private:
-    void dfs_visit(std::size_t u, std::vector<bool>& visited,
-                   std::vector<std::size_t>& order) const {
-        if (visited[u]) return;
-        visited[u] = true;
-        order.push_back(u);
-        for (std::size_t v : successors(u)) dfs_visit(v, visited, order);
-    }
+    void build_graph();
 
     std::string name_;
     std::vector<JobSpec> jobs_;
     std::vector<WorkflowEdge> edges_;
     Seconds deadline_{0.0};
+    // Derived once by build_graph().
+    std::vector<EdgeEndpoints> endpoints_;
+    std::vector<std::vector<std::size_t>> preds_;
+    std::vector<std::vector<std::size_t>> succs_;
+    std::vector<std::size_t> roots_;
+    std::vector<std::size_t> topo_;
+    std::vector<std::size_t> dfs_;
 };
 
 /// The paper's running example (Fig. 4a): a four-job search-engine log

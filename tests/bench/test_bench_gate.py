@@ -300,6 +300,47 @@ class IncrementalReportGate(BenchGateHarness):
         self.assertEqual(cold["status"], "pass")
 
 
+def make_solver_report(workflow_ips: float, host_cores: int = 4) -> dict:
+    """A solver_throughput-shaped report: single-chain rows plus the pooled
+    solve rows, including the workflow tempering solve."""
+    return {
+        "mode": "full",
+        "host_cores": host_cores,
+        "uncached_full_evaluation": {"iters_per_sec": 200000.0},
+        "cached_incremental_evaluation": {"iters_per_sec": 800000.0},
+        "soa_incremental_evaluation": {"iters_per_sec": 1100000.0},
+        "multi_chain_solve": {"iters_per_sec": 900000.0},
+        "tempering_solve": {"iters_per_sec": 1000000.0},
+        "workflow_tempering_solve": {"iters_per_sec": workflow_ips,
+                                     "matches_reference": True},
+    }
+
+
+class SolverReportGate(BenchGateHarness):
+    """solver_throughput reports gate the workflow row as a pooled section."""
+
+    def test_regressed_workflow_row_fails_the_gate(self):
+        fresh = make_solver_report(900000.0)  # -50%
+        bench = self.fake_bench(fresh)
+        base = self.baseline(make_solver_report(1800000.0))
+        proc, summary = self.run_gate(bench, base)
+        self.assertEqual(proc.returncode, 1)
+        by_name = {m["name"]: m for m in summary["metrics"]}
+        self.assertEqual(
+            by_name["workflow_tempering_solve.iters_per_sec"]["status"], "fail")
+        self.assertEqual(by_name["tempering_solve.iters_per_sec"]["status"], "pass")
+
+    def test_workflow_row_skipped_across_core_counts(self):
+        fresh = make_solver_report(900000.0, host_cores=1)
+        bench = self.fake_bench(fresh)
+        base = self.baseline(make_solver_report(1800000.0, host_cores=4))
+        proc, summary = self.run_gate(bench, base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        names = {m["name"] for m in summary["metrics"]}
+        self.assertNotIn("workflow_tempering_solve.iters_per_sec", names)
+        self.assertIn("soa_incremental_evaluation.iters_per_sec", names)
+
+
 class SummaryIsMachineReadable(BenchGateHarness):
     def test_summary_is_one_line_valid_json(self):
         bench = self.fake_bench(make_report(100.0))

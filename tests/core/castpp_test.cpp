@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "common/rng.hpp"
+#include "core/eval_cache.hpp"
 #include "test_support.hpp"
 #include "workload/facebook.hpp"
 
@@ -88,7 +93,7 @@ TEST(CastFacade, ConflictingGroupPinsRejectedWithClearError) {
     b.pinned_tier = StorageTier::kObjectStore;
     const workload::Workload w({a, b});
     try {
-        plan_cast_plus_plus(testing::small_models(), w, fast_cast_options());
+        (void)plan_cast_plus_plus(testing::small_models(), w, fast_cast_options());
         FAIL() << "expected ValidationError";
     } catch (const ValidationError& e) {
         EXPECT_NE(std::string(e.what()).find("reuse group"), std::string::npos);
@@ -204,6 +209,165 @@ TEST_F(WorkflowEvalTest, TransferTimeSymmetricInVolumeAndBandwidth) {
                                         GigaBytes{500.0})
                          .value(),
                      0.0);
+}
+
+// --- Delta evaluation: evaluate_into() with the walk's current state as
+// its base must bit-equal a fresh reference evaluate() at every step.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bit_equal(const WorkflowEvaluation& got, const WorkflowEvaluation& want) {
+    EXPECT_EQ(got.feasible, want.feasible);
+    EXPECT_EQ(got.infeasibility, want.infeasibility);
+    for (StorageTier t : cloud::kAllTiers) {
+        const std::size_t i = cloud::tier_index(t);
+        EXPECT_EQ(bits(got.capacities.aggregate[i].value()),
+                  bits(want.capacities.aggregate[i].value()))
+            << cloud::tier_name(t);
+        EXPECT_EQ(bits(got.capacities.per_vm[i].value()),
+                  bits(want.capacities.per_vm[i].value()))
+            << cloud::tier_name(t);
+    }
+    ASSERT_EQ(got.job_runtimes.size(), want.job_runtimes.size());
+    for (std::size_t i = 0; i < want.job_runtimes.size(); ++i) {
+        EXPECT_EQ(bits(got.job_runtimes[i].value()), bits(want.job_runtimes[i].value()))
+            << "job " << i;
+    }
+    ASSERT_EQ(got.transfer_times.size(), want.transfer_times.size());
+    for (std::size_t k = 0; k < want.transfer_times.size(); ++k) {
+        EXPECT_EQ(bits(got.transfer_times[k].value()), bits(want.transfer_times[k].value()))
+            << "edge " << k;
+    }
+    EXPECT_EQ(bits(got.total_runtime.value()), bits(want.total_runtime.value()));
+    EXPECT_EQ(bits(got.vm_cost.value()), bits(want.vm_cost.value()));
+    EXPECT_EQ(bits(got.storage_cost.value()), bits(want.storage_cost.value()));
+    EXPECT_EQ(got.meets_deadline, want.meets_deadline);
+}
+
+struct WalkStats {
+    int feasible = 0;
+    int pin_violations = 0;
+    int overflows = 0;
+    int infeasible_then_feasible = 0;
+    int feasible_then_infeasible = 0;
+    int accepts = 0;
+};
+
+/// A seeded walk of single-job moves shaped like the solver's: the
+/// candidate is evaluated into a reused buffer against the current state
+/// as base, then accepted (buffers swapped) or rejected. Infeasible
+/// candidates are sometimes accepted too, so infeasible bases occur. The
+/// factor menu reaches past every tier's per-VM limit, so capacity
+/// overflows occur.
+WalkStats delta_walk(const WorkflowEvaluator& eval, std::uint64_t seed, int steps,
+                     EvalCache* cache) {
+    constexpr double kFactors[] = {1.0, 1.25, 2.0, 3.0, 8.0, 40.0, 400.0};
+    const std::size_t n = eval.workflow().size();
+    Rng rng(seed);
+    WorkflowPlan curr = WorkflowPlan::uniform(n, StorageTier::kPersistentSsd);
+    WorkflowPlan next;
+    WorkflowEvaluation curr_eval;
+    WorkflowEvaluation next_eval;
+    eval.evaluate_into(curr, cache, curr_eval);
+    expect_bit_equal(curr_eval, eval.evaluate(curr));
+    WalkStats stats;
+    bool prev_feasible = curr_eval.feasible;
+    for (int step = 0; step < steps; ++step) {
+        next.decisions = curr.decisions;
+        PlacementDecision& d = next.decisions[rng.below(n)];
+        if (rng.uniform() < 0.6) {
+            StorageTier t = d.tier;
+            do {
+                t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
+            } while (t == d.tier);
+            d.tier = t;
+        } else {
+            d.overprovision = kFactors[rng.below(std::size(kFactors))];
+        }
+        const WorkflowEvaluator::Base base{curr, curr_eval};
+        eval.evaluate_into(next, cache, next_eval, &base);
+        const WorkflowEvaluation want = eval.evaluate(next);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
+        expect_bit_equal(next_eval, want);
+        if (::testing::Test::HasFailure()) return stats;
+
+        if (next_eval.feasible) {
+            ++stats.feasible;
+        } else if (next_eval.infeasibility.find("pinned") != std::string::npos) {
+            ++stats.pin_violations;
+        } else {
+            ++stats.overflows;
+        }
+        stats.infeasible_then_feasible += !prev_feasible && next_eval.feasible ? 1 : 0;
+        stats.feasible_then_infeasible += prev_feasible && !next_eval.feasible ? 1 : 0;
+        prev_feasible = next_eval.feasible;
+        if (rng.uniform() < (next_eval.feasible ? 0.6 : 0.2)) {
+            std::swap(curr, next);
+            std::swap(curr_eval, next_eval);
+            ++stats.accepts;
+        }
+    }
+    return stats;
+}
+
+void expect_walk_covers_every_case(const WalkStats& s, bool pinned) {
+    EXPECT_GT(s.feasible, 0);
+    EXPECT_GT(s.overflows, 0);
+    EXPECT_GT(s.infeasible_then_feasible, 0);
+    EXPECT_GT(s.feasible_then_infeasible, 0);
+    EXPECT_GT(s.accepts, 0);
+    if (pinned) {
+        EXPECT_GT(s.pin_violations, 0);
+    }
+}
+
+TEST(WorkflowDeltaEvaluation, SyntheticWorkflowsMatchReference) {
+    for (const std::uint64_t wf_seed : {11u, 3u, 2024u}) {
+        for (const auto& wf : workload::synthesize_deadline_workflows(wf_seed)) {
+            SCOPED_TRACE(wf.name() + " (workflow seed " + std::to_string(wf_seed) + ")");
+            const WorkflowEvaluator eval(testing::small_models(), wf);
+            EvalCache cache;
+            expect_walk_covers_every_case(delta_walk(eval, wf_seed * 31 + wf.size(), 1500,
+                                                     &cache),
+                                          /*pinned=*/false);
+        }
+    }
+}
+
+TEST(WorkflowDeltaEvaluation, SearchLogWorkflowMatchesReferenceWithAndWithoutCache) {
+    const WorkflowEvaluator eval(testing::small_models(), workload::make_search_log_workflow());
+    EvalCache cache;
+    expect_walk_covers_every_case(delta_walk(eval, 5, 3000, &cache), /*pinned=*/false);
+    expect_walk_covers_every_case(delta_walk(eval, 6, 3000, nullptr), /*pinned=*/false);
+}
+
+TEST(WorkflowDeltaEvaluation, PinnedWorkflowMatchesReference) {
+    const workload::Workflow base = workload::make_search_log_workflow();
+    std::vector<workload::JobSpec> jobs = base.jobs();
+    jobs[0].pinned_tier = StorageTier::kPersistentSsd;
+    jobs[3].pinned_tier = StorageTier::kPersistentSsd;
+    const workload::Workflow pinned("pinned", std::move(jobs), base.edges(), base.deadline());
+    const WorkflowEvaluator eval(testing::small_models(), pinned);
+    EvalCache cache;
+    expect_walk_covers_every_case(delta_walk(eval, 7, 3000, &cache), /*pinned=*/true);
+}
+
+TEST(WorkflowDeltaEvaluation, InfeasibleResultClearsAReusedBuffer) {
+    // A feasible evaluation left in the buffer must not leak into a later
+    // infeasible one, nor the reverse.
+    const WorkflowEvaluator eval(testing::small_models(), workload::make_search_log_workflow());
+    const WorkflowPlan ok = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
+    const WorkflowPlan overflow = WorkflowPlan::uniform(4, StorageTier::kEphemeralSsd, 400.0);
+    WorkflowEvaluation buffer;
+    eval.evaluate_into(ok, nullptr, buffer);
+    ASSERT_TRUE(buffer.feasible);
+    eval.evaluate_into(overflow, nullptr, buffer);
+    ASSERT_FALSE(buffer.feasible);
+    expect_bit_equal(buffer, eval.evaluate(overflow));
+    EXPECT_TRUE(buffer.job_runtimes.empty());
+    EXPECT_TRUE(buffer.transfer_times.empty());
+    eval.evaluate_into(ok, nullptr, buffer);
+    expect_bit_equal(buffer, eval.evaluate(ok));
 }
 
 // --- Workflow solver.

@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/annealing.hpp"
 #include "core/castpp.hpp"
 #include "core/eval_cache.hpp"
 #include "test_support.hpp"
+#include "workload/facebook.hpp"
 #include "workload/workflow.hpp"
 
 namespace cast::core {
@@ -233,6 +237,62 @@ TEST(TemperingDeterminism, WorkflowSolveBitIdenticalAcrossWorkerCounts) {
             EXPECT_EQ(pooled.plan.decisions[i].tier, serial.plan.decisions[i].tier);
             EXPECT_EQ(pooled.plan.decisions[i].overprovision,
                       serial.plan.decisions[i].overprovision);
+        }
+    }
+}
+
+// Golden Fig. 9 workflow solves: the five deadline workflows at default
+// AnnealingOptions, pinned bit for bit to the full-re-evaluation solver
+// that preceded delta evaluation. On the small test cluster no plan meets
+// the 400-core deadlines, so these solves also exercise the overtime
+// penalty. The plan fingerprint is FNV-1a over every decision's tier and
+// over-provision bits.
+struct WorkflowGolden {
+    double cost;
+    double runtime;
+    int best_chain;
+    int iterations;
+    std::uint64_t exchange_accepts;
+    std::uint64_t plan_fingerprint;
+};
+
+std::uint64_t plan_fingerprint(const WorkflowPlan& plan) {
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    };
+    for (const PlacementDecision& d : plan.decisions) {
+        mix(static_cast<std::uint64_t>(d.tier));
+        mix(std::bit_cast<std::uint64_t>(d.overprovision));
+    }
+    return h;
+}
+
+TEST(TemperingDeterminism, Fig9WorkflowSolvesMatchGoldenAtAnyWorkerCount) {
+    const WorkflowGolden golden[] = {
+        {0x1.2276a6a0c1075p+4, 0x1.c447eb2860eafp+12, 3, 120000, 142, 0x3096ed9c5aa8b386ULL},
+        {0x1.3898f31e75988p+3, 0x1.f0e3a56abd9e1p+11, 0, 120000, 140, 0xcf0339223a9e67d3ULL},
+        {0x1.42a04b6cd2a4p+3, 0x1.38e873504ee0fp+12, 0, 120000, 148, 0x3f72ae6dbd86aa72ULL},
+        {0x1.5c1a6a64ee90ep+3, 0x1.284c7be9265e9p+12, 0, 120000, 142, 0xcdad456540782e50ULL},
+        {0x1.6532c7784a202p+2, 0x1.700e6970906cbp+11, 0, 120000, 157, 0xb535195f91bf2b09ULL},
+    };
+    const auto workflows = workload::synthesize_deadline_workflows(11);
+    ASSERT_EQ(workflows.size(), std::size(golden));
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        ThreadPool pool(workers);
+        for (std::size_t w = 0; w < workflows.size(); ++w) {
+            SCOPED_TRACE(workflows[w].name() + ", " + std::to_string(workers) + " workers");
+            const WorkflowEvaluator eval(testing::small_models(), workflows[w]);
+            const WorkflowSolver solver(eval, AnnealingOptions{});
+            const WorkflowSolveResult r = solver.solve(&pool);
+            ASSERT_TRUE(r.evaluation.feasible);
+            EXPECT_EQ(r.evaluation.total_cost().value(), golden[w].cost);
+            EXPECT_EQ(r.evaluation.total_runtime.value(), golden[w].runtime);
+            EXPECT_EQ(r.best_chain, golden[w].best_chain);
+            EXPECT_EQ(r.iterations, golden[w].iterations);
+            EXPECT_EQ(r.tempering.total_accepts(), golden[w].exchange_accepts);
+            EXPECT_EQ(plan_fingerprint(r.plan), golden[w].plan_fingerprint);
         }
     }
 }

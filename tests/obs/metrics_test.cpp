@@ -148,7 +148,7 @@ TEST(MetricsRegistry, JsonIsOneLineSortedAndOmitsEmptyQuantiles) {
     reg.counter("b.count").add(2);
     reg.counter("a.count").add(1);
     reg.gauge("depth").set(3.0);
-    reg.histogram("empty_hist");
+    (void)reg.histogram("empty_hist");
     Histogram& h = reg.histogram("lat", {1.0, 10.0});
     h.observe(0.5);
     h.observe(5.0);
@@ -194,7 +194,7 @@ TEST(MetricsRegistry, TableRendersAllInstrumentKinds) {
     reg.counter("serve.requests.submitted").add(4);
     reg.gauge("serve.queue.depth").set(2.0);
     reg.histogram("serve.latency_ms.normal").observe(3.0);
-    reg.histogram("serve.latency_ms.empty");
+    (void)reg.histogram("serve.latency_ms.empty");
     std::ostringstream os;
     reg.write_table(os);
     const std::string text = os.str();
