@@ -1,30 +1,52 @@
-// Batch-simulation throughput bench: measures the two layers the parallel
-// experiment engine adds on top of the seed simulator and writes
-// BENCH_sim_throughput.json.
+// Simulator throughput bench: measures the flow engine and the layers that
+// run on it, and writes BENCH_sim_throughput.json.
 //
-//   1. hot path — the same batch run serially with per-job allocation
-//      (scratch reuse off: fresh engine, fresh wave vectors per job, the
-//      seed behaviour) vs the reused thread-local arena;
-//   2. parallelism — the batch fanned over the work-stealing pool.
+//   1. engine_events — an isolated FlowEngine keeping ~200 flows active
+//      on 25 pools (every completion starts a replacement), events/s;
+//   2. serial_batch — a mixed batch of cluster simulations on the calling
+//      thread (reused thread-local arena), jobs/s;
+//   3. pooled_batch — the same batch fanned over the work-stealing pool;
+//   4. deploy_100_jobs — Deployer::deploy of a fixed 100-job plan on the
+//      paper's 400-core cluster, jobs/s.
 //
-// Determinism is asserted, not assumed: the serial and pooled runs must
-// produce bit-identical makespans (exact double equality) before any
-// number is reported. host_cores is recorded so a single-core CI host's
-// ~1x parallel factor is legible next to a multi-core host's scaling.
+// Results are checked, not assumed: the serial and pooled batches must be
+// bit-identical (exact double equality), and the engine trace and the
+// deployed makespans must hash to the committed golden FNV-1a fingerprints
+// of the simulator, before any number is reported. host_cores is recorded
+// so pooled numbers are only compared between hosts of one core count.
 //
 // Usage: sim_throughput [--smoke] [--threads N]
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/fnv1a.hpp"
+#include "common/rng.hpp"
+#include "core/deployer.hpp"
 #include "sim/batch.hpp"
+#include "sim/flow_engine.hpp"
+#include "workload/facebook.hpp"
 
 namespace {
 using namespace cast;
 using cloud::StorageTier;
 using workload::AppKind;
+
+// Golden fingerprints of the engine trace (smoke / full event counts) and
+// of the deployed per-job makespans.
+constexpr std::uint64_t kEngineGoldenSmoke = 0xee089ad03468f2fdULL;
+constexpr std::uint64_t kEngineGoldenFull = 0x6d2612c0165621e3ULL;
+constexpr std::uint64_t kDeployGolden = 0x5364368150929c5cULL;
+
+std::string hex(std::uint64_t v) {
+    static const char* digits = "0123456789abcdef";
+    std::string s = "0x";
+    for (int shift = 60; shift >= 0; shift -= 4) s += digits[(v >> shift) & 0xF];
+    return s;
+}
 
 /// A mixed batch shaped like the experiment drivers' workloads: every
 /// (app, tier, capacity, seed) combination the sweeps touch.
@@ -42,9 +64,6 @@ std::vector<sim::BatchConfig> make_batch(int repeats) {
                 const workload::JobSpec job = bench::make_job(id++, app, gb);
                 sim::TierCapacities caps;
                 caps.set(tier, GigaBytes{300.0 + 100.0 * (rep % 8)});
-                if (tier == StorageTier::kObjectStore) {
-                    caps.set(StorageTier::kPersistentSsd, GigaBytes{300.0});
-                }
                 configs.push_back(sim::BatchConfig{
                     sim::JobPlacement::on_tier(job, tier), caps,
                     sim::SimOptions{.seed = 42 + static_cast<std::uint64_t>(rep),
@@ -68,14 +87,88 @@ bool identical(const std::vector<sim::BatchOutcome>& a,
     return true;
 }
 
+constexpr int kEngineFlows = 200;
+constexpr int kEnginePools = 25;
+
+struct EngineRun {
+    double seconds = 0.0;
+    std::uint64_t fingerprint = 0;
+};
+
+/// `events` advance() calls on an isolated engine holding kEngineFlows
+/// flows: every completed flow is replaced by a new one on a random pool.
+/// The fingerprint folds every step's clock and completed ids.
+EngineRun run_engine(std::size_t events) {
+    sim::FlowEngine engine;
+    Rng rng(2015);
+    std::vector<sim::ResourceId> pools;
+    for (int i = 0; i < kEnginePools; ++i) {
+        pools.push_back(engine.add_resource(MBytesPerSec{100.0 + 20.0 * i}));
+    }
+    auto start_one = [&] {
+        const sim::ResourceId r = pools[rng.below(pools.size())];
+        const double cap = rng.below(3) == 0 ? 1e9 : rng.uniform(5.0, 60.0);
+        engine.start_flow(r, rng.uniform(10.0, 400.0), cap);
+    };
+    for (int i = 0; i < kEngineFlows; ++i) start_one();
+
+    Fnv1a h;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t e = 0; e < events; ++e) {
+        const std::vector<sim::FlowId>& done = engine.advance();
+        h.mix(engine.now().value());
+        for (sim::FlowId f : done) h.mix(static_cast<std::uint64_t>(f));
+        const std::size_t replace = done.size();
+        for (std::size_t i = 0; i < replace; ++i) start_one();
+    }
+    return EngineRun{bench::seconds_since(t0), h.value()};
+}
+
+/// Tiers rotate by job index and over-provisioning cycles 1, 1.25, 1.5.
+core::TieringPlan rotating_plan(std::size_t n) {
+    std::vector<core::PlacementDecision> d;
+    for (std::size_t i = 0; i < n; ++i) {
+        d.push_back(core::PlacementDecision{cloud::kAllTiers[i % cloud::kTierCount],
+                                            1.0 + 0.25 * static_cast<double>(i % 3)});
+    }
+    return core::TieringPlan(std::move(d));
+}
+
+std::uint64_t makespans_fingerprint(const core::WorkloadDeployment& dep) {
+    Fnv1a h;
+    for (const sim::JobResult& r : dep.job_results) h.mix(r.makespan.value());
+    return h.value();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-    // Full mode needs enough jobs that each timed mode runs ~1 s — per-job
-    // cost is ~0.3 ms, so timing noise swamps anything much smaller.
+    // Full mode sizes every row to run for around a second or more; the
+    // engine and deploy rows keep the best of several repetitions.
     const int repeats = args.smoke ? 1 : 300;
+    const std::size_t engine_events = args.smoke ? 20000 : 300000;
+    const int engine_reps = args.smoke ? 1 : 6;
+    const int deploys = args.smoke ? 1 : 8;
+    const std::uint64_t engine_golden = args.smoke ? kEngineGoldenSmoke : kEngineGoldenFull;
 
+    // 1. Isolated engine.
+    EngineRun engine_best;
+    for (int rep = 0; rep < engine_reps; ++rep) {
+        const EngineRun run = run_engine(engine_events);
+        if (run.fingerprint != engine_golden) {
+            std::cerr << "FAIL: engine trace fingerprint " << hex(run.fingerprint)
+                      << " != golden " << hex(engine_golden) << "\n";
+            return 1;
+        }
+        if (rep == 0 || run.seconds < engine_best.seconds) engine_best = run;
+    }
+    const double events_per_s = static_cast<double>(engine_events) / engine_best.seconds;
+    std::cerr << "engine: " << engine_events << " events, ~" << kEngineFlows
+              << " active flows on " << kEnginePools << " pools: "
+              << fmt(events_per_s / 1e6, 3) << " M events/s\n";
+
+    // 2-3. Batch of cluster simulations, serial then pooled.
     const auto cluster = cloud::ClusterSpec::paper_10_node();
     const auto catalog = cloud::StorageCatalog::google_cloud();
     const sim::BatchRunner runner(cluster, catalog);
@@ -87,61 +180,85 @@ int main(int argc, char** argv) {
     // Warm-up: fault in code paths and page in the catalog before timing.
     (void)runner.run({configs.front()});
 
-    // 1. Serial, per-job allocation (the seed simulator's storage behaviour).
-    sim::set_scratch_reuse(false);
     auto t0 = std::chrono::steady_clock::now();
-    const auto serial_alloc = runner.run(configs);
-    const double serial_alloc_s = bench::seconds_since(t0);
+    const auto serial = runner.run(configs);
+    const double serial_s = bench::seconds_since(t0);
 
-    // 2. Serial, reused thread-local arena (the new hot path).
-    sim::set_scratch_reuse(true);
-    t0 = std::chrono::steady_clock::now();
-    const auto serial_reuse = runner.run(configs);
-    const double serial_reuse_s = bench::seconds_since(t0);
-
-    // 3. Fanned over the work-stealing pool.
     ThreadPool pool;
     t0 = std::chrono::steady_clock::now();
     const auto pooled = runner.run(configs, &pool);
     const double pooled_s = bench::seconds_since(t0);
 
-    const bool deterministic =
-        identical(serial_alloc, serial_reuse) && identical(serial_reuse, pooled);
-    if (!deterministic) {
-        std::cerr << "FAIL: batch outcomes differ across modes\n";
+    if (!identical(serial, pooled)) {
+        std::cerr << "FAIL: batch outcomes differ between serial and pooled runs\n";
         return 1;
     }
+    const double parallel_speedup = serial_s / pooled_s;
+    std::cerr << "serial batch:  " << fmt(serial_s, 2) << " s (" << fmt(n / serial_s, 1)
+              << " jobs/s)\n"
+              << "pooled (" << pool.worker_count() << " workers): " << fmt(pooled_s, 2)
+              << " s (" << fmt(n / pooled_s, 1) << " jobs/s, " << fmt(parallel_speedup, 2)
+              << "x)\n";
 
-    const double hot_path_speedup = serial_alloc_s / serial_reuse_s;
-    const double parallel_speedup = serial_reuse_s / pooled_s;
-    const double batch_speedup = serial_alloc_s / pooled_s;
+    // 4. Deploy a fixed 100-job plan (models profiled on the pool first;
+    // only the serial deploys are timed).
+    const model::PerfModelSet models =
+        bench::profile_models(cloud::ClusterSpec::paper_400_core(), /*runs_per_point=*/1);
+    const workload::Workload workload = workload::synthesize_facebook_workload(42);
+    const core::PlanEvaluator evaluator(models, workload);
+    const core::TieringPlan plan = rotating_plan(workload.size());
+    const core::Deployer deployer;
+    double deploy_best_s = 0.0;
+    for (int rep = 0; rep < deploys; ++rep) {
+        t0 = std::chrono::steady_clock::now();
+        const core::WorkloadDeployment dep = deployer.deploy(evaluator, plan);
+        const double s = bench::seconds_since(t0);
+        const std::uint64_t fp = makespans_fingerprint(dep);
+        if (fp != kDeployGolden) {
+            std::cerr << "FAIL: deployed makespan fingerprint " << hex(fp) << " != golden "
+                      << hex(kDeployGolden) << "\n";
+            return 1;
+        }
+        if (rep == 0 || s < deploy_best_s) deploy_best_s = s;
+    }
+    const double deploy_jobs_per_s = static_cast<double>(workload.size()) / deploy_best_s;
+    std::cerr << "deploy: " << workload.size() << "-job plan in " << fmt(deploy_best_s * 1e3, 1)
+              << " ms (" << fmt(deploy_jobs_per_s, 1) << " jobs/s)\n"
+              << "determinism: batch bit-identical, engine and deploy match golden\n";
+
     const unsigned host_cores = std::thread::hardware_concurrency();
-
-    std::cerr << "serial (per-job alloc): " << fmt(serial_alloc_s, 2) << " s ("
-              << fmt(n / serial_alloc_s, 1) << " jobs/s)\n"
-              << "serial (arena reuse):   " << fmt(serial_reuse_s, 2) << " s ("
-              << fmt(n / serial_reuse_s, 1) << " jobs/s, " << fmt(hot_path_speedup, 2)
-              << "x)\n"
-              << "pooled (" << pool.worker_count() << " workers):     "
-              << fmt(pooled_s, 2) << " s (" << fmt(n / pooled_s, 1) << " jobs/s, "
-              << fmt(batch_speedup, 2) << "x vs seed)\n"
-              << "determinism: serial and pooled outcomes bit-identical\n";
+    bench::JsonObject engine_row;
+    engine_row.add("events", static_cast<unsigned long long>(engine_events))
+        .add("active_flows", kEngineFlows)
+        .add("pools", kEnginePools)
+        .add("seconds", engine_best.seconds, 4)
+        .add("events_per_s", events_per_s, 1)
+        .add("fingerprint", hex(engine_best.fingerprint));
+    bench::JsonObject serial_row;
+    serial_row.add("jobs", static_cast<unsigned long long>(configs.size()))
+        .add("seconds", serial_s, 4)
+        .add("jobs_per_s", n / serial_s, 2);
+    bench::JsonObject pooled_row;
+    pooled_row.add("workers", static_cast<unsigned long long>(pool.worker_count()))
+        .add("jobs", static_cast<unsigned long long>(configs.size()))
+        .add("seconds", pooled_s, 4)
+        .add("jobs_per_s", n / pooled_s, 2);
+    bench::JsonObject deploy_row;
+    deploy_row.add("jobs", static_cast<unsigned long long>(workload.size()))
+        .add("repetitions", deploys)
+        .add("seconds", deploy_best_s, 4)
+        .add("jobs_per_s", deploy_jobs_per_s, 2)
+        .add("fingerprint", hex(kDeployGolden));
 
     bench::JsonObject json;
     json.add("bench", "sim_throughput")
-        .add("smoke", args.smoke)
-        .add("configs", static_cast<unsigned long long>(configs.size()))
+        .add("mode", args.smoke ? "smoke" : "full")
         .add("host_cores", host_cores)
-        .add("pool_workers", static_cast<unsigned long long>(pool.worker_count()))
-        .add("serial_alloc_s", serial_alloc_s, 4)
-        .add("serial_reuse_s", serial_reuse_s, 4)
-        .add("pooled_s", pooled_s, 4)
-        .add("jobs_per_s_serial_alloc", n / serial_alloc_s, 2)
-        .add("jobs_per_s_serial_reuse", n / serial_reuse_s, 2)
-        .add("jobs_per_s_pooled", n / pooled_s, 2)
-        .add("hot_path_speedup", hot_path_speedup, 3)
+        .add_raw("engine_events", engine_row.inline_str())
+        .add_raw("serial_batch", serial_row.inline_str())
+        .add_raw("pooled_batch", pooled_row.inline_str())
         .add("parallel_speedup", parallel_speedup, 3)
-        .add("batch_speedup_vs_seed", batch_speedup, 3)
+        .add_raw("deploy_100_jobs", deploy_row.inline_str())
         .add("deterministic_across_modes", true);
     bench::write_bench_json("BENCH_sim_throughput.json", json);
     return 0;

@@ -160,7 +160,12 @@ TierModel Profiler::profile_pair(AppKind app, StorageTier tier, ThreadPool* pool
         for (double c : sweep) {
             const GigaBytes provisioned = service.provision(GigaBytes{c});
             if (!xs.empty() && provisioned.value() <= xs.back()) continue;  // dedupe rounding
-            const sim::PhaseTimes at = measure(app, tier, provisioned, pool);
+            // The sweep passes through the reference capacity (500 GB block,
+            // 375 GB ephSSD, the objStore intermediate volume); same config,
+            // same seeds, so reuse that measurement instead of re-simulating.
+            const sim::PhaseTimes at = provisioned.value() == ref_capacity.value()
+                                           ? ref
+                                           : measure(app, tier, provisioned, pool);
             xs.push_back(provisioned.value());
             ys.push_back(at.processing().value() / ref_runtime);
         }

@@ -17,6 +17,11 @@
 // capture (the honest error of Fig. 8).
 //
 // Hot-path storage discipline (the batch engine runs millions of steps):
+//   * every step touches every active flow twice (find the earliest
+//     completion, drain), so the active set is a structure of arrays —
+//     parallel id / remaining / rate / reciprocal-rate columns scanned two
+//     flows per instruction (see flow_engine.cpp for the exactness
+//     argument that keeps those scans bit-identical to scalar division);
 //   * flows live in one arena vector whose capacity survives reset(), so a
 //     reused engine allocates nothing in steady state;
 //   * per-resource member lists are maintained incrementally (insert on
@@ -29,8 +34,6 @@
 //     reference — no per-step allocation.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -51,31 +54,10 @@ public:
     /// zero, keeping every buffer's capacity. A reset engine is
     /// indistinguishable from a freshly constructed one (bit-identical
     /// simulations), but re-running a same-shaped job allocates nothing.
-    void reset() {
-        resources_.clear();
-        flows_.clear();
-        active_.clear();
-        instantly_done_.clear();
-        completed_.clear();
-        for (auto& v : per_resource_active_) v.clear();
-        // per_resource_active_ itself keeps its slots (and their inner
-        // capacity); add_resource reuses them index-by-index.
-        events_.clear();
-        applied_events_ = 0;
-        event_seq_ = 0;
-        dirty_resources_.clear();
-        now_ = 0.0;
-    }
+    void reset();
 
     /// Register a shared resource with the given aggregate capacity (MB/s).
-    ResourceId add_resource(MBytesPerSec capacity) {
-        CAST_EXPECTS_MSG(capacity.value() > 0.0, "resource capacity must be positive");
-        resources_.push_back(Resource{capacity.value(), /*dirty=*/false});
-        if (per_resource_active_.size() < resources_.size()) {
-            per_resource_active_.emplace_back();
-        }
-        return resources_.size() - 1;
-    }
+    ResourceId add_resource(MBytesPerSec capacity);
 
     [[nodiscard]] std::size_t resource_count() const { return resources_.size(); }
 
@@ -83,23 +65,7 @@ public:
     /// `cap` MB/s (use an enormous cap for "share-limited only"). A flow
     /// with zero demand is born complete (it is still reported by the next
     /// advance() so sequencing logic stays uniform).
-    FlowId start_flow(ResourceId res, double demand_mb, double cap_mbps) {
-        CAST_EXPECTS(res < resources_.size());
-        CAST_EXPECTS_MSG(demand_mb >= 0.0, "flow demand must be non-negative");
-        CAST_EXPECTS_MSG(cap_mbps > 0.0, "flow cap must be positive");
-        const FlowId id = flows_.size();
-        flows_.push_back(Flow{res, demand_mb, cap_mbps, /*rate=*/0.0,
-                              /*done=*/false});
-        if (demand_mb <= kCompletionEpsilonMb) {
-            flows_.back().remaining_mb = 0.0;
-            instantly_done_.push_back(id);
-        } else {
-            active_.push_back(id);
-            insert_member(res, id);
-            mark_dirty(res);
-        }
-        return id;
-    }
+    FlowId start_flow(ResourceId res, double demand_mb, double cap_mbps);
 
     [[nodiscard]] bool flow_done(FlowId f) const {
         CAST_EXPECTS(f < flows_.size());
@@ -112,12 +78,7 @@ public:
     /// end). Events never complete flows by themselves; advance() stops at
     /// each event boundary, re-water-fills, and continues to the next flow
     /// completion. Events in the past apply on the next advance().
-    void schedule_capacity_change(ResourceId res, Seconds at, MBytesPerSec capacity) {
-        CAST_EXPECTS(res < resources_.size());
-        CAST_EXPECTS_MSG(capacity.value() > 0.0, "throttled capacity must stay positive");
-        events_.push_back(CapacityEvent{at.value(), event_seq_++, res, capacity.value()});
-        std::push_heap(events_.begin(), events_.end(), EventLater{});
-    }
+    void schedule_capacity_change(ResourceId res, Seconds at, MBytesPerSec capacity);
 
     /// Capacity-change events that have fired so far (fault-log accounting).
     [[nodiscard]] std::size_t applied_capacity_events() const { return applied_events_; }
@@ -130,84 +91,23 @@ public:
     [[nodiscard]] Seconds now() const { return Seconds{now_}; }
 
     [[nodiscard]] std::size_t active_flow_count() const {
-        return active_.size() + instantly_done_.size();
+        return active_ids_.size() + instantly_done_.size();
     }
 
     /// Advance the clock to the next flow completion. Returns the ids of
-    /// all flows that completed at the new time (empty iff no active flow).
-    /// Zero-demand flows complete "now" without advancing the clock. The
-    /// returned buffer is owned by the engine and overwritten by the next
-    /// advance().
-    const std::vector<FlowId>& advance() {
-        completed_.clear();
-        if (!instantly_done_.empty()) {
-            completed_.swap(instantly_done_);
-            for (FlowId f : completed_) flows_[f].done = true;
-            return completed_;
-        }
-        if (active_.empty()) return completed_;
-        while (completed_.empty()) {
-            // Apply any capacity events that are due (at or before now).
-            while (!events_.empty() && events_.front().at <= now_) {
-                pop_apply_event();
-            }
-            recompute_rates();
-            double min_dt = std::numeric_limits<double>::infinity();
-            for (FlowId i : active_) {
-                const Flow& f = flows_[i];
-                CAST_ENSURES_MSG(f.rate > 0.0, "active flow has zero rate");
-                min_dt = std::min(min_dt, f.remaining_mb / f.rate);
-            }
-            // Stop at the next capacity event if it arrives strictly before
-            // the earliest completion: drain flows partially, re-share, go
-            // around again. (Ties favour the completion; the event then
-            // fires at the top of the next iteration or call.)
-            if (!events_.empty()) {
-                const double ev_dt = events_.front().at - now_;
-                if (ev_dt < min_dt) {
-                    now_ += ev_dt;
-                    for (FlowId id : active_) {
-                        Flow& f = flows_[id];
-                        f.remaining_mb = std::max(0.0, f.remaining_mb - f.rate * ev_dt);
-                    }
-                    pop_apply_event();
-                    continue;
-                }
-            }
-            now_ += min_dt;
-            std::size_t keep = 0;
-            for (std::size_t k = 0; k < active_.size(); ++k) {
-                const FlowId id = active_[k];
-                Flow& f = flows_[id];
-                f.remaining_mb -= f.rate * min_dt;
-                if (f.remaining_mb <= kCompletionEpsilonMb) {
-                    f.remaining_mb = 0.0;
-                    f.done = true;
-                    completed_.push_back(id);
-                    erase_member(f.res, id);
-                    mark_dirty(f.res);
-                } else {
-                    active_[keep++] = id;
-                }
-            }
-            active_.resize(keep);
-            CAST_ENSURES_MSG(!completed_.empty(), "time advanced without completing a flow");
-        }
-        return completed_;
-    }
+    /// all flows that completed at the new time in ascending id order
+    /// (empty iff no active flow). Zero-demand flows complete "now" without
+    /// advancing the clock. The returned buffer is owned by the engine and
+    /// overwritten by the next advance().
+    const std::vector<FlowId>& advance();
 
-    /// Current fair-share rate of an active flow (after the last advance or
-    /// an explicit recompute). Mainly for tests.
-    [[nodiscard]] double flow_rate(FlowId f) {
-        CAST_EXPECTS(f < flows_.size());
-        recompute_rates();
-        return flows_[f].rate;
-    }
+    /// Current fair-share rate of a flow (after the last advance or an
+    /// explicit recompute); a finished flow reports its final rate. Mainly
+    /// for tests.
+    [[nodiscard]] double flow_rate(FlowId f);
 
 private:
-    // Demands below a micro-MB count as complete; guards against float dust
-    // keeping the loop alive.
-    static constexpr double kCompletionEpsilonMb = 1e-9;
+    static constexpr std::uint32_t kInactive = std::numeric_limits<std::uint32_t>::max();
 
     struct Resource {
         double capacity_mbps;
@@ -216,9 +116,10 @@ private:
 
     struct Flow {
         ResourceId res;
-        double remaining_mb;
         double cap_mbps;
-        double rate;
+        double inv_cap;      // reciprocal(cap_mbps), reused by the water-fill
+        double rate;         // final rate once done (active rates live in rate_)
+        std::uint32_t pos;   // slot in the active columns, kInactive when not active
         bool done;
     };
 
@@ -238,62 +139,29 @@ private:
         }
     };
 
-    void pop_apply_event() {
-        const CapacityEvent ev = events_.front();
-        std::pop_heap(events_.begin(), events_.end(), EventLater{});
-        events_.pop_back();
-        ++applied_events_;
-        resources_[ev.res].capacity_mbps = ev.capacity_mbps;
-        mark_dirty(ev.res);
-    }
+    void pop_apply_event();
+    void mark_dirty(ResourceId res);
+    void insert_member(ResourceId res, FlowId id);
+    void erase_member(ResourceId res, FlowId id);
+    void recompute_rates();
 
-    void mark_dirty(ResourceId res) {
-        if (resources_[res].dirty) return;
-        resources_[res].dirty = true;
-        dirty_resources_.push_back(res);
-    }
-
-    /// Keep the resource's member list sorted ascending by cap (ties keep
-    /// insertion order, matching the stable behaviour the water-fill needs).
-    void insert_member(ResourceId res, FlowId id) {
-        auto& ids = per_resource_active_[res];
-        const double cap = flows_[id].cap_mbps;
-        auto it = std::upper_bound(ids.begin(), ids.end(), cap,
-                                   [this](double c, FlowId f) { return c < flows_[f].cap_mbps; });
-        ids.insert(it, id);
-    }
-
-    void erase_member(ResourceId res, FlowId id) {
-        auto& ids = per_resource_active_[res];
-        ids.erase(std::find(ids.begin(), ids.end(), id));
-    }
-
-    /// Max-min fair allocation with per-flow caps (water-filling),
-    /// recomputed only for resources whose membership or capacity changed:
-    /// repeatedly give every unfrozen flow an equal share; flows whose cap
-    /// is below the share freeze at their cap and return the surplus to the
-    /// pool. The member lists stay cap-sorted, so one pass suffices.
-    void recompute_rates() {
-        for (ResourceId r : dirty_resources_) {
-            resources_[r].dirty = false;
-            const auto& ids = per_resource_active_[r];
-            if (ids.empty()) continue;
-            double remaining = resources_[r].capacity_mbps;
-            std::size_t left = ids.size();
-            for (FlowId id : ids) {
-                const double share = remaining / static_cast<double>(left);
-                const double rate = std::min(flows_[id].cap_mbps, share);
-                flows_[id].rate = rate;
-                remaining -= rate;
-                --left;
-            }
-        }
-        dirty_resources_.clear();
-    }
+    void activate(FlowId id, double demand_mb);
+    void deactivate(std::size_t pos);
+    void pad_columns();
+    [[nodiscard]] double earliest_completion_dt();
+    void drain_and_collect(double dt);
 
     std::vector<Resource> resources_;
     std::vector<Flow> flows_;
-    std::vector<FlowId> active_;
+    // The active set, one column per field, position-indexed. The double
+    // columns are padded to whole scan blocks with inert slots (infinite
+    // remaining, zero rate) so the scans need no scalar tail.
+    std::vector<FlowId> active_ids_;
+    std::vector<double> remaining_;
+    std::vector<double> rate_;
+    std::vector<double> inv_rate_;
+    std::vector<std::size_t> candidates_;      // near-minimum positions, per scan
+    std::vector<std::size_t> done_positions_;  // completed positions, per drain
     std::vector<FlowId> instantly_done_;
     std::vector<FlowId> completed_;
     std::vector<std::vector<FlowId>> per_resource_active_;

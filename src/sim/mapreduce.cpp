@@ -1,7 +1,6 @@
 #include "sim/mapreduce.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -21,15 +20,7 @@ using workload::ApplicationProfile;
 // Capacity of the uncontended resource used for CPU work and fixed delays.
 constexpr double kUnboundedMbps = 1e15;
 
-std::atomic<bool> g_scratch_reuse{true};
-
 }  // namespace
-
-void set_scratch_reuse(bool enabled) {
-    g_scratch_reuse.store(enabled, std::memory_order_relaxed);
-}
-
-bool scratch_reuse_enabled() { return g_scratch_reuse.load(std::memory_order_relaxed); }
 
 JobPlacement JobPlacement::on_tier(const workload::JobSpec& job, StorageTier tier) {
     JobPlacement p;
@@ -93,7 +84,7 @@ MBytesPerSec ClusterSim::tier_bandwidth_per_vm(StorageTier t) const {
     return p->read_bw;
 }
 
-namespace detail {
+namespace {
 
 /// Per-thread reusable simulation state: the arena flow engine, the
 /// resource ids for (vm, tier) volume pools plus the uncontended resource,
@@ -179,21 +170,12 @@ struct SimScratch {
     }
 };
 
-}  // namespace detail
+}  // namespace
 
 JobResult ClusterSim::run_job(const JobPlacement& placement) const {
-    if (scratch_reuse_enabled()) {
-        // One scratch per thread: BatchRunner workers, profiler calibration
-        // threads and serial callers all reuse their own arena.
-        static thread_local detail::SimScratch scratch;
-        return run_job_impl(placement, scratch);
-    }
-    detail::SimScratch scratch;
-    return run_job_impl(placement, scratch);
-}
-
-JobResult ClusterSim::run_job_impl(const JobPlacement& placement,
-                                   detail::SimScratch& res) const {
+    // One scratch per thread: BatchRunner workers, profiler calibration
+    // threads and serial callers all reuse their own arena.
+    static thread_local SimScratch res;
     placement.validate();
     const workload::JobSpec& job = placement.job;
     const ApplicationProfile& app = job.profile();

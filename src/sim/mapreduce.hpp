@@ -28,18 +28,6 @@
 
 namespace cast::sim {
 
-namespace detail {
-struct SimScratch;
-}  // namespace detail
-
-/// Process-global switch for reuse of the thread-local simulation scratch
-/// (arena flow engine, wave task batch, phase bookkeeping). On by default;
-/// the sim_throughput bench turns it off to measure the per-job allocation
-/// cost the scratch removes. Simulation results are bit-identical either
-/// way — the scratch is storage, never state.
-void set_scratch_reuse(bool enabled);
-[[nodiscard]] bool scratch_reuse_enabled();
-
 /// Per-VM provisioned capacity for each tier (zero = tier not attached).
 /// objStore needs no provisioning to be readable; a nonzero value there
 /// only matters for cost accounting, not simulation.
@@ -140,9 +128,6 @@ public:
     [[nodiscard]] MBytesPerSec tier_bandwidth_per_vm(cloud::StorageTier t) const;
 
 private:
-    [[nodiscard]] JobResult run_job_impl(const JobPlacement& placement,
-                                         detail::SimScratch& scratch) const;
-
     cloud::ClusterSpec cluster_;
     cloud::StorageCatalog catalog_;
     TierCapacities capacities_;

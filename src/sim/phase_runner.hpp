@@ -137,9 +137,13 @@ struct PhaseScratch {
 /// re-enqueues the task at the back of its VM queue. A task whose attempts
 /// are exhausted raises SimulationError. A null `faults` leaves the seed
 /// scheduling bit-identical.
-inline Seconds run_phase(FlowEngine& engine, const TaskBatch& tasks, int vm_count,
-                         int slots_per_vm, PhaseScratch& scratch,
-                         TaskFaultModel* faults = nullptr, ResourceId delay_resource = 0) {
+///
+/// Generic over the engine type only so tests can drive the reference
+/// engine through the same scheduler; production code passes a FlowEngine.
+template <class Engine>
+Seconds run_phase(Engine& engine, const TaskBatch& tasks, int vm_count, int slots_per_vm,
+                  PhaseScratch& scratch, TaskFaultModel* faults = nullptr,
+                  ResourceId delay_resource = 0) {
     CAST_EXPECTS(vm_count >= 1);
     CAST_EXPECTS(slots_per_vm >= 1);
     const Seconds start = engine.now();
@@ -260,9 +264,10 @@ inline Seconds run_phase(FlowEngine& engine, const TaskBatch& tasks, int vm_coun
 
 /// Convenience overload over a SimTask vector (tests, simple callers):
 /// copies the tasks into a local TaskBatch and runs with local scratch.
-inline Seconds run_phase(FlowEngine& engine, const std::vector<SimTask>& tasks,
-                         int vm_count, int slots_per_vm, TaskFaultModel* faults = nullptr,
-                         ResourceId delay_resource = 0) {
+template <class Engine>
+Seconds run_phase(Engine& engine, const std::vector<SimTask>& tasks, int vm_count,
+                  int slots_per_vm, TaskFaultModel* faults = nullptr,
+                  ResourceId delay_resource = 0) {
     TaskBatch batch;
     std::size_t segments = 0;
     for (const SimTask& t : tasks) segments += t.segments.size();

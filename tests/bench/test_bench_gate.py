@@ -341,6 +341,49 @@ class SolverReportGate(BenchGateHarness):
         self.assertIn("soa_incremental_evaluation.iters_per_sec", names)
 
 
+def make_sim_report(events_per_s: float, host_cores: int = 4) -> dict:
+    """A sim_throughput-shaped report: serial engine, batch and deploy rows
+    plus the pooled batch row."""
+    return {
+        "bench": "sim_throughput",
+        "mode": "full",
+        "host_cores": host_cores,
+        "engine_events": {"events": 300000, "events_per_s": events_per_s,
+                          "fingerprint": "0x6d2612c0165621e3"},
+        "serial_batch": {"jobs": 2700, "jobs_per_s": 3000.0},
+        "pooled_batch": {"workers": host_cores, "jobs": 2700, "jobs_per_s": 9000.0},
+        "deploy_100_jobs": {"jobs": 100, "jobs_per_s": 1500.0},
+    }
+
+
+class SimReportGate(BenchGateHarness):
+    """sim_throughput reports gate the serial rows always and the pooled
+    batch only between hosts of one core count."""
+
+    def test_regressed_engine_row_fails_the_gate(self):
+        bench = self.fake_bench(make_sim_report(1.0e6))  # -50%
+        base = self.baseline(make_sim_report(2.0e6))
+        proc, summary = self.run_gate(bench, base)
+        self.assertEqual(proc.returncode, 1)
+        by_name = {m["name"]: m for m in summary["metrics"]}
+        self.assertEqual(by_name["engine_events.events_per_s"]["status"], "fail")
+        for name in ("serial_batch.jobs_per_s", "pooled_batch.jobs_per_s",
+                     "deploy_100_jobs.jobs_per_s"):
+            self.assertEqual(by_name[name]["status"], "pass", name)
+
+    def test_pooled_row_skipped_across_core_counts(self):
+        fresh = make_sim_report(2.0e6, host_cores=1)
+        fresh["pooled_batch"]["jobs_per_s"] = 3000.0  # one core: no scaling
+        bench = self.fake_bench(fresh)
+        base = self.baseline(make_sim_report(2.0e6, host_cores=4))
+        proc, summary = self.run_gate(bench, base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        names = {m["name"] for m in summary["metrics"]}
+        self.assertNotIn("pooled_batch.jobs_per_s", names)
+        self.assertIn("engine_events.events_per_s", names)
+        self.assertIn("deploy_100_jobs.jobs_per_s", names)
+
+
 class SummaryIsMachineReadable(BenchGateHarness):
     def test_summary_is_one_line_valid_json(self):
         bench = self.fake_bench(make_report(100.0))

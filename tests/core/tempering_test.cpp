@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "core/annealing.hpp"
 #include "core/castpp.hpp"
 #include "core/eval_cache.hpp"
@@ -257,16 +257,12 @@ struct WorkflowGolden {
 };
 
 std::uint64_t plan_fingerprint(const WorkflowPlan& plan) {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    };
+    Fnv1a h;
     for (const PlacementDecision& d : plan.decisions) {
-        mix(static_cast<std::uint64_t>(d.tier));
-        mix(std::bit_cast<std::uint64_t>(d.overprovision));
+        h.mix(static_cast<std::uint64_t>(d.tier));
+        h.mix(d.overprovision);
     }
-    return h;
+    return h.value();
 }
 
 TEST(TemperingDeterminism, Fig9WorkflowSolvesMatchGoldenAtAnyWorkerCount) {

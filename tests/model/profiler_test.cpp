@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv1a.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/mapreduce.hpp"
 #include "test_support.hpp"
 
@@ -196,6 +198,38 @@ TEST(Profiler, ModelPredictsSimulatorWithin25Percent) {
     const double predicted =
         models.job_runtime(job, StorageTier::kPersistentSsd, GigaBytes{300.0}).value();
     EXPECT_NEAR(predicted / measured, 1.0, 0.25);
+}
+
+/// Every tier model's bandwidths, reference capacity and REG spline
+/// samples, folded bit for bit.
+std::uint64_t models_fingerprint(const PerfModelSet& models) {
+    Fnv1a h;
+    for (AppKind app : workload::kAllApps) {
+        for (StorageTier tier : cloud::kAllTiers) {
+            const TierModel& m = models.tier_model(app, tier);
+            h.mix(m.bandwidths.map.value());
+            h.mix(m.bandwidths.shuffle.value());
+            h.mix(m.bandwidths.reduce.value());
+            h.mix(m.reference_capacity_per_vm.value());
+            h.mix(static_cast<std::uint64_t>(m.scales_with_intermediate_volume));
+            h.mix(static_cast<std::uint64_t>(m.runtime_scale.size()));
+            for (double x : m.runtime_scale.knots_x()) h.mix(x);
+            for (double y : m.runtime_scale.knots_y()) h.mix(y);
+        }
+    }
+    return h.value();
+}
+
+TEST(ProfilerGolden, PaperClusterModelsMatchGoldenAtOneAndTwoWorkers) {
+    // Pinned before the flow engine was vectorized and before the profiler
+    // stopped re-simulating its reference capacity: the profiled M-hat and
+    // REG inputs must stay bit-identical to that simulator.
+    constexpr std::uint64_t kGolden = 0x2cf56308117ff86cULL;
+    const Profiler profiler(cloud::ClusterSpec::paper_400_core(),
+                            cloud::StorageCatalog::google_cloud());
+    EXPECT_EQ(models_fingerprint(profiler.profile()), kGolden);
+    ThreadPool two(2);
+    EXPECT_EQ(models_fingerprint(profiler.profile(&two)), kGolden);
 }
 
 }  // namespace

@@ -115,18 +115,21 @@ TEST(BatchRunner, FaultProfileBatchBitIdenticalAcrossWorkerCounts) {
     expect_bit_identical(serial, runner.run(configs, &eight));
 }
 
-TEST(BatchRunner, ScratchReuseOnOffIsBitIdentical) {
-    const auto cluster = cloud::ClusterSpec::paper_10_node();
+TEST(BatchRunner, DirtiedScratchReproducesFreshThreadBitForBit) {
+    // The thread-local scratch is storage, never state: after this thread's
+    // scratch ran a different job on a bigger cluster (more resources, other
+    // tiers and faults), it reproduces what a brand-new thread computes.
     const auto catalog = cloud::StorageCatalog::google_cloud();
-    const BatchRunner runner(cluster, catalog);
+    const BatchRunner runner(cloud::ClusterSpec::paper_10_node(), catalog);
+    const BatchRunner other(cloud::ClusterSpec::paper_400_core(), catalog);
     const std::vector<BatchConfig> configs = mixed_configs(/*with_faults=*/true);
 
-    ASSERT_TRUE(scratch_reuse_enabled());
-    const auto reused = runner.run(configs);
-    set_scratch_reuse(false);
-    const auto fresh = runner.run(configs);
-    set_scratch_reuse(true);
-    expect_bit_identical(reused, fresh);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        ThreadPool fresh(1);  // a new worker thread owns an untouched scratch
+        const auto clean = fresh.submit([&] { return runner.run({configs[i]}); }).get();
+        (void)other.run({configs[(i + 7) % configs.size()]});
+        expect_bit_identical(clean, runner.run({configs[i]}));
+    }
 }
 
 TEST(BatchRunner, SimulationErrorIsCapturedPerConfigWithoutAbortingBatch) {

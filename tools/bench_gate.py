@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Performance gate for the throughput benches (serve + solver).
+"""Performance gate for the throughput benches (serve, solver, replan, sim).
 
 Re-runs the bench binary in a scratch directory and compares the fresh
 numbers against the committed baseline JSON. The gate fails when
@@ -14,7 +14,10 @@ gate the per-section `iters_per_sec` numbers (uncached/cached/SoA single
 chains plus the independent-chain, tempering and workflow tempering
 solves);
 incremental_replan reports gate the per-track `plans_per_sec` numbers
-(cold re-solve, warm-start amend, secretary baseline). Sections present
+(cold re-solve, warm-start amend, secretary baseline); sim_throughput
+reports gate the serial rows (engine events/s, serial batch and 100-job
+deploy jobs/s) always and the pooled batch jobs/s on matching core
+counts. Sections present
 in only one of baseline/fresh (a freshly added bench row) are skipped,
 not failed.
 
@@ -50,6 +53,8 @@ Usage:
                 [--smoke]
   bench_gate.py --bench build/bench/solver_throughput \
                 --baseline BENCH_solver_throughput.json
+  bench_gate.py --bench build/bench/sim_throughput \
+                --baseline BENCH_sim_throughput.json
   bench_gate.py --trend --baseline BENCH_solver_throughput.json
                 [--threshold 0.25] [--window 5]
 """
@@ -76,6 +81,12 @@ SOLVER_POOLED = ("multi_chain_solve", "tempering_solve", "workflow_tempering_sol
 # are timed single-threaded (the pooled runs only check bit-identity), so
 # they stay comparable even when baseline and current core counts differ.
 INCREMENTAL_TRACKS = ("cold_resolve", "incremental_amend", "secretary_baseline")
+# sim_throughput rows: (section, headline field). The serial rows run on the
+# calling thread and always compare; the pooled batch compares only between
+# hosts of one core count.
+SIM_SERIAL = (("engine_events", "events_per_s"), ("serial_batch", "jobs_per_s"),
+              ("deploy_100_jobs", "jobs_per_s"))
+SIM_POOLED = (("pooled_batch", "jobs_per_s"),)
 
 
 def metric(name: str, status: str, **fields) -> dict:
@@ -123,6 +134,18 @@ def headline_metrics(report: dict, max_workers: int | None = None) -> dict:
     """
     if "service_runs" in report:
         return {SERVE_METRIC: best_service_plans_per_sec(report, max_workers)}
+    if report.get("bench") == "sim_throughput":
+        rows = SIM_SERIAL
+        if max_workers is None or max_workers > 1:
+            rows = rows + SIM_POOLED
+        metrics = {}
+        for key, field in rows:
+            run = report.get(key)
+            if isinstance(run, dict) and float(run.get(field, 0.0)) > 0.0:
+                metrics[f"{key}.{field}"] = float(run[field])
+        if not metrics:
+            raise ValueError("no comparable headline metrics in report")
+        return metrics
     if "incremental_amend" in report:
         metrics = {}
         for key in INCREMENTAL_TRACKS:

@@ -24,8 +24,8 @@ Rules (stable IDs, mirrored in DESIGN.md):
         fault-injection/retry files (real sleeps belong to
         cast::sleep_backoff_ms and the injectors only)
   C005  new / malloc / calloc / realloc in the sim hot-path files
-        (flow_engine.hpp, phase_runner.hpp, mapreduce.cpp — the
-        allocation-free steady-state contract from PR 4)
+        (flow_engine.hpp/.cpp, phase_runner.hpp, mapreduce.cpp — the
+        allocation-free steady-state contract)
   C006  try_* / *_or_null function with a non-void return missing
         [[nodiscard]] (a dropped failure result is a silent bug)
   C007  CAST_NO_TSA escape without a same-line justification comment
@@ -69,7 +69,8 @@ RNG_HEADER = "common/rng.hpp"
 SLEEP_ALLOWED = ("faults", "retry")
 THREAD_ALLOWED = ("common/thread_pool.hpp", "serve/service.hpp", "serve/service.cpp")
 # The allocation-free sim hot path (basename match so fixtures can opt in).
-HOT_PATH_BASENAMES = ("flow_engine.hpp", "phase_runner.hpp", "mapreduce.cpp")
+HOT_PATH_BASENAMES = ("flow_engine.hpp", "flow_engine.cpp", "phase_runner.hpp",
+                      "mapreduce.cpp")
 # The SoA solver hot path (C011): no node-based containers per iteration.
 # eval_cache.cpp is deliberately absent — its sharded map interiors are the
 # sanctioned memoization structure.
