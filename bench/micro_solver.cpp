@@ -58,11 +58,12 @@ void BM_AnnealingChain(benchmark::State& state) {
     core::AnnealingOptions opts;
     opts.iter_max = static_cast<int>(state.range(0));
     opts.chains = 1;
+    opts.seed = 7;
     core::AnnealingSolver solver(eval, opts);
     const auto init =
         core::TieringPlan::uniform(bench_workload().size(), StorageTier::kPersistentSsd);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(solver.run_chain(init, 7));
+        benchmark::DoNotOptimize(solver.solve(init));
     }
     state.SetItemsProcessed(state.iterations() * opts.iter_max);
 }
@@ -131,12 +132,13 @@ void BM_Ablation_GroupMoves(benchmark::State& state) {
     core::AnnealingOptions opts;
     opts.iter_max = 2000;
     opts.chains = 1;
+    opts.seed = 13;
     opts.group_moves = group_moves;
     core::AnnealingSolver solver(eval, opts);
     const auto init =
         core::TieringPlan::uniform(bench_workload().size(), StorageTier::kPersistentSsd);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(solver.run_chain(init, 13));
+        benchmark::DoNotOptimize(solver.solve(init));
     }
 }
 BENCHMARK(BM_Ablation_GroupMoves)->Arg(0)->Arg(1);

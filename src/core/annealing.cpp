@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "core/soa_eval.hpp"
@@ -13,17 +12,7 @@ namespace cast::core {
 
 AnnealingSolver::AnnealingSolver(const PlanEvaluator& evaluator, AnnealingOptions options)
     : evaluator_(&evaluator), options_(std::move(options)) {
-    CAST_EXPECTS(options_.iter_max >= 1);
-    CAST_EXPECTS(options_.initial_temperature > 0.0);
-    CAST_EXPECTS(options_.cooling > 0.0 && options_.cooling < 1.0);
-    CAST_EXPECTS(options_.min_temperature > 0.0);
-    CAST_EXPECTS(!options_.overprov_choices.empty());
-    CAST_EXPECTS(options_.tier_move_probability >= 0.0 &&
-                 options_.tier_move_probability <= 1.0);
-    CAST_EXPECTS(options_.chains >= 1);
-    CAST_EXPECTS(options_.max_wall_ms >= 0.0);
-    CAST_EXPECTS(options_.tempering_ladder_ratio >= 1.0);
-    CAST_EXPECTS(options_.exchange_stride >= 1);
+    options_.validate();
     if (!options_.active_jobs.empty()) {
         CAST_EXPECTS_MSG(options_.active_jobs.size() == evaluator.workload().size(),
                          "active_jobs mask must match the workload size");
@@ -76,70 +65,6 @@ std::vector<MoveUnit> AnnealingSolver::move_units() const {
     return units;
 }
 
-TieringPlan AnnealingSolver::propose_neighbor(Rng& rng, const TieringPlan& curr,
-                                              const std::vector<MoveUnit>& units,
-                                              std::vector<std::size_t>& changed) const {
-    changed.clear();
-    TieringPlan neighbor = curr;
-    const double move_kind = rng.uniform();
-    if (move_kind < options_.app_move_probability) {
-        // --- Batch move: relocate one app class to one tier. A unit
-        // participates when any member runs the drawn application (units
-        // are reuse groups in group_moves mode, and Eq. 7 forces the whole
-        // group along) and no member's pin forbids the target tier.
-        const workload::AppKind app =
-            workload::kAllApps[rng.below(workload::kAllApps.size())];
-        const cloud::StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
-        const std::uint32_t app_bit = 1u << workload::app_index(app);
-        const std::uint32_t tier_bit = 1u << cloud::tier_index(t);
-        for (const auto& unit : units) {
-            if ((unit.app_mask & app_bit) == 0 || (unit.allowed_tiers & tier_bit) == 0) {
-                continue;
-            }
-            for (std::size_t j : unit.jobs) {
-                PlacementDecision d = neighbor.decision(j);
-                if (d.tier == t) continue;
-                d.tier = t;
-                neighbor.set_decision(j, d);
-                changed.push_back(j);
-            }
-        }
-    } else {
-        // --- Single-unit move: a pin-respecting tier change, or a new
-        // over-provisioning factor.
-        const MoveUnit& unit = units[rng.below(units.size())];
-        const PlacementDecision old = curr.decision(unit.jobs.front());
-        PlacementDecision next = old;
-        const bool want_tier_move =
-            move_kind < options_.app_move_probability + options_.tier_move_probability;
-        std::array<cloud::StorageTier, cloud::kTierCount> allowed{};
-        std::size_t n_allowed = 0;
-        if (want_tier_move) {
-            for (cloud::StorageTier t : cloud::kAllTiers) {
-                if (t == old.tier) continue;
-                if (unit.allowed_tiers & (1u << cloud::tier_index(t))) {
-                    allowed[n_allowed++] = t;
-                }
-            }
-        }
-        if (want_tier_move && n_allowed > 0) {
-            next.tier = allowed[rng.below(n_allowed)];
-        } else {
-            // Fully pinned units degrade to factor moves instead of
-            // proposing a guaranteed-infeasible tier change.
-            next.overprovision =
-                options_.overprov_choices[rng.below(options_.overprov_choices.size())];
-        }
-        for (std::size_t j : unit.jobs) {
-            const PlacementDecision& d = curr.decision(j);
-            if (d.tier == next.tier && d.overprovision == next.overprovision) continue;
-            neighbor.set_decision(j, next);
-            changed.push_back(j);
-        }
-    }
-    return neighbor;
-}
-
 void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
                                            SoaState& state,
                                            const std::vector<MoveUnit>& units,
@@ -147,6 +72,10 @@ void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
     changed.clear();
     const double move_kind = rng.uniform();
     if (move_kind < options_.app_move_probability) {
+        // --- Batch move: relocate one app class to one tier. A unit
+        // participates when any member runs the drawn application (units
+        // are reuse groups in group_moves mode, and Eq. 7 forces the whole
+        // group along) and no member's pin forbids the target tier.
         const workload::AppKind app =
             workload::kAllApps[rng.below(workload::kAllApps.size())];
         const cloud::StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
@@ -164,6 +93,8 @@ void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
             }
         }
     } else {
+        // --- Single-unit move: a pin-respecting tier change, or a new
+        // over-provisioning factor.
         const MoveUnit& unit = units[rng.below(units.size())];
         const std::size_t front = unit.jobs.front();
         std::uint8_t next_tier = state.tier[front];
@@ -184,6 +115,8 @@ void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
             next_tier =
                 static_cast<std::uint8_t>(cloud::tier_index(allowed[rng.below(n_allowed)]));
         } else {
+            // Fully pinned units degrade to factor moves instead of
+            // proposing a guaranteed-infeasible tier change.
             next_overprov =
                 options_.overprov_choices[rng.below(options_.overprov_choices.size())];
         }
@@ -196,176 +129,66 @@ void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
 }
 
 struct AnnealingSolver::ChainCtx {
-    // AoS mode: the committed plan + evaluation, copied per move.
-    TieringPlan curr;
-    PlanEvaluation curr_eval;
-    // SoA mode: the flat in-place state (core/soa_eval.hpp).
     SoaState soa;
-    bool use_soa = false;
-    // Temperatures live on the normalized utility scale u/U_init, so the
-    // same options work across workloads of any absolute utility. Under
-    // tempering every replica shares one scale so exchange energies are
-    // comparable across rungs.
-    double u_scale = 1.0;
+    /// Temperature on the normalized utility scale u/U_init, so the same
+    /// options work across workloads of any absolute utility.
     double temperature = 0.0;
-    /// Best-so-far plan/evaluation plus the chain's effort counters.
-    AnnealingResult best;
+    int accepted_moves = 0;
+    int infeasible_neighbors = 0;
     /// Changed-job scratch, reused across iterations.
     std::vector<std::size_t> changed;
 };
 
-double AnnealingSolver::chain_current_utility(const ChainCtx& ctx) {
-    return ctx.use_soa ? ctx.soa.utility : ctx.curr_eval.utility;
-}
-
-void AnnealingSolver::swap_chain_state(ChainCtx& a, ChainCtx& b) {
-    if (a.use_soa) {
-        SoaEvaluator::swap_current(a.soa, b.soa);
-    } else {
-        std::swap(a.curr, b.curr);
-        std::swap(a.curr_eval, b.curr_eval);
-    }
-}
-
-void AnnealingSolver::init_chain(ChainCtx& ctx, const TieringPlan& start,
-                                 const PlanEvaluation& start_eval,
-                                 const SoaEvaluator* soa) const {
-    CAST_EXPECTS_MSG(start_eval.feasible, "annealing needs a feasible initial plan");
-    ctx.best.plan = start;
-    ctx.best.evaluation = start_eval;
-    ctx.u_scale = start_eval.utility;
-    CAST_ENSURES(ctx.u_scale > 0.0);
-    ctx.temperature = options_.initial_temperature;
-    ctx.use_soa = soa != nullptr;
-    if (ctx.use_soa) {
-        soa->init(ctx.soa, start, start_eval);
-    } else {
-        ctx.curr = start;
-        ctx.curr_eval = start_eval;
-    }
-    ctx.changed.reserve(evaluator_->workload().size());
-}
-
-void AnnealingSolver::finalize_chain(ChainCtx& ctx, const SoaEvaluator* soa) const {
-    if (ctx.use_soa && soa != nullptr) {
-        ctx.best.plan = soa->best_plan(ctx.soa);
-        ctx.best.evaluation = soa->best_evaluation(ctx.soa);
-    }
-}
-
-void AnnealingSolver::run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                               const std::vector<MoveUnit>& units, EvalCache* cache,
-                               const SolveDeadline& deadline,
-                               const SoaEvaluator* soa) const {
+int AnnealingSolver::run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
+                              const std::vector<MoveUnit>& units, const SoaEvaluator& soa,
+                              EvalCache* cache, double u_scale,
+                              const SolveDeadline& deadline) const {
     const bool bounded = !deadline.unbounded();
-    for (int iter = iter_begin; iter < iter_end; ++iter) {
+    int iter = iter_begin;
+    for (; iter < iter_end; ++iter) {
         // Budget/cancel poll once per segment. Checking at iter 0 too makes
-        // an already-expired deadline (chains queued behind others on a
-        // small pool) return the evaluated initial plan immediately.
+        // an already-expired deadline (replicas queued behind others on a
+        // small pool) return the evaluated start plan immediately.
         if (bounded && iter % AnnealingOptions::kBudgetCheckStride == 0 &&
             deadline.expired()) {
-            ctx.best.budget_exhausted = true;
             break;
         }
         ctx.temperature =
             std::max(ctx.temperature * options_.cooling, options_.min_temperature);
 
-        if (ctx.use_soa) {
-            // The SoA body makes exactly the AoS body's RNG draws and
-            // floating-point comparisons; only the data layout differs.
-            propose_neighbor_soa(rng, *soa, ctx.soa, units, ctx.changed);
-            ++ctx.best.iterations;
-            if (ctx.changed.empty()) {
-                // The AoS path would get the base evaluation back from
-                // evaluate_delta and accept the zero-delta move without
-                // drawing; mirror both effects.
-                ++ctx.best.accepted_moves;
-                continue;
-            }
-            if (!soa->evaluate_candidate(ctx.soa, ctx.changed, cache)) {
-                ++ctx.best.infeasible_neighbors;
-                soa->revert(ctx.soa);
-                continue;
-            }
-            if (ctx.soa.cand_utility > ctx.soa.best_utility) soa->save_best(ctx.soa);
-            // --- Accept(.): Metropolis on the normalized utility difference.
-            const double delta = (ctx.soa.cand_utility - ctx.soa.utility) / ctx.u_scale;
-            const bool accept =
-                delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature);
-            if (accept) {
-                soa->commit(ctx.soa);
-                ++ctx.best.accepted_moves;
-            } else {
-                soa->revert(ctx.soa);
-            }
+        propose_neighbor_soa(rng, soa, ctx.soa, units, ctx.changed);
+        if (ctx.changed.empty()) {
+            // A move that changes nothing re-evaluates to the current state:
+            // a zero delta, accepted without a draw.
+            ++ctx.accepted_moves;
+            continue;
+        }
+        if (!soa.evaluate_candidate(ctx.soa, ctx.changed, cache)) {
+            ++ctx.infeasible_neighbors;
+            soa.revert(ctx.soa);
+            continue;
+        }
+        if (ctx.soa.cand_utility > ctx.soa.best_utility) soa.save_best(ctx.soa);
+        // --- Accept(.): Metropolis on the normalized utility difference.
+        const double delta = (ctx.soa.cand_utility - ctx.soa.utility) / u_scale;
+        const bool accept = delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature);
+        if (accept) {
+            soa.commit(ctx.soa);
+            ++ctx.accepted_moves;
         } else {
-            TieringPlan neighbor = propose_neighbor(rng, ctx.curr, units, ctx.changed);
-            PlanEvaluation neighbor_eval =
-                options_.use_evaluation_cache
-                    ? evaluator_->evaluate_delta(ctx.curr_eval, neighbor, ctx.changed, cache)
-                    : evaluator_->evaluate(neighbor);
-            ++ctx.best.iterations;
-            if (!neighbor_eval.feasible) {
-                ++ctx.best.infeasible_neighbors;
-                continue;
-            }
-
-            if (neighbor_eval.utility > ctx.best.evaluation.utility) {
-                ctx.best.plan = neighbor;
-                ctx.best.evaluation = neighbor_eval;
-            }
-
-            // --- Accept(.): Metropolis on the normalized utility difference.
-            const double delta =
-                (neighbor_eval.utility - ctx.curr_eval.utility) / ctx.u_scale;
-            const bool accept =
-                delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature);
-            if (accept) {
-                ctx.curr = std::move(neighbor);
-                ctx.curr_eval = std::move(neighbor_eval);
-                ++ctx.best.accepted_moves;
-            }
+            soa.revert(ctx.soa);
         }
     }
-}
-
-AnnealingResult AnnealingSolver::run_chain(const TieringPlan& initial, std::uint64_t seed,
-                                           EvalCache* cache) const {
-    return run_chain(initial, seed, cache, SolveDeadline::from(options_));
-}
-
-AnnealingResult AnnealingSolver::run_chain(const TieringPlan& initial, std::uint64_t seed,
-                                           EvalCache* cache,
-                                           const SolveDeadline& deadline) const {
-    const auto units = move_units();
-    CAST_EXPECTS_MSG(!units.empty(), "cannot anneal an empty workload");
-    Rng rng(seed);
-
-    std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
-
-    std::optional<SoaEvaluator> soa_store;
-    if (options_.use_soa_evaluation && cache != nullptr) soa_store.emplace(*evaluator_);
-    const SoaEvaluator* soa = soa_store ? &*soa_store : nullptr;
-
-    ChainCtx ctx;
-    init_chain(ctx, initial, evaluator_->evaluate(initial, cache), soa);
-    run_span(ctx, rng, 0, options_.iter_max, units, cache, deadline, soa);
-    finalize_chain(ctx, soa);
-    return std::move(ctx.best);
+    return iter - iter_begin;
 }
 
 AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* pool,
                                        EvalCache* cache) const {
     // One deadline for the whole solve, armed before any other work so the
-    // wall budget covers lint and start-plan evaluation too: chains
-    // dispatched late (sequential execution, or more chains than workers)
-    // inherit the remaining budget rather than each restarting the clock.
+    // wall budget covers lint and start-plan evaluation too: replicas
+    // dispatched late (sequential execution, or more replicas than
+    // workers) inherit the remaining budget rather than each restarting
+    // the clock.
     const SolveDeadline deadline = SolveDeadline::from(options_);
     // Pre-solve lint: reject inputs no annealing chain can fix (conflicting
     // reuse-group pins, unmodeled applications, a broken catalog) before
@@ -375,159 +198,63 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     lint_ctx.reuse_aware = evaluator_->options().reuse_aware;
     lint::enforce(lint::lint_workload(evaluator_->workload(), lint_ctx));
 
-    // One memo table shared by every chain: chains revisit the same
+    // One memo table shared by every replica: they revisit the same
     // (job, tier, capacity) points constantly, so sharing multiplies the
     // hit rate. EvalCache is thread-safe (sharded locks) and
     // value-deterministic, so sharing cannot perturb trajectories.
     std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
+    if (cache == nullptr) {
         owned = std::make_unique<EvalCache>();
         cache = owned.get();
     }
 
-    const bool tempering = options_.tempering && options_.chains > 1;
-
-    // Multi-start: rotate chains/replicas across the supplied initial plan
-    // and every feasible uniform plan (Eq. 7-projected in group-moves
-    // mode, which uniform plans satisfy trivially).
+    // Multi-start: rotate replicas across the supplied initial plan and
+    // every feasible uniform plan (Eq. 7-projected in group-moves mode,
+    // which uniform plans satisfy trivially).
     std::vector<TieringPlan> starts{initial};
-    std::vector<PlanEvaluation> start_evals;
-    if (tempering) start_evals.push_back(evaluator_->evaluate(initial, cache));
+    std::vector<PlanEvaluation> start_evals{evaluator_->evaluate(initial, cache)};
     if (options_.diverse_starts) {
         for (cloud::StorageTier t : cloud::kAllTiers) {
             TieringPlan uniform = TieringPlan::uniform(initial.size(), t);
             PlanEvaluation uniform_eval = evaluator_->evaluate(uniform, cache);
             if (uniform_eval.feasible) {
                 starts.push_back(std::move(uniform));
-                if (tempering) start_evals.push_back(std::move(uniform_eval));
+                start_evals.push_back(std::move(uniform_eval));
             }
         }
     }
 
-    if (tempering) return solve_tempering(starts, start_evals, pool, cache, deadline);
-
-    // --- Legacy independent chains (tempering off, or a single chain).
-    std::vector<AnnealingResult> results(static_cast<std::size_t>(options_.chains));
-    auto run_one = [&](std::size_t c) {
-        results[c] = run_chain(starts[c % starts.size()], options_.seed + 7919 * (c + 1),
-                               cache, deadline);
-    };
-    if (pool != nullptr && options_.chains > 1) {
-        pool->parallel_for(results.size(), run_one);
-    } else {
-        for (std::size_t c = 0; c < results.size(); ++c) run_one(c);
-    }
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < results.size(); ++c) {
-        if (results[c].evaluation.utility > results[best].evaluation.utility) best = c;
-    }
-    // Report the winning chain's plan but the WHOLE search's effort: summing
-    // only the winner used to under-report multi-chain work by ~1/chains.
-    AnnealingResult out = std::move(results[best]);
-    out.best_chain = static_cast<int>(best);
-    out.iterations = 0;
-    out.accepted_moves = 0;
-    out.infeasible_neighbors = 0;
-    out.budget_exhausted = false;
-    for (const AnnealingResult& r : results) {
-        out.iterations += r.iterations;
-        out.accepted_moves += r.accepted_moves;
-        out.infeasible_neighbors += r.infeasible_neighbors;
-        out.budget_exhausted = out.budget_exhausted || r.budget_exhausted;
-    }
-    if (cache != nullptr) out.cache_stats = cache->stats();
-    return out;
-}
-
-AnnealingResult AnnealingSolver::solve_tempering(
-    const std::vector<TieringPlan>& starts, const std::vector<PlanEvaluation>& start_evals,
-    ThreadPool* pool, EvalCache* cache, const SolveDeadline& deadline) const {
     const auto units = move_units();
     CAST_EXPECTS_MSG(!units.empty(), "cannot anneal an empty workload");
-    CAST_EXPECTS(starts.size() == start_evals.size());
-
-    std::optional<SoaEvaluator> soa_store;
-    if (options_.use_soa_evaluation && cache != nullptr) soa_store.emplace(*evaluator_);
-    const SoaEvaluator* soa = soa_store ? &*soa_store : nullptr;
-
-    const auto replicas = static_cast<std::size_t>(options_.chains);
+    CAST_EXPECTS_MSG(start_evals.front().feasible, "annealing needs a feasible initial plan");
     // One normalization scale for the whole ladder (the supplied initial
     // plan's utility): exchange energies E = -u/u_scale are then
     // comparable across rungs regardless of which start a replica got.
     const double u_scale = start_evals.front().utility;
+    CAST_ENSURES(u_scale > 0.0);
+    const SoaEvaluator soa(*evaluator_);
 
-    std::vector<ChainCtx> reps(replicas);
-    for (std::size_t r = 0; r < replicas; ++r) {
-        init_chain(reps[r], starts[r % starts.size()], start_evals[r % starts.size()], soa);
-        reps[r].u_scale = u_scale;
-        reps[r].temperature = options_.initial_temperature *
-                              std::pow(options_.tempering_ladder_ratio,
-                                       static_cast<double>(r));
-    }
+    TemperingRun<ChainCtx> run = run_tempering<ChainCtx>(
+        options_, pool,
+        [&](ChainCtx& ctx, std::size_t r) {
+            const std::size_t s = r % starts.size();
+            soa.init(ctx.soa, starts[s], start_evals[s]);
+            ctx.changed.reserve(evaluator_->workload().size());
+        },
+        [&](ChainCtx& ctx, Rng& rng, int begin, int end) {
+            return run_span(ctx, rng, begin, end, units, soa, cache, u_scale, deadline);
+        },
+        [&](const ChainCtx& ctx) { return -ctx.soa.utility / u_scale; },
+        [](ChainCtx& a, ChainCtx& b) { SoaEvaluator::swap_current(a.soa, b.soa); });
 
-    const TemperingSchedule sched(options_.iter_max, options_.exchange_stride,
-                                  options_.chains);
-    TemperingStats stats;
-    stats.replicas = options_.chains;
-    stats.exchange_attempts.assign(replicas - 1, 0);
-    stats.exchange_accepts.assign(replicas - 1, 0);
-    stats.replica_iterations.assign(replicas, 0);
-
-    bool out_of_budget = false;
-    for (int round = 0; round < sched.rounds(); ++round) {
-        // Within a round replicas are fully independent (per-segment Rng,
-        // private state, value-deterministic shared cache), so the pool
-        // may execute them in any order on any number of workers without
-        // changing a single draw.
-        auto run_one = [&](std::size_t r) {
-            Rng rng(TemperingSchedule::segment_seed(options_.seed, r,
-                                                    static_cast<std::uint64_t>(round)));
-            run_span(reps[r], rng, sched.round_begin(round), sched.round_end(round), units,
-                     cache, deadline, soa);
-        };
-        if (pool != nullptr && replicas > 1) {
-            pool->parallel_for(replicas, run_one, 1);
-        } else {
-            for (std::size_t r = 0; r < replicas; ++r) run_one(r);
-        }
-        ++stats.rounds;
-        for (const ChainCtx& c : reps) {
-            out_of_budget = out_of_budget || c.best.budget_exhausted;
-        }
-        if (out_of_budget) break;
-        if (round + 1 < sched.rounds() && replicas > 1) {
-            // Exchanges run on the calling thread at the barrier: even
-            // pairs on even rounds, odd pairs on odd rounds. The draw is
-            // consumed before deciding so the exchange stream stays
-            // aligned whatever the outcomes.
-            Rng ex(TemperingSchedule::exchange_seed(options_.seed,
-                                                    static_cast<std::uint64_t>(round)));
-            for (int p = TemperingSchedule::first_pair(round);
-                 p + 1 < options_.chains; p += 2) {
-                const double u = ex.uniform();
-                ++stats.exchange_attempts[p];
-                const double e_cold = -chain_current_utility(reps[p]) / u_scale;
-                const double e_hot = -chain_current_utility(reps[p + 1]) / u_scale;
-                if (exchange_accept(1.0 / reps[p].temperature,
-                                    1.0 / reps[p + 1].temperature, e_cold, e_hot, u)) {
-                    swap_chain_state(reps[p], reps[p + 1]);
-                    ++stats.exchange_accepts[p];
-                }
-            }
-        }
-    }
-
-    for (std::size_t r = 0; r < replicas; ++r) {
-        finalize_chain(reps[r], soa);
-        stats.replica_iterations[r] = reps[r].best.iterations;
-    }
+    const std::vector<ChainCtx>& reps = run.replicas;
     std::size_t best = 0;
-    for (std::size_t r = 1; r < replicas; ++r) {
-        if (reps[r].best.evaluation.utility > reps[best].best.evaluation.utility) best = r;
+    for (std::size_t r = 1; r < reps.size(); ++r) {
+        if (reps[r].soa.best_utility > reps[best].soa.best_utility) best = r;
     }
-    AnnealingResult out = std::move(reps[best].best);
+    AnnealingResult out;
+    out.plan = soa.best_plan(reps[best].soa);
+    out.evaluation = soa.best_evaluation(reps[best].soa);
     out.best_chain = static_cast<int>(best);
     // Every replica's best already floors at its own start, but with fewer
     // replicas than starts (or a budget that stopped round 0 early) some
@@ -540,19 +267,16 @@ AnnealingResult AnnealingSolver::solve_tempering(
     if (start_evals[best_start].utility > out.evaluation.utility) {
         out.plan = starts[best_start];
         out.evaluation = start_evals[best_start];
-        out.best_chain = static_cast<int>(best_start % replicas);
+        out.best_chain = static_cast<int>(best_start % reps.size());
     }
-    out.iterations = 0;
-    out.accepted_moves = 0;
-    out.infeasible_neighbors = 0;
-    out.budget_exhausted = out_of_budget;
-    for (const ChainCtx& c : reps) {
-        out.iterations += c.best.iterations;
-        out.accepted_moves += c.best.accepted_moves;
-        out.infeasible_neighbors += c.best.infeasible_neighbors;
+    for (std::size_t r = 0; r < reps.size(); ++r) {
+        out.iterations += run.stats.replica_iterations[r];
+        out.accepted_moves += reps[r].accepted_moves;
+        out.infeasible_neighbors += reps[r].infeasible_neighbors;
     }
-    if (cache != nullptr) out.cache_stats = cache->stats();
-    out.tempering = std::move(stats);
+    out.budget_exhausted = run.budget_exhausted;
+    out.cache_stats = cache->stats();
+    out.tempering = std::move(run.stats);
     return out;
 }
 

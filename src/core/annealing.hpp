@@ -7,14 +7,15 @@
 // Eq. 2-6, and accepts by the Metropolis rule with a geometrically cooled
 // temperature (the paper's Cooling(.)/Accept(.)).
 //
-// Multi-chain search runs as deterministic replica-exchange tempering by
-// default (core/tempering.hpp): the chains become replicas on a
-// temperature ladder, advance in lock-step rounds, and swap states at
-// round barriers — the same iteration budget as independent chains, but
-// hot replicas keep exploring while cold ones refine, and the trajectory
-// is a pure function of (seed, chains) at ANY worker count. Inner-loop
-// evaluation runs on the flat struct-of-arrays core (core/soa_eval.hpp),
-// bit-identical to the AoS evaluator and allocation-free per iteration.
+// The chains run as deterministic replica-exchange tempering
+// (core/tempering.hpp): they become replicas on a temperature ladder,
+// advance in lock-step rounds, and swap states at round barriers, so hot
+// replicas keep exploring while cold ones refine, and the trajectory is a
+// pure function of (seed, chains) at ANY worker count. A single chain is
+// a one-rung ladder. Every iteration evaluates on the flat
+// struct-of-arrays core (core/soa_eval.hpp), allocation-free and
+// bit-identical to the uncached PlanEvaluator::evaluate, which stays the
+// reference the tests hold it to.
 #pragma once
 
 #include <chrono>
@@ -61,9 +62,9 @@ struct AnnealingOptions {
     /// "specifies preferred regions in the search space"; multi-start makes
     /// that systematic.
     bool diverse_starts = true;
-    /// Independent chains (run in parallel when a pool is supplied). With
-    /// diverse_starts, chains rotate over the available start plans, so >= 5
-    /// covers the initial plan plus the four uniform plans.
+    /// Tempering replicas (run in parallel when a pool is supplied). With
+    /// diverse_starts, replicas rotate over the available start plans, so
+    /// >= 5 covers the initial plan plus the four uniform plans.
     int chains = 6;
     std::uint64_t seed = 1;
     /// CAST++: move whole reuse groups together so Eq. 7 always holds.
@@ -79,14 +80,6 @@ struct AnnealingOptions {
     /// solve's pure-function inputs, so restricted solves stay
     /// bit-identical at any worker count.
     std::vector<std::uint8_t> active_jobs;
-    /// Replica-exchange tempering (core/tempering.hpp): the chains run as
-    /// replicas on a temperature ladder with state swaps at fixed
-    /// iteration boundaries. Bit-identical at any worker count by
-    /// construction. When false (or chains == 1) the legacy
-    /// independent-chain search runs instead — the flag exists for the
-    /// tempering-vs-independent bench row and for golden tests pinned to
-    /// the historical trajectories.
-    bool tempering = true;
     /// Geometric rung spacing: replica r starts its cooling at
     /// initial_temperature · ratio^r, so the ladder spans exploration
     /// (hot) to refinement (cold) with roughly constant exchange rates.
@@ -95,18 +88,6 @@ struct AnnealingOptions {
     /// synchronization vanishes against ~µs evaluations, fine enough that
     /// good states traverse the whole ladder many times per solve.
     int exchange_stride = 256;
-    /// Evaluate the inner loop through the flat struct-of-arrays core
-    /// (core/soa_eval.hpp) instead of TieringPlan copies through
-    /// evaluate_delta. Trajectories are bit-identical either way
-    /// (golden-tested); the flag exists so bench/solver_throughput can
-    /// measure SoA vs AoS. Only effective with use_evaluation_cache (the
-    /// uncached baseline stays on the pure AoS path).
-    bool use_soa_evaluation = true;
-    /// Memoize REG runtimes (EvalCache) and evaluate neighbors through the
-    /// incremental evaluate_delta path. Results are bit-identical to the
-    /// uncached evaluator for identical seeds; the flag exists so the
-    /// solver_throughput bench can measure the uncached baseline.
-    bool use_evaluation_cache = true;
     /// Wall-clock budget for the WHOLE solve — all chains together — in
     /// milliseconds; 0 disables the budget. A chain that reaches the
     /// deadline stops at its next segment boundary and returns its
@@ -123,6 +104,22 @@ struct AnnealingOptions {
     /// steady_clock read vanishes against ~µs evaluations, fine enough
     /// that deadline overshoot stays well under a millisecond.
     static constexpr int kBudgetCheckStride = 32;
+
+    /// Range-checks every setting; both annealers call it on construction.
+    /// Throws PreconditionError.
+    void validate() const {
+        CAST_EXPECTS(iter_max >= 1);
+        CAST_EXPECTS(initial_temperature > 0.0);
+        CAST_EXPECTS(cooling > 0.0 && cooling < 1.0);
+        CAST_EXPECTS(min_temperature > 0.0);
+        CAST_EXPECTS(!overprov_choices.empty());
+        CAST_EXPECTS(tier_move_probability >= 0.0 && tier_move_probability <= 1.0);
+        CAST_EXPECTS(app_move_probability >= 0.0 && app_move_probability <= 1.0);
+        CAST_EXPECTS(chains >= 1);
+        CAST_EXPECTS(max_wall_ms >= 0.0);
+        CAST_EXPECTS(tempering_ladder_ratio >= 1.0);
+        CAST_EXPECTS(exchange_stride >= 1);
+    }
 };
 
 /// Shared solve deadline derived from options at solve() entry, so every
@@ -156,26 +153,23 @@ struct SolveDeadline {
 struct AnnealingResult {
     TieringPlan plan;
     PlanEvaluation evaluation;
-    /// Search-effort counters. From run_chain() they cover that one chain;
-    /// from solve() they are aggregated across ALL chains, so reports and
-    /// benches see the true effort of multi-chain search.
+    /// Search-effort counters, aggregated across ALL replicas so reports
+    /// and benches see the true effort of multi-chain search.
     int iterations = 0;
     int accepted_moves = 0;
     /// Neighbors rejected outright because evaluation found them
     /// infeasible (pin/Eq. 7 violations never reach this: the move
     /// generator respects them by construction).
     int infeasible_neighbors = 0;
-    /// Index of the winning chain (solve() only; 0 for a single chain).
+    /// Index of the winning replica (0 for a single chain).
     int best_chain = 0;
-    /// Memo-table statistics of the run (all zero when the cache is
-    /// disabled).
+    /// Memo-table statistics of the run.
     EvalCacheStats cache_stats{};
     /// True when the wall budget (or a cancellation) stopped the search
     /// early: the plan is the best feasible one found so far, not the
-    /// converged optimum. From solve() it is the OR across chains.
+    /// converged optimum. It is the OR across replicas.
     bool budget_exhausted = false;
-    /// Replica-exchange statistics (replicas == 0 when the solve ran the
-    /// legacy independent-chain path or a single chain).
+    /// Replica-exchange statistics (replicas == chains).
     TemperingStats tempering{};
 };
 
@@ -204,60 +198,29 @@ public:
                                         ThreadPool* pool = nullptr,
                                         EvalCache* cache = nullptr) const;
 
-    /// One chain with an explicit seed (exposed for tests/determinism).
-    /// Uses `cache` when supplied, else its own, unless the options disable
-    /// caching altogether. The deadline defaults to one freshly derived
-    /// from the options; solve() passes its own so all chains share one
-    /// wall clock.
-    [[nodiscard]] AnnealingResult run_chain(const TieringPlan& initial, std::uint64_t seed,
-                                            EvalCache* cache = nullptr) const;
-    [[nodiscard]] AnnealingResult run_chain(const TieringPlan& initial, std::uint64_t seed,
-                                            EvalCache* cache,
-                                            const SolveDeadline& deadline) const;
-
     /// The move units: single jobs, or reuse groups in group_moves mode,
     /// with membership/pin masks precomputed. Exposed for tests.
     [[nodiscard]] std::vector<MoveUnit> move_units() const;
 
-    /// Generate one neighbor of `curr`, appending the indices of every
-    /// decision that actually differs to `changed` (cleared first). Pin-
-    /// and app-membership-aware: a proposed move never violates a `tier=`
-    /// pin, and app batch moves relocate exactly the units containing the
-    /// drawn application class. Exposed for tests.
-    [[nodiscard]] TieringPlan propose_neighbor(Rng& rng, const TieringPlan& curr,
-                                               const std::vector<MoveUnit>& units,
-                                               std::vector<std::size_t>& changed) const;
-
 private:
-    /// Per-chain/replica search state: the AoS current plan + evaluation
-    /// OR the SoA flat state, the cooling temperature, the normalization
-    /// scale, and the best-so-far result with its counters. Defined in
-    /// the .cpp (it embeds SoaState).
+    /// Per-replica search state: the SoA flat state, the cooling
+    /// temperature and the move counters. Defined in the .cpp (it embeds
+    /// SoaState).
     struct ChainCtx;
 
-    void init_chain(ChainCtx& ctx, const TieringPlan& start,
-                    const PlanEvaluation& start_eval, const SoaEvaluator* soa) const;
-    /// Run iterations [iter_begin, iter_end) of one chain. Both the AoS
-    /// and SoA bodies make exactly the same RNG draws per iteration, so
-    /// the two modes share one trajectory.
-    void run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                  const std::vector<MoveUnit>& units, EvalCache* cache,
-                  const SolveDeadline& deadline, const SoaEvaluator* soa) const;
-    /// propose_neighbor's SoA twin: identical draw sequence and identical
-    /// changed-set, but mutates the flat state under its undo log instead
-    /// of copying the plan.
+    /// Run iterations [iter_begin, iter_end) of one replica; returns how
+    /// many ran (fewer only when the deadline stopped it).
+    int run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
+                 const std::vector<MoveUnit>& units, const SoaEvaluator& soa,
+                 EvalCache* cache, double u_scale, const SolveDeadline& deadline) const;
+    /// Generate one neighbor in place: mutate the flat state under its
+    /// undo log, appending the indices of every decision that actually
+    /// differs to `changed` (cleared first). Pin- and app-membership-aware:
+    /// a proposed move never violates a `tier=` pin, and app batch moves
+    /// relocate exactly the units containing the drawn application class.
     void propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa, SoaState& state,
                               const std::vector<MoveUnit>& units,
                               std::vector<std::size_t>& changed) const;
-    /// Export the SoA best snapshot back into ctx.best's AoS fields.
-    void finalize_chain(ChainCtx& ctx, const SoaEvaluator* soa) const;
-    [[nodiscard]] static double chain_current_utility(const ChainCtx& ctx);
-    static void swap_chain_state(ChainCtx& a, ChainCtx& b);
-
-    [[nodiscard]] AnnealingResult solve_tempering(const std::vector<TieringPlan>& starts,
-                                                  const std::vector<PlanEvaluation>& start_evals,
-                                                  ThreadPool* pool, EvalCache* cache,
-                                                  const SolveDeadline& deadline) const;
 
     const PlanEvaluator* evaluator_;
     AnnealingOptions options_;

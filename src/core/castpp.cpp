@@ -53,11 +53,7 @@ CastResult plan_with(const model::PerfModelSet& models, const workload::Workload
     // snapshot-scoped table) replaces the per-call one, so the memo also
     // survives across requests.
     EvalCache local_cache;
-    if (!options.annealing.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        cache = &local_cache;
-    }
+    if (cache == nullptr) cache = &local_cache;
 
     TieringPlan initial =
         greedy_projected_plan(evaluator, options.greedy_init, reuse_aware, cache);
@@ -111,17 +107,13 @@ CastResult plan_cast_greedy(const model::PerfModelSet& models,
     PlanEvaluator evaluator(models, workload, EvalOptions{.reuse_aware = reuse_aware});
 
     EvalCache local_cache;
-    if (!options.annealing.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        cache = &local_cache;
-    }
+    if (cache == nullptr) cache = &local_cache;
 
     CastResult out;
     out.plan = greedy_projected_plan(evaluator, options.greedy_init, reuse_aware, cache);
     out.evaluation = evaluator.evaluate(out.plan, cache);
     out.greedy_initial = out.plan;
-    if (cache != nullptr) out.cache_stats = cache->stats();
+    out.cache_stats = cache->stats();
     for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
         out.lint_notes.push_back(f->format());
     }
@@ -369,12 +361,8 @@ void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache
 WorkflowSolver::WorkflowSolver(const WorkflowEvaluator& evaluator, AnnealingOptions options,
                                double deadline_safety)
     : evaluator_(&evaluator), options_(std::move(options)), deadline_safety_(deadline_safety) {
-    CAST_EXPECTS(options_.iter_max >= 1);
-    CAST_EXPECTS(!options_.overprov_choices.empty());
-    CAST_EXPECTS(options_.max_wall_ms >= 0.0);
+    options_.validate();
     CAST_EXPECTS(deadline_safety_ > 0.0 && deadline_safety_ <= 1.0);
-    CAST_EXPECTS(options_.tempering_ladder_ratio >= 1.0);
-    CAST_EXPECTS(options_.exchange_stride >= 1);
     const auto& wf = evaluator_->workflow();
     if (!options_.active_jobs.empty()) {
         CAST_EXPECTS_MSG(options_.active_jobs.size() == wf.size(),
@@ -414,10 +402,6 @@ double WorkflowSolver::score(const WorkflowEvaluation& eval) const {
     return s;
 }
 
-WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cache) const {
-    return run_chain(seed, cache, SolveDeadline::from(options_));
-}
-
 struct WorkflowSolver::WfChainCtx {
     WorkflowPlan curr;
     WorkflowEvaluation curr_eval;
@@ -429,24 +413,21 @@ struct WorkflowSolver::WfChainCtx {
     WorkflowEvaluation next_eval;
     double curr_score = 0.0;
     double best_score = 0.0;
-    /// Metropolis normalization. Per-chain on the legacy path (derived
-    /// from the chain's own start); one shared value under tempering so
-    /// exchange energies are comparable across rungs.
-    double scale = 1.0;
     double temperature = 0.0;
     /// DFS cursor; identical across replicas at round barriers (all run
     /// the same iteration count), so exchanges never need to swap it.
     std::size_t cursor = 0;
-    WorkflowSolveResult best;
+    WorkflowPlan best_plan;
+    WorkflowEvaluation best_eval;
 };
 
 void WorkflowSolver::init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed,
                                    EvalCache* cache) const {
     const auto& wf = evaluator_->workflow();
-    // Multi-start across chains: chain seeds ending in 0 start from the
-    // best canonical uniform plan; the rest rotate the starting tier (and a
-    // generous starting over-provision factor, since block-tier speed needs
-    // pooled capacity) by seed.
+    // Multi-start across replicas: start seeds divisible by 3 start from
+    // the best canonical uniform plan; the rest rotate the starting tier
+    // (and a generous starting over-provision factor, since block-tier
+    // speed needs pooled capacity) by seed.
     ctx.curr =
         start_seed % 3 == 0
             ? best_uniform_plan(cache)
@@ -459,28 +440,27 @@ void WorkflowSolver::init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed,
         ctx.curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
         ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
     }
-    ctx.best.plan = ctx.curr;
-    ctx.best.evaluation = ctx.curr_eval;
+    ctx.best_plan = ctx.curr;
+    ctx.best_eval = ctx.curr_eval;
     ctx.curr_score = score(ctx.curr_eval);
     ctx.best_score = ctx.curr_score;
-    ctx.scale = std::max(1.0, std::fabs(ctx.curr_score));
-    ctx.temperature = options_.initial_temperature;
     ctx.cursor = 0;
 }
 
-void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                                 EvalCache* cache, const SolveDeadline& deadline) const {
+int WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
+                                EvalCache* cache, double scale,
+                                const SolveDeadline& deadline) const {
     const std::vector<std::size_t>& dfs = evaluator_->workflow().dfs_order();
     const bool bounded = !deadline.unbounded();
-    for (int iter = iter_begin; iter < iter_end; ++iter) {
-        // Budget/cancel poll once per segment (incl. iter 0, so a chain
+    int iter = iter_begin;
+    for (; iter < iter_end; ++iter) {
+        // Budget/cancel poll once per segment (incl. iter 0, so a replica
         // dispatched after the deadline returns its evaluated start plan
         // immediately). Best-so-far is feasible whenever any evaluated
         // plan was — the persSSD-uniform retreat above guarantees one for
         // every workflow the lint gate admits.
         if (bounded && iter % AnnealingOptions::kBudgetCheckStride == 0 &&
             deadline.expired()) {
-            ctx.best.budget_exhausted = true;
             break;
         }
         ctx.temperature =
@@ -515,38 +495,19 @@ void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int 
         const WorkflowEvaluator::Base base{ctx.curr, ctx.curr_eval};
         evaluator_->evaluate_into(ctx.next, cache, ctx.next_eval, &base);
         const double neighbor_score = score(ctx.next_eval);
-        ++ctx.best.iterations;
         if (ctx.next_eval.feasible && neighbor_score > ctx.best_score) {
-            ctx.best.plan = ctx.next;
-            ctx.best.evaluation = ctx.next_eval;
+            ctx.best_plan = ctx.next;
+            ctx.best_eval = ctx.next_eval;
             ctx.best_score = neighbor_score;
         }
-        const double delta = (neighbor_score - ctx.curr_score) / ctx.scale;
+        const double delta = (neighbor_score - ctx.curr_score) / scale;
         if (delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature)) {
             std::swap(ctx.curr, ctx.next);
             std::swap(ctx.curr_eval, ctx.next_eval);
             ctx.curr_score = neighbor_score;
         }
     }
-}
-
-WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cache,
-                                              const SolveDeadline& deadline) const {
-    CAST_EXPECTS(!evaluator_->workflow().dfs_order().empty());
-    Rng rng(seed);
-
-    std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
-
-    WfChainCtx ctx;
-    init_wf_chain(ctx, seed, cache);
-    run_wf_span(ctx, rng, 0, options_.iter_max, cache, deadline);
-    return std::move(ctx.best);
+    return iter - iter_begin;
 }
 
 WorkflowPlan WorkflowSolver::best_uniform_plan(EvalCache* cache) const {
@@ -581,60 +542,10 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     lint::enforce(pre);
 
     std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
+    if (cache == nullptr) {
         owned = std::make_unique<EvalCache>();
         cache = owned.get();
     }
-
-    if (options_.tempering && options_.chains > 1) {
-        WorkflowSolveResult chosen = solve_tempering(pool, cache, deadline);
-        for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-            chosen.lint_notes.push_back(f->format());
-        }
-        return chosen;
-    }
-
-    std::vector<WorkflowSolveResult> results(static_cast<std::size_t>(options_.chains));
-    auto run_one = [&](std::size_t c) {
-        results[c] = run_chain(options_.seed + 104729 * (c + 1), cache, deadline);
-    };
-    if (pool != nullptr && options_.chains > 1) {
-        pool->parallel_for(results.size(), run_one);
-    } else {
-        for (std::size_t c = 0; c < results.size(); ++c) run_one(c);
-    }
-    // The canonical uniform sweep is a guaranteed floor: annealing must not
-    // return anything it scores below the best single-tier plan.
-    WorkflowSolveResult fallback;
-    fallback.plan = best_uniform_plan(cache);
-    fallback.evaluation = evaluator_->evaluate(fallback.plan, cache);
-    fallback.best_chain = -1;
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < results.size(); ++c) {
-        if (score(results[c].evaluation) > score(results[best].evaluation)) best = c;
-    }
-    const bool fallback_wins = score(fallback.evaluation) > score(results[best].evaluation);
-    WorkflowSolveResult chosen =
-        fallback_wins ? std::move(fallback) : std::move(results[best]);
-    if (!fallback_wins) chosen.best_chain = static_cast<int>(best);
-    // Report the whole search's effort, not just the winner's share.
-    chosen.iterations = 0;
-    chosen.budget_exhausted = false;
-    for (const WorkflowSolveResult& r : results) {
-        chosen.iterations += r.iterations;
-        chosen.budget_exhausted = chosen.budget_exhausted || r.budget_exhausted;
-    }
-    if (cache != nullptr) chosen.cache_stats = cache->stats();
-    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-        chosen.lint_notes.push_back(f->format());
-    }
-    return chosen;
-}
-
-WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache* cache,
-                                                    const SolveDeadline& deadline) const {
     CAST_EXPECTS(!evaluator_->workflow().dfs_order().empty());
 
     // The uniform sweep is both the guaranteed result floor and the source
@@ -646,82 +557,42 @@ WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache*
     fallback.best_chain = -1;
     const double scale = std::max(1.0, std::fabs(score(fallback.evaluation)));
 
-    const auto replicas = static_cast<std::size_t>(options_.chains);
-    std::vector<WfChainCtx> reps(replicas);
-    for (std::size_t r = 0; r < replicas; ++r) {
-        // Replica starts reuse the legacy chain-seed formula, so the
-        // tempered ladder explores the same diverse anchors the
-        // independent chains did.
-        init_wf_chain(reps[r], options_.seed + 104729 * (r + 1), cache);
-        reps[r].scale = scale;
-        reps[r].temperature = options_.initial_temperature *
-                              std::pow(options_.tempering_ladder_ratio,
-                                       static_cast<double>(r));
-    }
+    TemperingRun<WfChainCtx> run = run_tempering<WfChainCtx>(
+        options_, pool,
+        [&](WfChainCtx& ctx, std::size_t r) {
+            // Replica starts rotate over diverse uniform anchors by seed.
+            init_wf_chain(ctx, options_.seed + 104729 * (r + 1), cache);
+        },
+        [&](WfChainCtx& ctx, Rng& rng, int begin, int end) {
+            return run_wf_span(ctx, rng, begin, end, cache, scale, deadline);
+        },
+        [&](const WfChainCtx& ctx) { return -ctx.curr_score / scale; },
+        [](WfChainCtx& a, WfChainCtx& b) {
+            std::swap(a.curr, b.curr);
+            std::swap(a.curr_eval, b.curr_eval);
+            std::swap(a.curr_score, b.curr_score);
+        });
 
-    const TemperingSchedule sched(options_.iter_max, options_.exchange_stride,
-                                  options_.chains);
-    TemperingStats stats;
-    stats.replicas = options_.chains;
-    stats.exchange_attempts.assign(replicas - 1, 0);
-    stats.exchange_accepts.assign(replicas - 1, 0);
-    stats.replica_iterations.assign(replicas, 0);
-
-    bool out_of_budget = false;
-    for (int round = 0; round < sched.rounds(); ++round) {
-        auto run_one = [&](std::size_t r) {
-            Rng rng(TemperingSchedule::segment_seed(options_.seed, r,
-                                                    static_cast<std::uint64_t>(round)));
-            run_wf_span(reps[r], rng, sched.round_begin(round), sched.round_end(round), cache,
-                        deadline);
-        };
-        if (pool != nullptr && replicas > 1) {
-            pool->parallel_for(replicas, run_one, 1);
-        } else {
-            for (std::size_t r = 0; r < replicas; ++r) run_one(r);
-        }
-        ++stats.rounds;
-        for (const WfChainCtx& c : reps) {
-            out_of_budget = out_of_budget || c.best.budget_exhausted;
-        }
-        if (out_of_budget) break;
-        if (round + 1 < sched.rounds() && replicas > 1) {
-            Rng ex(TemperingSchedule::exchange_seed(options_.seed,
-                                                    static_cast<std::uint64_t>(round)));
-            for (int p = TemperingSchedule::first_pair(round);
-                 p + 1 < options_.chains; p += 2) {
-                const double u = ex.uniform();
-                ++stats.exchange_attempts[p];
-                const double e_cold = -reps[p].curr_score / scale;
-                const double e_hot = -reps[p + 1].curr_score / scale;
-                if (exchange_accept(1.0 / reps[p].temperature,
-                                    1.0 / reps[p + 1].temperature, e_cold, e_hot, u)) {
-                    std::swap(reps[p].curr, reps[p + 1].curr);
-                    std::swap(reps[p].curr_eval, reps[p + 1].curr_eval);
-                    std::swap(reps[p].curr_score, reps[p + 1].curr_score);
-                    ++stats.exchange_accepts[p];
-                }
-            }
-        }
-    }
-
-    for (std::size_t r = 0; r < replicas; ++r) {
-        stats.replica_iterations[r] = reps[r].best.iterations;
-    }
+    std::vector<WfChainCtx>& reps = run.replicas;
     std::size_t best = 0;
-    for (std::size_t r = 1; r < replicas; ++r) {
-        if (score(reps[r].best.evaluation) > score(reps[best].best.evaluation)) best = r;
+    for (std::size_t r = 1; r < reps.size(); ++r) {
+        if (score(reps[r].best_eval) > score(reps[best].best_eval)) best = r;
     }
-    const bool fallback_wins =
-        score(fallback.evaluation) > score(reps[best].best.evaluation);
-    WorkflowSolveResult chosen =
-        fallback_wins ? std::move(fallback) : std::move(reps[best].best);
-    if (!fallback_wins) chosen.best_chain = static_cast<int>(best);
-    chosen.iterations = 0;
-    chosen.budget_exhausted = out_of_budget;
-    for (const WfChainCtx& c : reps) chosen.iterations += c.best.iterations;
-    if (cache != nullptr) chosen.cache_stats = cache->stats();
-    chosen.tempering = std::move(stats);
+    WorkflowSolveResult chosen;
+    if (score(fallback.evaluation) > score(reps[best].best_eval)) {
+        chosen = std::move(fallback);
+    } else {
+        chosen.plan = std::move(reps[best].best_plan);
+        chosen.evaluation = std::move(reps[best].best_eval);
+        chosen.best_chain = static_cast<int>(best);
+    }
+    for (const int n : run.stats.replica_iterations) chosen.iterations += n;
+    chosen.budget_exhausted = run.budget_exhausted;
+    chosen.cache_stats = cache->stats();
+    chosen.tempering = std::move(run.stats);
+    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
+        chosen.lint_notes.push_back(f->format());
+    }
     return chosen;
 }
 
@@ -735,9 +606,7 @@ WorkflowSolveResult WorkflowSolver::solve_greedy(EvalCache* cache) const {
     lint::enforce(pre);
 
     std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
+    if (cache == nullptr) {
         owned = std::make_unique<EvalCache>();
         cache = owned.get();
     }
@@ -746,7 +615,7 @@ WorkflowSolveResult WorkflowSolver::solve_greedy(EvalCache* cache) const {
     out.plan = best_uniform_plan(cache);
     out.evaluation = evaluator_->evaluate(out.plan, cache);
     out.best_chain = -1;  // the uniform sweep "won" by being the only entry
-    if (cache != nullptr) out.cache_stats = cache->stats();
+    out.cache_stats = cache->stats();
     for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
         out.lint_notes.push_back(f->format());
     }

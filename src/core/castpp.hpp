@@ -47,9 +47,8 @@ struct CastResult {
     /// True when options.annealing.max_wall_ms (or a CancelToken) stopped
     /// the search early; the plan is best-so-far feasible, not converged.
     bool budget_exhausted = false;
-    /// Replica-exchange statistics from the annealing stage (replicas == 0
-    /// when the legacy independent-chain path ran). Greedy-only results
-    /// always report replicas == 0.
+    /// Replica-exchange statistics from the annealing stage. Greedy-only
+    /// results report replicas == 0.
     TemperingStats tempering{};
 };
 
@@ -180,23 +179,21 @@ private:
 struct WorkflowSolveResult {
     WorkflowPlan plan;
     WorkflowEvaluation evaluation;
-    /// From solve(): aggregated across ALL chains (a run_chain() result
-    /// covers that one chain only).
+    /// Aggregated across ALL replicas.
     int iterations = 0;
-    /// Index of the winning chain (solve() only; -1 when the uniform-plan
-    /// fallback beat every chain, 0 for a single chain).
+    /// Index of the winning replica (-1 when the uniform-plan fallback beat
+    /// every replica, 0 for a single chain).
     int best_chain = 0;
-    /// Memo-table statistics (zero when caching is disabled).
+    /// Memo-table statistics.
     EvalCacheStats cache_stats{};
     /// Pre-solve lint warnings, including a demoted L009 when the deadline
     /// is below the certified runtime lower bound (the solve is then
     /// best-effort by construction).
     std::vector<std::string> lint_notes;
     /// True when the wall budget or a cancellation stopped the search
-    /// early (best-so-far result; OR across chains from solve()).
+    /// early (best-so-far result; OR across replicas).
     bool budget_exhausted = false;
-    /// Replica-exchange statistics (replicas == 0 on the legacy path,
-    /// from run_chain(), and from solve_greedy()).
+    /// Replica-exchange statistics (replicas == 0 from solve_greedy()).
     TemperingStats tempering{};
 };
 
@@ -211,8 +208,9 @@ public:
     WorkflowSolver(const WorkflowEvaluator& evaluator, AnnealingOptions options = {},
                    double deadline_safety = 1.0);
 
-    /// All chains share one evaluation cache: `cache` when supplied,
-    /// otherwise an internally created one (unless options disable caching).
+    /// Tempered anneal over options.chains replicas (a single chain is a
+    /// one-rung ladder). All replicas share one evaluation cache: `cache`
+    /// when supplied, otherwise an internally created one.
     [[nodiscard]] WorkflowSolveResult solve(ThreadPool* pool = nullptr,
                                             EvalCache* cache = nullptr) const;
     /// Greedy-only workflow answer: the best uniform plan over tiers x
@@ -221,12 +219,6 @@ public:
     /// The overload governor degrades to this when a full workflow solve
     /// cannot be afforded.
     [[nodiscard]] WorkflowSolveResult solve_greedy(EvalCache* cache = nullptr) const;
-    [[nodiscard]] WorkflowSolveResult run_chain(std::uint64_t seed,
-                                                EvalCache* cache = nullptr) const;
-    /// Chain under an explicit shared deadline (solve() passes its own so
-    /// all chains answer to one wall clock).
-    [[nodiscard]] WorkflowSolveResult run_chain(std::uint64_t seed, EvalCache* cache,
-                                                const SolveDeadline& deadline) const;
 
 private:
     /// Score to maximize: -cost when the deadline holds, else heavily
@@ -238,19 +230,17 @@ private:
     /// multi-start anchor and result floor).
     [[nodiscard]] WorkflowPlan best_uniform_plan(EvalCache* cache = nullptr) const;
 
-    /// Per-chain/replica search state; defined in the .cpp.
+    /// Per-replica search state; defined in the .cpp.
     struct WfChainCtx;
-    /// Seed `ctx` from the legacy multi-start formula for `start_seed`
+    /// Seed `ctx` from the multi-start formula for `start_seed`
     /// (uniform-sweep anchor for seeds divisible by 3, rotated uniform
     /// plans otherwise, persSSD retreat when infeasible).
     void init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed, EvalCache* cache) const;
-    /// Run iterations [iter_begin, iter_end) of one chain (the legacy
-    /// loop body verbatim; the DFS cursor and temperature live in ctx and
-    /// carry across segments).
-    void run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                     EvalCache* cache, const SolveDeadline& deadline) const;
-    [[nodiscard]] WorkflowSolveResult solve_tempering(ThreadPool* pool, EvalCache* cache,
-                                                      const SolveDeadline& deadline) const;
+    /// Run iterations [iter_begin, iter_end) of one replica (the DFS
+    /// cursor and temperature live in ctx and carry across segments);
+    /// returns how many ran (fewer only when the deadline stopped it).
+    int run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
+                    EvalCache* cache, double scale, const SolveDeadline& deadline) const;
 
     const WorkflowEvaluator* evaluator_;
     AnnealingOptions options_;

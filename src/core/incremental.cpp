@@ -7,6 +7,7 @@
 
 #include "core/eval_cache.hpp"
 #include "core/greedy.hpp"
+#include "core/soa_eval.hpp"
 
 namespace cast::core {
 
@@ -134,6 +135,12 @@ bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
                                     EvalCache* cache) const {
     const workload::Workload& wl = evaluator.workload();
     const auto groups = wl.reuse_groups();
+    // Candidates are scored on the annealer's flat state: each is staged
+    // over the committed plan, kept on a strict improvement and reverted
+    // otherwise, so the committed state always holds the unit at its best.
+    const SoaEvaluator soa(evaluator);
+    SoaState state;
+    soa.init(state, *plan, *eval);
     bool changed = false;
     for (const std::size_t idx : neighborhood) {
         std::vector<std::size_t> unit{idx};
@@ -152,25 +159,26 @@ bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
         PlacementDecision best = original;
         for (const cloud::StorageTier tier : cloud::kAllTiers) {
             if (pin && *pin != tier) continue;
+            const auto ti = static_cast<std::uint8_t>(cloud::tier_index(tier));
             for (const double k : options_.annealing.overprov_choices) {
                 if (tier == best.tier && k == best.overprovision) continue;
-                for (const std::size_t j : unit) {
-                    plan->set_decision(j, PlacementDecision{tier, k});
-                }
-                // `*eval` always evaluates `*plan` with the unit at `best`,
-                // so the candidate differs from it in exactly `unit`.
-                const PlanEvaluation candidate =
-                    evaluator.evaluate_delta(*eval, *plan, unit, cache);
-                if (candidate.feasible && candidate.utility > eval->utility) {
+                for (const std::size_t j : unit) soa.set_decision(state, j, ti, k);
+                if (soa.evaluate_candidate(state, unit, cache) &&
+                    state.cand_utility > state.utility) {
                     best = PlacementDecision{tier, k};
-                    *eval = candidate;
+                    soa.save_best(state);
+                    soa.commit(state);
+                } else {
+                    soa.revert(state);
                 }
             }
         }
-        for (const std::size_t j : unit) plan->set_decision(j, best);
         changed = changed || best.tier != original.tier ||
                   best.overprovision != original.overprovision;
     }
+    // The best snapshot tracks every commit, so it is the committed state.
+    *plan = soa.best_plan(state);
+    *eval = soa.best_evaluation(state);
     return changed;
 }
 

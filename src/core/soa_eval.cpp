@@ -18,8 +18,16 @@ SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
       n_(evaluator.workload().size()),
       nvm_(evaluator.models().cluster().worker_count),
       reuse_aware_(evaluator.options().reuse_aware),
-      has_tier_pins_(evaluator.has_tier_pins_),
-      objstore_capacity_sensitive_(evaluator.objstore_capacity_sensitive_) {
+      has_tier_pins_(evaluator.has_tier_pins_) {
+    const model::PerfModelSet& models = evaluator.models();
+    for (const auto& job : evaluator.workload().jobs()) {
+        if (models.has_tier_model(job.app, StorageTier::kObjectStore) &&
+            !models.tier_model(job.app, StorageTier::kObjectStore)
+                 .scales_with_intermediate_volume) {
+            objstore_capacity_sensitive_ = true;
+            break;
+        }
+    }
     req_.reserve(n_);
     eph_backing_.reserve(n_);
     inter_.reserve(n_);
@@ -98,7 +106,7 @@ double SoaEvaluator::runtime_for(const SoaState& state, std::size_t job,
 bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size_t> changed,
                                       EvalCache* cache) const {
     state.runtime_undo.clear();
-    // Placement constraints exactly as evaluate_impl: the shared lint
+    // Placement constraints exactly as PlanEvaluator::evaluate: the shared lint
     // checks over the AoS mirror, skipped when they could never fire. The
     // clean path pushes nothing, so `violations` never allocates there.
     if (reuse_aware_ || has_tier_pins_) {
@@ -156,11 +164,11 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size
         return false;
     }
 
-    // --- Runtime reuse, exactly evaluate_impl's incremental branch:
-    // bitwise per-VM comparison decides reusability per tier; jobs on
-    // capacity-shifted tiers re-derive directly, changed jobs through the
-    // memo table; the total re-sums in index order only when some runtime
-    // actually changed.
+    // --- Runtime reuse: bitwise per-VM comparison decides reusability per
+    // tier; jobs on capacity-shifted tiers re-derive directly (these keys
+    // carry a freshly rounded capacity and would mostly miss the memo
+    // table), changed jobs through the memo table; the total re-sums in
+    // index order only when some runtime actually changed.
     std::array<bool, cloud::kTierCount> reusable{};
     bool all_reusable = true;
     for (StorageTier t : cloud::kAllTiers) {

@@ -1,12 +1,12 @@
 // Struct-of-arrays evaluation core for the annealing hot loop.
 //
-// PlanEvaluator::evaluate_delta is already incremental, but every call
-// still allocates: propose_neighbor copies the whole TieringPlan
-// (~16·n bytes) and evaluate_delta copies the base's job_runtimes vector
-// into a fresh PlanEvaluation. At ~1 µs per iteration those two
-// alloc/copy pairs dominate the solver's cache behaviour.
+// A move touches one job (or one reuse group, or one app class), yet a
+// TieringPlan copy plus a fresh PlanEvaluation per move would copy ~16·n
+// bytes of decisions and the whole runtime vector every iteration. At
+// ~1 µs per iteration those copies would dominate the solver's cache
+// behaviour.
 //
-// SoaEvaluator keeps ONE flat state per chain and mutates it in place:
+// SoaEvaluator keeps ONE flat state per replica and mutates it in place:
 //
 //   tier[]      job -> tier index        (uint8, contiguous)
 //   overprov[]  job -> k_i               (double, contiguous)
@@ -16,15 +16,21 @@
 // intermediate size) and precomputed staging legs, unwrapped from their
 // unit types into raw double arrays. A candidate move writes an undo log
 // instead of copying the plan, and reverting a rejected move replays the
-// log — the steady-state iteration does zero heap allocation.
+// log — the steady-state iteration does zero heap allocation. The
+// annealer and the incremental re-planner's repair pass both score
+// candidates through set_decision -> evaluate_candidate -> commit/revert.
 //
-// Equivalence contract: evaluate_candidate performs EXACTLY the floating-
-// point operations of PlanEvaluator::evaluate_impl's incremental branch,
-// in the same order (index-order capacity accumulation, the objStore
-// persSSD floor, provider provisioning rounding, bitwise per-VM
-// reusability, index-order runtime summation, Eq. 5/6 via the shared
-// eq5_eq6_costs). Golden tests assert exact double equality against the
-// AoS evaluator along full annealing trajectories.
+// Equivalence contract: evaluate_candidate is bit-identical in every
+// field to PlanEvaluator::evaluate of the candidate plan. Capacities
+// repeat evaluate's floating-point operations in the same order
+// (index-order accumulation, the objStore persSSD floor, provider
+// provisioning rounding) and costs go through the shared eq5_eq6_costs.
+// Runtimes are reused per tier: a job whose decision did not move keeps
+// its committed runtime when its tier's per-VM capacity is bitwise
+// unchanged (REG is deterministic, so the bits are the same), and the
+// total re-sums in index order only when some runtime changed. The tests
+// hold this core to the uncached evaluate() along full annealing
+// trajectories.
 //
 // An AoS mirror of the decisions is maintained alongside the flat arrays
 // (one 16-byte write per decision change) so the shared lint checks and
@@ -93,7 +99,7 @@ struct SoaState {
 };
 
 /// Allocation-free incremental evaluation over SoaState. Constructed once
-/// per solve from the AoS evaluator (whose models/workload/options it
+/// per solve from the PlanEvaluator (whose models/workload/options it
 /// reads); const and thread-safe — replicas each own a SoaState and share
 /// one SoaEvaluator.
 class SoaEvaluator {
@@ -149,6 +155,10 @@ private:
     int nvm_ = 0;
     bool reuse_aware_ = false;
     bool has_tier_pins_ = false;
+    /// True when some app's objStore model scales with provisioned capacity
+    /// (never the case for the paper's models, whose objStore runtime keys
+    /// on the conventional intermediate volume); otherwise objStore
+    /// runtimes survive any capacity shift.
     bool objstore_capacity_sensitive_ = false;
     /// Plan-invariant per-job capacity terms as raw doubles (GB).
     std::vector<double> req_;

@@ -34,6 +34,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace cast::core {
 
@@ -112,7 +113,7 @@ private:
 /// Per-solve replica-exchange statistics, exported through result structs
 /// and the serve-layer MetricsRegistry ("solver.tempering.*").
 struct TemperingStats {
-    /// 0 when the solve ran the legacy independent-chain path.
+    /// 0 when no annealing ran (greedy-only answers).
     int replicas = 0;
     /// Rounds actually executed (== schedule rounds unless the wall
     /// budget stopped the solve early).
@@ -137,5 +138,99 @@ struct TemperingStats {
         return n;
     }
 };
+
+/// The replicas of one tempered solve after its last round, with the
+/// ladder's statistics.
+template <class Replica>
+struct TemperingRun {
+    std::vector<Replica> replicas;
+    TemperingStats stats;
+    /// True when the wall budget (or a cancellation) stopped some replica
+    /// mid-round; the ladder stops at that round's barrier.
+    bool budget_exhausted = false;
+};
+
+/// The one replica-exchange driver every annealer runs on; a single chain
+/// is a one-rung ladder. `options` supplies chains (the rung count),
+/// iter_max, exchange_stride, seed, initial_temperature and
+/// tempering_ladder_ratio. The solver supplies the problem:
+///
+///   init(replica, r)               seed rung r's state (the driver then
+///                                  sets its ladder temperature);
+///   span(replica, rng, begin, end) run global iterations [begin, end)
+///                                  and return how many ran (fewer only
+///                                  when the wall budget stopped it);
+///   energy(replica)                the current state's dimensionless
+///                                  energy (lower is better);
+///   swap(a, b)                     exchange the two replicas' current
+///                                  states (bests and temperatures stay).
+///
+/// Replica must be default-constructible with a `double temperature`.
+/// Rounds fan the replicas out over `pool` (any worker count gives the
+/// same draws); exchanges run on the calling thread at each barrier.
+template <class Replica, class Options, class Init, class Span, class Energy, class Swap>
+[[nodiscard]] TemperingRun<Replica> run_tempering(const Options& options, ThreadPool* pool,
+                                                  Init&& init, Span&& span, Energy&& energy,
+                                                  Swap&& swap) {
+    const auto replicas = static_cast<std::size_t>(options.chains);
+    TemperingRun<Replica> run;
+    run.replicas.resize(replicas);
+    for (std::size_t r = 0; r < replicas; ++r) {
+        init(run.replicas[r], r);
+        run.replicas[r].temperature = options.initial_temperature *
+                                      std::pow(options.tempering_ladder_ratio,
+                                               static_cast<double>(r));
+    }
+
+    const TemperingSchedule sched(options.iter_max, options.exchange_stride, options.chains);
+    TemperingStats& stats = run.stats;
+    stats.replicas = options.chains;
+    stats.exchange_attempts.assign(replicas - 1, 0);
+    stats.exchange_accepts.assign(replicas - 1, 0);
+    stats.replica_iterations.assign(replicas, 0);
+    std::vector<char> stopped(replicas, 0);
+
+    for (int round = 0; round < sched.rounds(); ++round) {
+        // Within a round replicas are fully independent (per-segment Rng,
+        // private state, value-deterministic shared cache), so the pool
+        // may execute them in any order on any number of workers without
+        // changing a single draw.
+        const int begin = sched.round_begin(round);
+        const int end = sched.round_end(round);
+        auto run_one = [&](std::size_t r) {
+            Rng rng(TemperingSchedule::segment_seed(options.seed, r,
+                                                    static_cast<std::uint64_t>(round)));
+            const int ran = span(run.replicas[r], rng, begin, end);
+            stats.replica_iterations[r] += ran;
+            stopped[r] = ran < end - begin ? 1 : 0;
+        };
+        if (pool != nullptr && replicas > 1) {
+            pool->parallel_for(replicas, run_one, 1);
+        } else {
+            for (std::size_t r = 0; r < replicas; ++r) run_one(r);
+        }
+        ++stats.rounds;
+        for (const char s : stopped) run.budget_exhausted = run.budget_exhausted || s != 0;
+        if (run.budget_exhausted) break;
+        if (round + 1 == sched.rounds()) break;
+        // Exchanges: even pairs on even rounds, odd pairs on odd rounds.
+        // The draw is consumed before deciding so the exchange stream
+        // stays aligned whatever the outcomes.
+        Rng ex(TemperingSchedule::exchange_seed(options.seed,
+                                                static_cast<std::uint64_t>(round)));
+        for (int p = TemperingSchedule::first_pair(round); p + 1 < options.chains; p += 2) {
+            const double u = ex.uniform();
+            ++stats.exchange_attempts[p];
+            Replica& cold = run.replicas[p];
+            Replica& hot = run.replicas[p + 1];
+            if (exchange_accept(1.0 / cold.temperature, 1.0 / hot.temperature, energy(cold),
+                                energy(hot), u)) {
+                swap(cold, hot);
+                ++stats.exchange_accepts[p];
+            }
+        }
+    }
+    return run;
+}
 
 }  // namespace cast::core

@@ -23,14 +23,6 @@ PlanEvaluator::PlanEvaluator(const model::PerfModelSet& models, workload::Worklo
             }
         }
     }
-    for (const auto& job : workload_.jobs()) {
-        if (models_->has_tier_model(job.app, StorageTier::kObjectStore) &&
-            !models_->tier_model(job.app, StorageTier::kObjectStore)
-                 .scales_with_intermediate_volume) {
-            objstore_capacity_sensitive_ = true;
-            break;
-        }
-    }
     // Per-job capacity terms are invariant across plans; precompute them so
     // the per-iteration capacities() loop is pure array arithmetic. The
     // stored doubles are exactly what the accessors return, so plans
@@ -145,20 +137,7 @@ Seconds PlanEvaluator::job_runtime_for(const TieringPlan& plan, std::size_t job_
     return models_->job_runtime(workload_.job(job_idx), d.tier, per_vm, legs);
 }
 
-std::array<bool, cloud::kTierCount> PlanEvaluator::reusable_tiers(
-    const CapacityBreakdown& base, const CapacityBreakdown& next) const {
-    std::array<bool, cloud::kTierCount> reusable{};
-    for (StorageTier t : cloud::kAllTiers) {
-        const std::size_t ti = tier_index(t);
-        reusable[ti] = (t == StorageTier::kObjectStore && !objstore_capacity_sensitive_) ||
-                       base.per_vm[ti].value() == next.per_vm[ti].value();
-    }
-    return reusable;
-}
-
-PlanEvaluation PlanEvaluator::evaluate_impl(const TieringPlan& plan, EvalCache* cache,
-                                            const PlanEvaluation* base,
-                                            std::span<const std::size_t> changed) const {
+PlanEvaluation PlanEvaluator::evaluate(const TieringPlan& plan, EvalCache* cache) const {
     CAST_EXPECTS_MSG(plan.size() == workload_.size(), "plan/workload size mismatch");
     PlanEvaluation eval;
     if (workload_.empty()) {
@@ -167,11 +146,9 @@ PlanEvaluation PlanEvaluator::evaluate_impl(const TieringPlan& plan, EvalCache* 
     }
     // Placement constraints (Eq. 7 co-location, operator pins) via the
     // shared lint checks, so solver, deployer and CLI agree on what a
-    // violation is; the clean path appends nothing. These stay full-plan
-    // even on the incremental path: they are cheap comparisons, and running
-    // them unchanged keeps infeasibility messages bit-identical. A check
-    // that cannot fire for this workload (no reuse groups tracked, no pins)
-    // is skipped outright — it would append nothing either way.
+    // violation is; the clean path appends nothing. A check that cannot
+    // fire for this workload (no reuse groups tracked, no pins) is skipped
+    // outright — it would append nothing either way.
     if (options_.reuse_aware || has_tier_pins_) {
         std::vector<lint::Finding> violations;
         if (options_.reuse_aware) {
@@ -193,64 +170,13 @@ PlanEvaluation PlanEvaluator::evaluate_impl(const TieringPlan& plan, EvalCache* 
     }
 
     // Eq. 4: serial makespan out of per-job REG estimates at the plan's
-    // per-VM capacities. A job's runtime depends only on its own tier, that
-    // tier's per-VM capacity and its staging legs, so the base evaluation's
-    // runtime carries over for every job whose decision is untouched and
-    // whose tier's per-VM capacity is bitwise unchanged — no memo lookup,
-    // no model call. Only jobs on tiers whose capacity shifted
-    // (provisioning rounding, the objStore persSSD floor, ephSSD backing)
-    // and jobs whose own decision moved re-derive their runtime, through
-    // the memo table.
+    // per-VM capacities, summed in index order.
     Seconds total{0.0};
-    if (base != nullptr && base->feasible && base->job_runtimes.size() == workload_.size()) {
-        const std::array<bool, cloud::kTierCount> reusable =
-            reusable_tiers(base->capacities, eval.capacities);
-        eval.job_runtimes = base->job_runtimes;
-        const auto& ds = plan.decisions();
-        bool any_runtime_changed = false;
-        bool all_reusable = true;
-        for (const bool r : reusable) all_reusable = all_reusable && r;
-        if (!all_reusable) {
-            // Capacity sweep: re-derive directly instead of through the memo
-            // table. These keys carry a freshly rounded capacity, so they
-            // miss (and would churn the table with inserts) far more often
-            // than the per-decision moves below; at REG's evaluation cost a
-            // direct call is cheaper than a shard lock either way.
-            for (std::size_t i = 0; i < workload_.size(); ++i) {
-                if (!reusable[tier_index(ds[i].tier)]) {
-                    const Seconds t = job_runtime_for(plan, i, eval.capacities, nullptr);
-                    any_runtime_changed |= t.value() != eval.job_runtimes[i].value();
-                    eval.job_runtimes[i] = t;
-                }
-            }
-        }
-        // A changed job's base runtime belongs to its old decision: recompute
-        // it even when its (new) tier's capacity is unchanged, unless the
-        // capacity pass above already did. `changed` holds unique indices, so
-        // each job is recomputed at most once.
-        for (std::size_t j : changed) {
-            if (reusable[tier_index(ds[j].tier)]) {
-                const Seconds t = job_runtime_for(plan, j, eval.capacities, cache);
-                any_runtime_changed |= t.value() != eval.job_runtimes[j].value();
-                eval.job_runtimes[j] = t;
-            }
-        }
-        if (any_runtime_changed) {
-            // Sum in index order, exactly as the full loop does, so the
-            // floating-point total is bit-identical.
-            for (const Seconds& t : eval.job_runtimes) total += t;
-        } else {
-            // Every runtime is bitwise what the base summed (in the same
-            // index order), so the base total IS this plan's total.
-            total = base->total_runtime;
-        }
-    } else {
-        eval.job_runtimes.reserve(workload_.size());
-        for (std::size_t i = 0; i < workload_.size(); ++i) {
-            const Seconds t = job_runtime_for(plan, i, eval.capacities, cache);
-            eval.job_runtimes.push_back(t);
-            total += t;
-        }
+    eval.job_runtimes.reserve(workload_.size());
+    for (std::size_t i = 0; i < workload_.size(); ++i) {
+        const Seconds t = job_runtime_for(plan, i, eval.capacities, cache);
+        eval.job_runtimes.push_back(t);
+        total += t;
     }
     eval.total_runtime = total;
     const auto [vm, store] = costs_for(total, eval.capacities);
@@ -259,22 +185,6 @@ PlanEvaluation PlanEvaluator::evaluate_impl(const TieringPlan& plan, EvalCache* 
     eval.utility = tenant_utility(total, eval.total_cost());
     eval.feasible = true;
     return eval;
-}
-
-PlanEvaluation PlanEvaluator::evaluate(const TieringPlan& plan, EvalCache* cache) const {
-    return evaluate_impl(plan, cache, nullptr, {});
-}
-
-PlanEvaluation PlanEvaluator::evaluate_delta(const PlanEvaluation& base,
-                                             const TieringPlan& plan,
-                                             std::span<const std::size_t> changed_jobs,
-                                             EvalCache* cache) const {
-    // An infeasible base carries no reusable runtimes; evaluate fresh.
-    if (!base.feasible) return evaluate_impl(plan, cache, nullptr, {});
-    // No decision differs (the caller's contract): the base evaluation IS
-    // the evaluation of `plan`.
-    if (changed_jobs.empty()) return base;
-    return evaluate_impl(plan, cache, &base, changed_jobs);
 }
 
 }  // namespace cast::core

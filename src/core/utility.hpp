@@ -17,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,26 +95,11 @@ public:
     /// Full Eq. 2-6 evaluation. Never throws on infeasible plans: returns
     /// feasible=false with utility 0 so annealing can reject them. When a
     /// cache is supplied, per-job REG runtimes are memoized through it
-    /// (bit-identical to the uncached path — REG is deterministic).
+    /// (bit-identical to the uncached path — REG is deterministic). The
+    /// uncached call is the reference the solver's incremental SoA core
+    /// (core/soa_eval.hpp) is tested against.
     [[nodiscard]] PlanEvaluation evaluate(const TieringPlan& plan,
                                           EvalCache* cache = nullptr) const;
-
-    /// Incremental evaluation of a neighbor plan. `base` must be the
-    /// evaluation of a plan that differs from `plan` only at the job
-    /// indices listed in `changed_jobs` (the caller's contract; annealing's
-    /// move generator provides exactly this). Feasibility checks and
-    /// capacity accounting are always recomputed in full — they are cheap
-    /// arithmetic and carry the tier-coupled terms (objStore persSSD floor,
-    /// ephSSD backing capacity, provisioning rounding). Job runtimes are
-    /// reused from `base` per tier: a job keeps its base runtime when its
-    /// decision is untouched and its tier's per-VM capacity is bitwise
-    /// unchanged; jobs on capacity-shifted tiers and the changed jobs
-    /// themselves re-derive theirs (memoized through `cache`). The result
-    /// is bit-identical to evaluate(plan) in every field.
-    [[nodiscard]] PlanEvaluation evaluate_delta(const PlanEvaluation& base,
-                                                const TieringPlan& plan,
-                                                std::span<const std::size_t> changed_jobs,
-                                                EvalCache* cache = nullptr) const;
 
     /// Cost of running for `runtime` with the given capacities (Eq. 5-6);
     /// shared with the deployer so modeled and measured costs use one
@@ -129,23 +113,11 @@ private:
     /// implementations can never drift on inputs.
     friend class SoaEvaluator;
 
-    [[nodiscard]] PlanEvaluation evaluate_impl(const TieringPlan& plan, EvalCache* cache,
-                                               const PlanEvaluation* base,
-                                               std::span<const std::size_t> changed) const;
-
     /// REG runtime of job `job_idx` under `plan` at the plan's capacities,
     /// through `cache` when one is supplied.
     [[nodiscard]] Seconds job_runtime_for(const TieringPlan& plan, std::size_t job_idx,
                                           const CapacityBreakdown& caps,
                                           EvalCache* cache) const;
-
-    /// Per-tier runtime reusability between two capacity breakdowns: true
-    /// where the tier's per-VM capacity is bitwise identical (objStore is
-    /// always reusable unless some workload app's objStore model reads
-    /// provisioned capacity) — jobs sitting on a reusable tier whose own
-    /// decision did not move keep their base runtime verbatim.
-    [[nodiscard]] std::array<bool, cloud::kTierCount> reusable_tiers(
-        const CapacityBreakdown& base, const CapacityBreakdown& next) const;
 
     const model::PerfModelSet* models_;
     workload::Workload workload_;
@@ -163,10 +135,6 @@ private:
     /// True when any job carries an operator tier pin; when false the pin
     /// lint check is skipped (it could never fire).
     bool has_tier_pins_ = false;
-    /// True when some app's objStore model scales with provisioned capacity
-    /// (never the case for the paper's models, whose objStore runtime keys
-    /// on the conventional intermediate volume).
-    bool objstore_capacity_sensitive_ = false;
 };
 
 /// Eq. 5-6 applied to a makespan and a capacity breakdown — the one cost

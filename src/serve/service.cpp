@@ -137,7 +137,7 @@ struct PlannerService::Instruments {
     /// Fold one solve's replica-exchange statistics into the registry:
     /// exchange attempt/accept totals per ladder rung (counters, summed
     /// across solves) and per-replica iteration throughput for the most
-    /// recent solve (gauges). No-op for legacy-path results.
+    /// recent solve (gauges). No-op for greedy-only results.
     void record_tempering(const core::TemperingStats& stats, double ms) {
         if (!stats.enabled()) return;
         tempering_solves.add();

@@ -301,15 +301,12 @@ class IncrementalReportGate(BenchGateHarness):
 
 
 def make_solver_report(workflow_ips: float, host_cores: int = 4) -> dict:
-    """A solver_throughput-shaped report: single-chain rows plus the pooled
-    solve rows, including the workflow tempering solve."""
+    """A solver_throughput-shaped report: the single-chain row plus the
+    pooled solve rows, including the workflow tempering solve."""
     return {
         "mode": "full",
         "host_cores": host_cores,
-        "uncached_full_evaluation": {"iters_per_sec": 200000.0},
-        "cached_incremental_evaluation": {"iters_per_sec": 800000.0},
         "soa_incremental_evaluation": {"iters_per_sec": 1100000.0},
-        "multi_chain_solve": {"iters_per_sec": 900000.0},
         "tempering_solve": {"iters_per_sec": 1000000.0},
         "workflow_tempering_solve": {"iters_per_sec": workflow_ips,
                                      "matches_reference": True},

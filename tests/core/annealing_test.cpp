@@ -64,26 +64,16 @@ TEST(Annealing, BeatsOrMatchesGreedy) {
 TEST(Annealing, DeterministicChain) {
     PlanEvaluator eval(testing::small_models(), mixed_workload());
     const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    AnnealingSolver solver(eval, fast_options());
-    const auto a = solver.run_chain(init, 123);
-    const auto b = solver.run_chain(init, 123);
+    AnnealingOptions opts = fast_options();
+    opts.chains = 1;
+    opts.seed = 123;
+    AnnealingSolver solver(eval, opts);
+    const auto a = solver.solve(init);
+    const auto b = solver.solve(init);
     EXPECT_DOUBLE_EQ(a.evaluation.utility, b.evaluation.utility);
     for (std::size_t i = 0; i < a.plan.size(); ++i) {
         EXPECT_EQ(a.plan.decision(i).tier, b.plan.decision(i).tier);
         EXPECT_DOUBLE_EQ(a.plan.decision(i).overprovision, b.plan.decision(i).overprovision);
-    }
-}
-
-TEST(Annealing, MultiChainTakesBest) {
-    PlanEvaluator eval(testing::small_models(), mixed_workload());
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentHdd);
-    AnnealingOptions opts = fast_options();
-    opts.chains = 3;
-    AnnealingSolver solver(eval, opts);
-    const auto multi = solver.solve(init);
-    for (int c = 1; c <= 3; ++c) {
-        const auto single = solver.run_chain(init, opts.seed + 7919 * c);
-        EXPECT_GE(multi.evaluation.utility, single.evaluation.utility - 1e-12);
     }
 }
 
@@ -102,8 +92,7 @@ TEST(Annealing, RejectsInfeasibleInitialPlan) {
     const workload::Workload w({mk_job(1, AppKind::kSort, 4000.0)});
     PlanEvaluator eval(testing::small_models(), w);
     AnnealingSolver solver(eval, fast_options());
-    EXPECT_THROW((void)solver.run_chain(TieringPlan::uniform(1, StorageTier::kEphemeralSsd),
-                                        1),
+    EXPECT_THROW((void)solver.solve(TieringPlan::uniform(1, StorageTier::kEphemeralSsd)),
                  PreconditionError);
 }
 
@@ -153,13 +142,21 @@ TEST(Annealing, OptionValidation) {
     bad = fast_options();
     bad.overprov_choices.clear();
     EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
+    bad = fast_options();
+    bad.chains = 0;
+    EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
+    bad = fast_options();
+    bad.app_move_probability = 1.5;
+    EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
 }
 
 TEST(Annealing, AcceptedMovesCounted) {
     PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingSolver solver(eval, fast_options());
-    const auto result =
-        solver.run_chain(TieringPlan::uniform(6, StorageTier::kPersistentSsd), 5);
+    AnnealingOptions opts = fast_options();
+    opts.chains = 1;
+    opts.seed = 5;
+    AnnealingSolver solver(eval, opts);
+    const auto result = solver.solve(TieringPlan::uniform(6, StorageTier::kPersistentSsd));
     EXPECT_GT(result.accepted_moves, 0);
     EXPECT_EQ(result.iterations, fast_options().iter_max);
 }

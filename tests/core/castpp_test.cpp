@@ -416,10 +416,29 @@ TEST(WorkflowSolver, DeterministicChain) {
     WorkflowEvaluator eval(testing::small_models(), wf);
     AnnealingOptions opts;
     opts.iter_max = 800;
+    opts.chains = 1;
+    opts.seed = 42;
     WorkflowSolver solver(eval, opts);
-    const auto a = solver.run_chain(42);
-    const auto b = solver.run_chain(42);
+    const auto a = solver.solve();
+    const auto b = solver.solve();
     EXPECT_DOUBLE_EQ(a.evaluation.total_cost().value(), b.evaluation.total_cost().value());
+    EXPECT_EQ(a.tempering.replicas, 1);
+    EXPECT_EQ(a.iterations, opts.iter_max);
+}
+
+TEST(WorkflowSolver, RejectsInvalidOptions) {
+    const workload::Workflow wf = workload::make_search_log_workflow();
+    WorkflowEvaluator eval(testing::small_models(), wf);
+    const auto rejects = [&](auto mutate) {
+        AnnealingOptions opts;
+        mutate(opts);
+        EXPECT_THROW(WorkflowSolver(eval, opts), PreconditionError);
+    };
+    rejects([](AnnealingOptions& o) { o.chains = 0; });
+    rejects([](AnnealingOptions& o) { o.initial_temperature = 0.0; });
+    rejects([](AnnealingOptions& o) { o.cooling = 1.0; });
+    rejects([](AnnealingOptions& o) { o.min_temperature = 0.0; });
+    rejects([](AnnealingOptions& o) { o.tier_move_probability = -0.1; });
 }
 
 // --- Reuse scenarios (Fig. 3 economics).

@@ -7,6 +7,8 @@
 
 #include "core/annealing.hpp"
 #include "core/castpp.hpp"
+#include "core/reference_annealer.hpp"
+#include "core/soa_eval.hpp"
 #include "test_support.hpp"
 #include "workload/facebook.hpp"
 
@@ -104,29 +106,43 @@ TEST(EvalCache, ClearResetsEntriesAndStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden equivalence: delta + memoized evaluation == full evaluation, bit
-// for bit, across a long randomized neighbor walk on the paper workload.
+// Golden equivalence: the SoA candidate evaluation (incremental, memoized)
+// == the uncached full evaluation, bit for bit, across a long randomized
+// neighbor walk on the paper workload.
 // ---------------------------------------------------------------------------
 
-void expect_bit_identical(const PlanEvaluation& delta, const PlanEvaluation& full,
+/// The staged candidate's evaluation as a PlanEvaluation (valid right after
+/// a feasible evaluate_candidate).
+PlanEvaluation candidate_evaluation(const SoaState& state) {
+    PlanEvaluation eval;
+    eval.feasible = true;
+    eval.total_runtime = Seconds{state.cand_total};
+    eval.vm_cost = Dollars{state.cand_vm};
+    eval.storage_cost = Dollars{state.cand_storage};
+    eval.utility = state.cand_utility;
+    eval.capacities = state.cand_caps;
+    for (const double t : state.runtime) eval.job_runtimes.push_back(Seconds{t});
+    return eval;
+}
+
+void expect_bit_identical(const PlanEvaluation& candidate, const PlanEvaluation& full,
                           int step) {
-    ASSERT_EQ(delta.feasible, full.feasible) << "step " << step;
-    ASSERT_EQ(delta.infeasibility, full.infeasibility) << "step " << step;
-    if (!full.feasible) return;
-    ASSERT_EQ(delta.total_runtime.value(), full.total_runtime.value()) << "step " << step;
-    ASSERT_EQ(delta.vm_cost.value(), full.vm_cost.value()) << "step " << step;
-    ASSERT_EQ(delta.storage_cost.value(), full.storage_cost.value()) << "step " << step;
-    ASSERT_EQ(delta.utility, full.utility) << "step " << step;
-    ASSERT_EQ(delta.job_runtimes.size(), full.job_runtimes.size());
+    ASSERT_EQ(candidate.feasible, full.feasible) << "step " << step;
+    ASSERT_EQ(candidate.total_runtime.value(), full.total_runtime.value()) << "step " << step;
+    ASSERT_EQ(candidate.vm_cost.value(), full.vm_cost.value()) << "step " << step;
+    ASSERT_EQ(candidate.storage_cost.value(), full.storage_cost.value()) << "step " << step;
+    ASSERT_EQ(candidate.utility, full.utility) << "step " << step;
+    ASSERT_EQ(candidate.job_runtimes.size(), full.job_runtimes.size());
     for (std::size_t i = 0; i < full.job_runtimes.size(); ++i) {
-        ASSERT_EQ(delta.job_runtimes[i].value(), full.job_runtimes[i].value())
+        ASSERT_EQ(candidate.job_runtimes[i].value(), full.job_runtimes[i].value())
             << "step " << step << " job " << i;
     }
     for (StorageTier t : cloud::kAllTiers) {
-        ASSERT_EQ(delta.capacities.aggregate_of(t).value(),
+        ASSERT_EQ(candidate.capacities.aggregate_of(t).value(),
                   full.capacities.aggregate_of(t).value())
             << "step " << step;
-        ASSERT_EQ(delta.capacities.per_vm_of(t).value(), full.capacities.per_vm_of(t).value())
+        ASSERT_EQ(candidate.capacities.per_vm_of(t).value(),
+                  full.capacities.per_vm_of(t).value())
             << "step " << step;
     }
 }
@@ -136,60 +152,51 @@ void golden_walk(bool reuse_aware) {
     PlanEvaluator eval(testing::small_models(), w, EvalOptions{.reuse_aware = reuse_aware});
     AnnealingOptions opts;
     opts.group_moves = reuse_aware;
-    AnnealingSolver solver(eval, opts);
-    const auto units = solver.move_units();
+    const reference::ReferenceAnnealer proposer(eval, opts);
+    const auto units = proposer.move_units();
 
     EvalCache cache;
     TieringPlan curr = TieringPlan::uniform(w.size(), StorageTier::kPersistentSsd);
-    PlanEvaluation curr_eval = eval.evaluate(curr, &cache);
-    ASSERT_TRUE(curr_eval.feasible);
+    const PlanEvaluation start_eval = eval.evaluate(curr, &cache);
+    ASSERT_TRUE(start_eval.feasible);
+    const SoaEvaluator soa(eval);
+    SoaState state;
+    soa.init(state, curr, start_eval);
 
     Rng rng(99);
     std::vector<std::size_t> changed;
     int accepted = 0;
     for (int step = 0; step < 1200; ++step) {
-        const TieringPlan next = solver.propose_neighbor(rng, curr, units, changed);
-        const PlanEvaluation delta_eval = eval.evaluate_delta(curr_eval, next, changed, &cache);
-        const PlanEvaluation full_eval = eval.evaluate(next);  // fresh, uncached
-        expect_bit_identical(delta_eval, full_eval, step);
-        if (delta_eval.feasible) {
-            curr = next;
-            curr_eval = delta_eval;
-            ++accepted;
+        const TieringPlan next = proposer.propose_neighbor(rng, curr, units, changed);
+        if (changed.empty()) continue;
+        for (const std::size_t j : changed) {
+            const PlacementDecision& d = next.decision(j);
+            soa.set_decision(state, j, static_cast<std::uint8_t>(cloud::tier_index(d.tier)),
+                             d.overprovision);
         }
+        const bool feasible = soa.evaluate_candidate(state, changed, &cache);
+        const PlanEvaluation full_eval = eval.evaluate(next);  // fresh, uncached
+        if (!feasible) {
+            ASSERT_FALSE(full_eval.feasible) << "step " << step;
+            soa.revert(state);
+            continue;
+        }
+        expect_bit_identical(candidate_evaluation(state), full_eval, step);
+        soa.commit(state);
+        curr = next;
+        ++accepted;
     }
     // The walk must actually move, and memoization must actually bite.
     EXPECT_GT(accepted, 100);
     EXPECT_GT(cache.stats().hit_rate(), 0.5);
 }
 
-TEST(EvalCacheGolden, DeltaMatchesFullEvaluationReuseOblivious) { golden_walk(false); }
+TEST(EvalCacheGolden, SoaCandidateMatchesFullEvaluationReuseOblivious) {
+    golden_walk(false);
+}
 
-TEST(EvalCacheGolden, DeltaMatchesFullEvaluationReuseAware) { golden_walk(true); }
-
-TEST(EvalCacheGolden, CachedChainBitIdenticalToUncachedChain) {
-    // The cache and delta path must not perturb the search trajectory: the
-    // same seed must produce the same plan and utility, bit for bit.
-    PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingOptions cached_opts;
-    cached_opts.iter_max = 2500;
-    AnnealingOptions uncached_opts = cached_opts;
-    uncached_opts.use_evaluation_cache = false;
-    AnnealingSolver cached(eval, cached_opts);
-    AnnealingSolver uncached(eval, uncached_opts);
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    for (std::uint64_t seed : {1ULL, 42ULL, 977ULL}) {
-        const auto a = cached.run_chain(init, seed);
-        const auto b = uncached.run_chain(init, seed);
-        EXPECT_EQ(a.evaluation.utility, b.evaluation.utility) << "seed " << seed;
-        EXPECT_EQ(a.accepted_moves, b.accepted_moves) << "seed " << seed;
-        EXPECT_EQ(a.infeasible_neighbors, b.infeasible_neighbors) << "seed " << seed;
-        ASSERT_EQ(a.plan.size(), b.plan.size());
-        for (std::size_t i = 0; i < a.plan.size(); ++i) {
-            EXPECT_EQ(a.plan.decision(i).tier, b.plan.decision(i).tier);
-            EXPECT_EQ(a.plan.decision(i).overprovision, b.plan.decision(i).overprovision);
-        }
-    }
+TEST(EvalCacheGolden, SoaCandidateMatchesFullEvaluationReuseAware) {
+    golden_walk(true);
 }
 
 TEST(EvalCacheGolden, SharedCacheAcrossParallelChainsMatchesSerial) {
@@ -237,7 +244,7 @@ TEST(AnnealingMoves, AppMoveRelocatesUnitsByMembership) {
     opts.group_moves = true;
     opts.app_move_probability = 1.0;
     opts.tier_move_probability = 0.0;
-    AnnealingSolver solver(eval, opts);
+    const reference::ReferenceAnnealer solver(eval, opts);
     const auto units = solver.move_units();
 
     const TieringPlan curr = TieringPlan::uniform(3, StorageTier::kPersistentSsd);
@@ -266,7 +273,7 @@ TEST(AnnealingMoves, AppMoveRespectsTierPins) {
     AnnealingOptions opts;
     opts.app_move_probability = 1.0;
     opts.tier_move_probability = 0.0;
-    AnnealingSolver solver(eval, opts);
+    const reference::ReferenceAnnealer solver(eval, opts);
     const auto units = solver.move_units();
 
     TieringPlan curr = TieringPlan::uniform(3, StorageTier::kPersistentSsd);
@@ -292,7 +299,7 @@ TEST(AnnealingMoves, TierMoveDegradesToFactorMoveWhenFullyPinned) {
     AnnealingOptions opts;
     opts.app_move_probability = 0.0;
     opts.tier_move_probability = 1.0;
-    AnnealingSolver solver(eval, opts);
+    const reference::ReferenceAnnealer solver(eval, opts);
     const auto units = solver.move_units();
 
     TieringPlan curr = TieringPlan::uniform(1, StorageTier::kPersistentHdd);
@@ -323,9 +330,10 @@ TEST(AnnealingMoves, FullyPinnedChainProposesNoInfeasibleNeighbors) {
     PlanEvaluator eval(testing::small_models(), workload::Workload(jobs));
     AnnealingOptions opts;
     opts.iter_max = 2000;
+    opts.chains = 1;
+    opts.seed = 9;
     AnnealingSolver solver(eval, opts);
-    const auto result =
-        solver.run_chain(TieringPlan::uniform(4, StorageTier::kPersistentSsd), 9);
+    const auto result = solver.solve(TieringPlan::uniform(4, StorageTier::kPersistentSsd));
     EXPECT_EQ(result.infeasible_neighbors, 0);
     EXPECT_EQ(result.iterations, opts.iter_max);
     EXPECT_TRUE(result.evaluation.feasible);
@@ -333,7 +341,7 @@ TEST(AnnealingMoves, FullyPinnedChainProposesNoInfeasibleNeighbors) {
 
 TEST(AnnealingMoves, ChangedListMatchesActualPlanDiff) {
     PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingSolver solver(eval, AnnealingOptions{});
+    const reference::ReferenceAnnealer solver(eval, AnnealingOptions{});
     const auto units = solver.move_units();
     TieringPlan curr = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
     Rng rng(31);
@@ -364,48 +372,31 @@ TEST(AnnealingCounters, SolveAggregatesAcrossChains) {
     opts.iter_max = 1000;
     opts.chains = 3;
     opts.seed = 17;
-    // This test reconstructs solve()'s counters by re-running the legacy
-    // independent chains by hand, so it must pin the legacy path: under
-    // replica exchange the per-chain trajectories are intentionally
-    // different (tempering determinism is covered by tempering_test.cpp).
-    opts.tempering = false;
     AnnealingSolver solver(eval, opts);
     const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
     const auto result = solver.solve(init);
 
-    // iterations: every chain runs iter_max neighbors.
-    EXPECT_EQ(result.iterations, 3 * opts.iter_max);
+    // iterations: the sum of every replica's iterations, each iter_max.
+    ASSERT_EQ(result.tempering.replica_iterations.size(), 3u);
+    int iterations = 0;
+    for (const int n : result.tempering.replica_iterations) {
+        EXPECT_EQ(n, opts.iter_max);
+        iterations += n;
+    }
+    EXPECT_EQ(result.iterations, iterations);
     EXPECT_GE(result.best_chain, 0);
     EXPECT_LT(result.best_chain, 3);
     EXPECT_GT(result.cache_stats.lookups(), 0u);
 
-    // accepted_moves/infeasible_neighbors: the sum over the same chains run
-    // individually (counters are cache-independent — the search trajectory
-    // is bit-identical either way).
-    const TieringPlan uniform_init = init;  // chains rotate over diverse starts
-    std::vector<TieringPlan> starts{uniform_init};
-    for (StorageTier t : cloud::kAllTiers) {
-        TieringPlan u = TieringPlan::uniform(6, t);
-        if (eval.evaluate(u).feasible) starts.push_back(std::move(u));
-    }
-    int accepted = 0;
-    int infeasible = 0;
-    double best_utility = -1.0;
-    int best_chain = 0;
-    for (std::size_t c = 0; c < 3; ++c) {
-        const auto r =
-            solver.run_chain(starts[c % starts.size()], opts.seed + 7919 * (c + 1));
-        accepted += r.accepted_moves;
-        infeasible += r.infeasible_neighbors;
-        if (r.evaluation.utility > best_utility) {
-            best_utility = r.evaluation.utility;
-            best_chain = static_cast<int>(c);
-        }
-    }
-    EXPECT_EQ(result.accepted_moves, accepted);
-    EXPECT_EQ(result.infeasible_neighbors, infeasible);
-    EXPECT_EQ(result.best_chain, best_chain);
-    EXPECT_EQ(result.evaluation.utility, best_utility);
+    // accepted_moves/infeasible_neighbors: the sums over the same ladder
+    // run by the reference annealer (uncached, so the counters are
+    // cache-independent).
+    const auto ref = reference::ReferenceAnnealer(eval, opts).solve(init);
+    EXPECT_GT(result.accepted_moves, 0);
+    EXPECT_EQ(result.accepted_moves, ref.accepted_moves);
+    EXPECT_EQ(result.infeasible_neighbors, ref.infeasible_neighbors);
+    EXPECT_EQ(result.best_chain, ref.best_chain);
+    EXPECT_EQ(result.evaluation.utility, ref.evaluation.utility);
 }
 
 TEST(WorkflowCounters, SolveAggregatesAcrossChains) {

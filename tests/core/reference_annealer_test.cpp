@@ -1,0 +1,184 @@
+// Differential test: the production AnnealingSolver (SoA state, memoized
+// incremental evaluation) against the reference annealer (TieringPlan
+// copies, uncached full evaluation) on seeded hostile workloads — tier
+// pins, reuse groups under group moves, active_jobs masks, jobs large
+// enough that over-provisioning overflows provider capacity limits, and
+// ladders of 1..8 replicas. Every field must agree bit for bit.
+#include "core/reference_annealer.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/castpp.hpp"
+#include "core/eval_cache.hpp"
+#include "test_support.hpp"
+
+namespace cast::core {
+namespace {
+
+using cloud::StorageTier;
+
+/// One seeded case: a workload, whether the evaluator is reuse-aware, a
+/// feasible start plan and the solver options.
+struct Case {
+    workload::Workload workload;
+    bool reuse_aware = false;
+    TieringPlan initial;
+    AnnealingOptions options;
+};
+
+workload::JobSpec random_job(Rng& rng, int id, double gb) {
+    const int maps = std::max(1, static_cast<int>(gb / 0.128));
+    return workload::JobSpec{
+        .id = id,
+        .name = "j" + std::to_string(id),
+        .app = workload::kAllApps[rng.below(workload::kAllApps.size())],
+        .input = GigaBytes{gb},
+        .map_tasks = maps,
+        .reduce_tasks = std::max(1, maps / 4)};
+}
+
+/// Jobs of 20-800 GB on the 5-worker test cluster: at the larger
+/// over-provisioning factors a few of them fill ephSSD's per-VM limit, so
+/// the search meets infeasible neighbors. About a third of the jobs join
+/// reuse groups of 2-3 (equal inputs); a few ungrouped jobs carry pins.
+std::optional<Case> make_case(std::uint64_t seed, int chains) {
+    Rng rng(seed);
+    Case c;
+    c.reuse_aware = rng.uniform() < 0.5;
+    const int n = 3 + static_cast<int>(rng.below(10));
+    std::vector<workload::JobSpec> jobs;
+    int group = 0;
+    while (static_cast<int>(jobs.size()) < n) {
+        const int id = static_cast<int>(jobs.size()) + 1;
+        const double gb = 20.0 + 780.0 * rng.uniform();
+        if (rng.uniform() < 0.3 && static_cast<int>(jobs.size()) + 2 <= n) {
+            const int members = 2 + static_cast<int>(rng.below(2));
+            ++group;
+            for (int m = 0; m < members && static_cast<int>(jobs.size()) < n; ++m) {
+                workload::JobSpec job = random_job(rng, id + m, gb);
+                job.reuse_group = group;
+                jobs.push_back(job);
+            }
+            continue;
+        }
+        workload::JobSpec job = random_job(rng, id, gb);
+        if (rng.uniform() < 0.2) {
+            job.pinned_tier = cloud::kAllTiers[rng.below(cloud::kTierCount)];
+        }
+        jobs.push_back(job);
+    }
+    c.workload = workload::Workload(std::move(jobs));
+
+    const PlanEvaluator evaluator(testing::small_models(), c.workload,
+                                  EvalOptions{.reuse_aware = c.reuse_aware});
+    // Start from the pin-projected greedy plan, falling back to pinned
+    // uniform plans.
+    std::vector<TieringPlan> candidates{
+        greedy_projected_plan(evaluator, GreedyOptions{}, c.reuse_aware),
+        TieringPlan::uniform(c.workload.size(), StorageTier::kObjectStore),
+        TieringPlan::uniform(c.workload.size(), StorageTier::kPersistentSsd)};
+    bool found = false;
+    for (TieringPlan& plan : candidates) {
+        for (std::size_t i = 0; i < c.workload.size(); ++i) {
+            if (c.workload.job(i).pinned_tier) {
+                plan.set_decision(i, PlacementDecision{*c.workload.job(i).pinned_tier, 1.0});
+            }
+        }
+        if (evaluator.evaluate(plan).feasible) {
+            c.initial = plan;
+            found = true;
+            break;
+        }
+    }
+    if (!found) return std::nullopt;
+
+    AnnealingOptions& o = c.options;
+    o.chains = chains;
+    o.seed = seed * 31 + 7;
+    o.iter_max = 40 + static_cast<int>(rng.below(400));
+    o.exchange_stride = std::array{8, 32, 256}[rng.below(3)];
+    o.diverse_starts = rng.uniform() < 0.6;
+    o.app_move_probability = std::array{0.0, 0.1, 0.4}[rng.below(3)];
+    o.tier_move_probability = 0.5 + 0.5 * rng.uniform() * (1.0 - o.app_move_probability);
+    o.group_moves = c.reuse_aware;
+    if (rng.uniform() < 0.3) {
+        o.active_jobs.assign(c.workload.size(), 0);
+        for (auto& a : o.active_jobs) a = rng.uniform() < 0.4 ? 1 : 0;
+        o.active_jobs[rng.below(c.workload.size())] = 1;
+    }
+    return c;
+}
+
+void expect_same_evaluation(const PlanEvaluation& a, const PlanEvaluation& b) {
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.infeasibility, b.infeasibility);
+    EXPECT_EQ(a.total_runtime.value(), b.total_runtime.value());
+    EXPECT_EQ(a.vm_cost.value(), b.vm_cost.value());
+    EXPECT_EQ(a.storage_cost.value(), b.storage_cost.value());
+    EXPECT_EQ(a.utility, b.utility);
+    for (std::size_t t = 0; t < cloud::kTierCount; ++t) {
+        EXPECT_EQ(a.capacities.aggregate[t].value(), b.capacities.aggregate[t].value());
+        EXPECT_EQ(a.capacities.per_vm[t].value(), b.capacities.per_vm[t].value());
+    }
+    ASSERT_EQ(a.job_runtimes.size(), b.job_runtimes.size());
+    for (std::size_t i = 0; i < a.job_runtimes.size(); ++i) {
+        EXPECT_EQ(a.job_runtimes[i].value(), b.job_runtimes[i].value()) << "job " << i;
+    }
+}
+
+TEST(ReferenceAnnealer, ProductionSolveMatchesOracleBitForBit) {
+    ThreadPool pool(2);
+    int cases = 0;
+    int infeasible_neighbors = 0;
+    int exchanges = 0;
+    for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+        const int chains = 1 + static_cast<int>(seed % 8);
+        const std::optional<Case> c = make_case(seed, chains);
+        if (!c) continue;
+        ++cases;
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", chains " + std::to_string(chains));
+        const PlanEvaluator evaluator(testing::small_models(), c->workload,
+                                      EvalOptions{.reuse_aware = c->reuse_aware});
+        EvalCache cache;
+        const AnnealingResult prod = AnnealingSolver(evaluator, c->options)
+                                         .solve(c->initial, seed % 2 == 0 ? &pool : nullptr,
+                                                &cache);
+        const AnnealingResult ref =
+            reference::ReferenceAnnealer(evaluator, c->options).solve(c->initial);
+
+        ASSERT_EQ(prod.plan.size(), ref.plan.size());
+        for (std::size_t i = 0; i < ref.plan.size(); ++i) {
+            EXPECT_EQ(prod.plan.decision(i).tier, ref.plan.decision(i).tier) << "job " << i;
+            EXPECT_EQ(prod.plan.decision(i).overprovision, ref.plan.decision(i).overprovision)
+                << "job " << i;
+        }
+        expect_same_evaluation(prod.evaluation, ref.evaluation);
+        // The returned evaluation is the reference evaluation of the plan.
+        expect_same_evaluation(prod.evaluation, evaluator.evaluate(prod.plan));
+        EXPECT_EQ(prod.iterations, ref.iterations);
+        EXPECT_EQ(prod.accepted_moves, ref.accepted_moves);
+        EXPECT_EQ(prod.infeasible_neighbors, ref.infeasible_neighbors);
+        EXPECT_EQ(prod.best_chain, ref.best_chain);
+        EXPECT_FALSE(prod.budget_exhausted);
+        EXPECT_EQ(prod.tempering.replicas, chains);
+        EXPECT_EQ(prod.tempering.rounds, ref.tempering.rounds);
+        EXPECT_EQ(prod.tempering.exchange_attempts, ref.tempering.exchange_attempts);
+        EXPECT_EQ(prod.tempering.exchange_accepts, ref.tempering.exchange_accepts);
+        EXPECT_EQ(prod.tempering.replica_iterations, ref.tempering.replica_iterations);
+        infeasible_neighbors += ref.infeasible_neighbors;
+        exchanges += static_cast<int>(ref.tempering.total_accepts());
+    }
+    // The generator must actually produce hostile cases.
+    EXPECT_GE(cases, 500);
+    EXPECT_GT(infeasible_neighbors, 0);
+    EXPECT_GT(exchanges, 0);
+}
+
+}  // namespace
+}  // namespace cast::core

@@ -1,5 +1,5 @@
-// Replica-exchange tempering: schedule arithmetic, SoA-vs-AoS golden
-// equality, and the headline determinism claim — a tempered solve is
+// Replica-exchange tempering: schedule arithmetic and the headline
+// determinism claim — a tempered solve is
 // bit-identical (exact double equality, not tolerance) at ANY worker
 // count, because every (replica, round) segment draws from a seed that is
 // a pure function of its coordinates and exchanges happen only at round
@@ -109,61 +109,6 @@ TEST(TemperingSchedule, ExchangeAcceptMatchesMetropolisRule) {
     EXPECT_TRUE(exchange_accept(2.0, 1.0, -1.0, 0.0, 0.36));
     EXPECT_FALSE(exchange_accept(2.0, 1.0, -1.0, 0.0, 0.38));
     EXPECT_FALSE(exchange_accept(2.0, 1.0, -2.0, 0.0, 0.20));  // p = e^-2
-}
-
-// ---------------------------------------------------------------------------
-// SoA core vs AoS evaluator: one trajectory, two executions.
-// ---------------------------------------------------------------------------
-
-TEST(SoaGolden, ChainTrajectoryBitIdenticalToAos) {
-    const PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingOptions opts;
-    opts.iter_max = 1500;
-    opts.seed = 11;
-
-    AnnealingOptions aos = opts;
-    aos.use_soa_evaluation = false;
-    AnnealingOptions soa = opts;
-    soa.use_soa_evaluation = true;
-
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    for (const std::uint64_t seed : {1ULL, 42ULL, 7919ULL}) {
-        EvalCache cache_a;
-        EvalCache cache_b;
-        const auto ra = AnnealingSolver(eval, aos).run_chain(init, seed, &cache_a);
-        const auto rb = AnnealingSolver(eval, soa).run_chain(init, seed, &cache_b);
-        EXPECT_EQ(ra.evaluation.utility, rb.evaluation.utility) << "seed " << seed;
-        EXPECT_EQ(ra.evaluation.total_runtime.value(), rb.evaluation.total_runtime.value());
-        EXPECT_EQ(ra.evaluation.vm_cost.value(), rb.evaluation.vm_cost.value());
-        EXPECT_EQ(ra.evaluation.storage_cost.value(), rb.evaluation.storage_cost.value());
-        EXPECT_EQ(ra.iterations, rb.iterations);
-        EXPECT_EQ(ra.accepted_moves, rb.accepted_moves);
-        EXPECT_EQ(ra.infeasible_neighbors, rb.infeasible_neighbors);
-        expect_same_plan(ra.plan, rb.plan);
-    }
-}
-
-TEST(SoaGolden, SolveBitIdenticalToAosUnderTempering) {
-    const PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingOptions opts;
-    opts.iter_max = 800;
-    opts.chains = 4;
-    opts.seed = 23;
-
-    AnnealingOptions aos = opts;
-    aos.use_soa_evaluation = false;
-    AnnealingOptions soa = opts;
-    soa.use_soa_evaluation = true;
-
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    const auto ra = AnnealingSolver(eval, aos).solve(init);
-    const auto rb = AnnealingSolver(eval, soa).solve(init);
-    EXPECT_EQ(ra.evaluation.utility, rb.evaluation.utility);
-    EXPECT_EQ(ra.best_chain, rb.best_chain);
-    EXPECT_EQ(ra.accepted_moves, rb.accepted_moves);
-    EXPECT_EQ(ra.infeasible_neighbors, rb.infeasible_neighbors);
-    EXPECT_EQ(ra.tempering.exchange_accepts, rb.tempering.exchange_accepts);
-    expect_same_plan(ra.plan, rb.plan);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,20 +251,6 @@ TEST(TemperingDeterminism, TemperedSolveNeverLosesToItsStart) {
     ASSERT_TRUE(base.feasible);
     const auto result = solver.solve(init);
     EXPECT_GE(result.evaluation.utility, base.utility);
-}
-
-TEST(TemperingDeterminism, LegacyPathStillAvailableAndDistinctlyReported) {
-    const PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingOptions opts;
-    opts.iter_max = 400;
-    opts.chains = 3;
-    opts.tempering = false;
-    const AnnealingSolver solver(eval, opts);
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    const auto result = solver.solve(init);
-    ASSERT_TRUE(result.evaluation.feasible);
-    EXPECT_FALSE(result.tempering.enabled());
-    EXPECT_EQ(result.tempering.replicas, 0);
 }
 
 // ---------------------------------------------------------------------------

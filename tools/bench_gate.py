@@ -10,9 +10,8 @@ numbers against the committed baseline JSON. The gate fails when
 
 The headline metrics depend on the report shape: serve reports gate the
 best service plans/sec over all configurations; solver_throughput reports
-gate the per-section `iters_per_sec` numbers (uncached/cached/SoA single
-chains plus the independent-chain, tempering and workflow tempering
-solves);
+gate the per-section `iters_per_sec` numbers (the single-chain solve plus
+the tempering and workflow tempering solves);
 incremental_replan reports gate the per-track `plans_per_sec` numbers
 (cold re-solve, warm-start amend, secretary baseline); sim_throughput
 reports gate the serial rows (engine events/s, serial batch and 100-job
@@ -74,9 +73,8 @@ SERVE_METRIC = "service_plans_per_sec"
 # rows exercise the whole pool, so they only compare when baseline and
 # current hosts have the same core count (the serve-report analogue is the
 # workers > 1 configs).
-SOLVER_SINGLE_CHAIN = ("uncached_full_evaluation", "cached_incremental_evaluation",
-                       "soa_incremental_evaluation")
-SOLVER_POOLED = ("multi_chain_solve", "tempering_solve", "workflow_tempering_solve")
+SOLVER_SINGLE_CHAIN = ("soa_incremental_evaluation",)
+SOLVER_POOLED = ("tempering_solve", "workflow_tempering_solve")
 # incremental_replan tracks carrying a plans_per_sec headline. All three
 # are timed single-threaded (the pooled runs only check bit-identity), so
 # they stay comparable even when baseline and current core counts differ.
