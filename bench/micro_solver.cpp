@@ -125,15 +125,15 @@ void BM_Ablation_LinearInterp(benchmark::State& state) {
 BENCHMARK(BM_Ablation_LinearInterp);
 
 // --- Ablation: group moves (CAST++'s Eq. 7 projection) vs plain moves.
+// A reuse-aware evaluator makes the move units whole reuse groups.
 void BM_Ablation_GroupMoves(benchmark::State& state) {
-    const bool group_moves = state.range(0) != 0;
+    const bool reuse_aware = state.range(0) != 0;
     core::PlanEvaluator eval(bench_models(), bench_workload(),
-                             core::EvalOptions{.reuse_aware = group_moves});
+                             core::EvalOptions{.reuse_aware = reuse_aware});
     core::AnnealingOptions opts;
     opts.iter_max = 2000;
     opts.chains = 1;
     opts.seed = 13;
-    opts.group_moves = group_moves;
     core::AnnealingSolver solver(eval, opts);
     const auto init =
         core::TieringPlan::uniform(bench_workload().size(), StorageTier::kPersistentSsd);

@@ -12,55 +12,41 @@ namespace cast::core {
 
 AnnealingSolver::AnnealingSolver(const PlanEvaluator& evaluator, AnnealingOptions options)
     : evaluator_(&evaluator), options_(std::move(options)) {
-    options_.validate();
-    if (!options_.active_jobs.empty()) {
-        CAST_EXPECTS_MSG(options_.active_jobs.size() == evaluator.workload().size(),
-                         "active_jobs mask must match the workload size");
-        bool any = false;
-        for (const std::uint8_t a : options_.active_jobs) any = any || a != 0;
-        CAST_EXPECTS_MSG(any, "active_jobs mask must flag at least one job");
-    }
+    options_.validate(evaluator.workload().size());
 }
 
-std::vector<MoveUnit> AnnealingSolver::move_units() const {
-    const auto& workload = evaluator_->workload();
-    const auto finish = [&](MoveUnit unit) {
-        for (std::size_t j : unit.jobs) {
+std::vector<MoveUnit> move_units(const PlanEvaluator& evaluator,
+                                 std::span<const std::uint8_t> active_jobs) {
+    const auto& workload = evaluator.workload();
+    std::vector<MoveUnit> units;
+    const auto add = [&](std::vector<std::size_t> jobs) {
+        // Neighborhood restriction: drop units with no flagged member. A
+        // reuse-group unit with any flagged member stays whole (Eq. 7 moves
+        // the group together); the incremental re-planner closes its
+        // neighborhoods under reuse groups so partial units never arise.
+        if (!active_jobs.empty() &&
+            std::ranges::none_of(jobs, [&](std::size_t j) { return active_jobs[j] != 0; })) {
+            return;
+        }
+        MoveUnit unit{std::move(jobs), 0, (1u << cloud::kTierCount) - 1};
+        for (const std::size_t j : unit.jobs) {
             const auto& job = workload.job(j);
             unit.app_mask |= 1u << workload::app_index(job.app);
             if (job.pinned_tier) {
                 unit.allowed_tiers &= 1u << cloud::tier_index(*job.pinned_tier);
             }
         }
-        return unit;
+        units.push_back(std::move(unit));
     };
-    constexpr std::uint32_t kAllTierBits = (1u << cloud::kTierCount) - 1;
-    std::vector<MoveUnit> units;
-    if (options_.group_moves) {
-        std::vector<bool> grouped(workload.size(), false);
+    std::vector<bool> grouped(workload.size(), false);
+    if (evaluator.options().reuse_aware) {
         for (const auto& [group, members] : workload.reuse_groups()) {
-            units.push_back(finish(MoveUnit{members, 0, kAllTierBits}));
-            for (std::size_t i : members) grouped[i] = true;
-        }
-        for (std::size_t i = 0; i < workload.size(); ++i) {
-            if (!grouped[i]) units.push_back(finish(MoveUnit{{i}, 0, kAllTierBits}));
-        }
-    } else {
-        for (std::size_t i = 0; i < workload.size(); ++i) {
-            units.push_back(finish(MoveUnit{{i}, 0, kAllTierBits}));
+            add(members);
+            for (const std::size_t i : members) grouped[i] = true;
         }
     }
-    if (!options_.active_jobs.empty()) {
-        // Neighborhood restriction: drop units with no flagged member. A
-        // reuse-group unit with any flagged member stays whole (Eq. 7 moves
-        // the group together); the incremental re-planner closes its
-        // neighborhoods under reuse groups so partial units never arise.
-        std::erase_if(units, [&](const MoveUnit& unit) {
-            for (const std::size_t j : unit.jobs) {
-                if (options_.active_jobs[j] != 0) return false;
-            }
-            return true;
-        });
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        if (!grouped[i]) add({i});
     }
     return units;
 }
@@ -74,8 +60,9 @@ void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
     if (move_kind < options_.app_move_probability) {
         // --- Batch move: relocate one app class to one tier. A unit
         // participates when any member runs the drawn application (units
-        // are reuse groups in group_moves mode, and Eq. 7 forces the whole
-        // group along) and no member's pin forbids the target tier.
+        // are reuse groups under a reuse-aware evaluator, and Eq. 7 forces
+        // the whole group along) and no member's pin forbids the target
+        // tier.
         const workload::AppKind app =
             workload::kAllApps[rng.below(workload::kAllApps.size())];
         const cloud::StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
@@ -203,14 +190,11 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     // hit rate. EvalCache is thread-safe (sharded locks) and
     // value-deterministic, so sharing cannot perturb trajectories.
     std::unique_ptr<EvalCache> owned;
-    if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
+    cache = cache_or_owned(cache, owned);
 
     // Multi-start: rotate replicas across the supplied initial plan and
-    // every feasible uniform plan (Eq. 7-projected in group-moves mode,
-    // which uniform plans satisfy trivially).
+    // every feasible uniform plan (uniform plans satisfy Eq. 7
+    // trivially; evaluate() drops those that break a pin).
     std::vector<TieringPlan> starts{initial};
     std::vector<PlanEvaluation> start_evals{evaluator_->evaluate(initial, cache)};
     if (options_.diverse_starts) {
@@ -224,7 +208,7 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
         }
     }
 
-    const auto units = move_units();
+    const auto units = move_units(*evaluator_, options_.active_jobs);
     CAST_EXPECTS_MSG(!units.empty(), "cannot anneal an empty workload");
     CAST_EXPECTS_MSG(start_evals.front().feasible, "annealing needs a feasible initial plan");
     // One normalization scale for the whole ladder (the supplied initial

@@ -18,9 +18,12 @@
 // reference the tests hold it to.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -67,8 +70,6 @@ struct AnnealingOptions {
     /// >= 5 covers the initial plan plus the four uniform plans.
     int chains = 6;
     std::uint64_t seed = 1;
-    /// CAST++: move whole reuse groups together so Eq. 7 always holds.
-    bool group_moves = false;
     /// Restrict the move generator to a job subset: when non-empty (size
     /// must equal the workload size, at least one entry non-zero), only
     /// move units containing a flagged job are generated — every other
@@ -105,20 +106,28 @@ struct AnnealingOptions {
     /// that deadline overshoot stays well under a millisecond.
     static constexpr int kBudgetCheckStride = 32;
 
-    /// Range-checks every setting; both annealers call it on construction.
-    /// Throws PreconditionError.
-    void validate() const {
+    /// Range-checks every setting for a solve over `job_count` jobs; every
+    /// annealer calls it on construction. Throws PreconditionError.
+    void validate(std::size_t job_count) const {
         CAST_EXPECTS(iter_max >= 1);
         CAST_EXPECTS(initial_temperature > 0.0);
         CAST_EXPECTS(cooling > 0.0 && cooling < 1.0);
         CAST_EXPECTS(min_temperature > 0.0);
         CAST_EXPECTS(!overprov_choices.empty());
+        for (const double k : overprov_choices) {
+            CAST_EXPECTS_MSG(std::isfinite(k) && k >= 1.0,
+                             "over-provisioning factors must be finite and >= 1 (Eq. 3)");
+        }
         CAST_EXPECTS(tier_move_probability >= 0.0 && tier_move_probability <= 1.0);
         CAST_EXPECTS(app_move_probability >= 0.0 && app_move_probability <= 1.0);
         CAST_EXPECTS(chains >= 1);
         CAST_EXPECTS(max_wall_ms >= 0.0);
         CAST_EXPECTS(tempering_ladder_ratio >= 1.0);
         CAST_EXPECTS(exchange_stride >= 1);
+        CAST_EXPECTS_MSG(active_jobs.empty() ||
+                             (active_jobs.size() == job_count &&
+                              std::ranges::any_of(active_jobs, [](auto a) { return a != 0; })),
+                         "an active_jobs mask must cover every job and flag at least one");
     }
 };
 
@@ -157,9 +166,9 @@ struct AnnealingResult {
     /// and benches see the true effort of multi-chain search.
     int iterations = 0;
     int accepted_moves = 0;
-    /// Neighbors rejected outright because evaluation found them
-    /// infeasible (pin/Eq. 7 violations never reach this: the move
-    /// generator respects them by construction).
+    /// Neighbors rejected because they overflow a provider capacity
+    /// limit. Pin and Eq. 7 violations never count here: the move
+    /// generator cannot propose them, and candidates are not re-checked.
     int infeasible_neighbors = 0;
     /// Index of the winning replica (0 for a single chain).
     int best_chain = 0;
@@ -173,10 +182,10 @@ struct AnnealingResult {
     TemperingStats tempering{};
 };
 
-/// One move unit — a single job, or a whole reuse group in group_moves
-/// mode — with its membership and pin constraints precomputed as bitmasks,
-/// so the per-iteration move generator tests one bit instead of scanning
-/// members.
+/// One move unit — a single job, or a whole reuse group under a
+/// reuse-aware evaluator — with its membership and pin constraints
+/// precomputed as bitmasks, so the per-iteration move generator tests one
+/// bit instead of scanning members.
 struct MoveUnit {
     std::vector<std::size_t> jobs;
     /// Bit per workload::AppKind some member runs.
@@ -184,6 +193,16 @@ struct MoveUnit {
     /// Bit per tier no member's `tier=` pin forbids.
     std::uint32_t allowed_tiers = 0;
 };
+
+/// The one definition of a legal move: whole reuse groups when `evaluator`
+/// is reuse-aware (so every move keeps Eq. 7), single jobs otherwise, in
+/// a fixed order (groups by id, then ungrouped jobs by index). A non-empty
+/// `active_jobs` mask keeps only the units with a flagged member. Moving a
+/// unit as a whole to a tier in its allowed_tiers keeps a legal plan
+/// legal; the annealer and the incremental re-planner's repair pass draw
+/// every move from these units.
+[[nodiscard]] std::vector<MoveUnit> move_units(const PlanEvaluator& evaluator,
+                                               std::span<const std::uint8_t> active_jobs = {});
 
 class AnnealingSolver {
 public:
@@ -197,10 +216,6 @@ public:
     [[nodiscard]] AnnealingResult solve(const TieringPlan& initial,
                                         ThreadPool* pool = nullptr,
                                         EvalCache* cache = nullptr) const;
-
-    /// The move units: single jobs, or reuse groups in group_moves mode,
-    /// with membership/pin masks precomputed. Exposed for tests.
-    [[nodiscard]] std::vector<MoveUnit> move_units() const;
 
 private:
     /// Per-replica search state: the SoA flat state, the cooling

@@ -35,6 +35,29 @@ lint::Report lint_gate(const model::PerfModelSet& models, const workload::Worklo
     return pre;
 }
 
+/// Workflow variant shared by WorkflowSolver::solve and solve_greedy.
+/// Structural errors reject; an unattainable deadline (L009's certified
+/// lower bound) is demoted to a note because the solver's contract is
+/// best-effort — the §5.2.2 baselines count misses, so a plan must come
+/// back even when no plan can meet the deadline.
+lint::Report workflow_lint_gate(const WorkflowEvaluator& evaluator) {
+    lint::LintContext lint_ctx;
+    lint_ctx.models = &evaluator.models();
+    lint::Report pre = lint::lint_workflow(evaluator.workflow(), lint_ctx);
+    lint::demote(pre, "L009", lint::Severity::kWarning);
+    lint::enforce(pre);
+    return pre;
+}
+
+/// The warnings a lint gate let through, formatted for `lint_notes`.
+std::vector<std::string> warning_notes(const lint::Report& pre) {
+    std::vector<std::string> notes;
+    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
+        notes.push_back(f->format());
+    }
+    return notes;
+}
+
 CastResult plan_with(const model::PerfModelSet& models, const workload::Workload& workload,
                      const CastOptions& options, bool reuse_aware, ThreadPool* pool,
                      EvalCache* cache) {
@@ -59,7 +82,6 @@ CastResult plan_with(const model::PerfModelSet& models, const workload::Workload
         greedy_projected_plan(evaluator, options.greedy_init, reuse_aware, cache);
 
     AnnealingOptions annealing = options.annealing;
-    annealing.group_moves = reuse_aware;
     if (annealing.max_wall_ms > 0.0) {
         const double spent =
             std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -81,9 +103,7 @@ CastResult plan_with(const model::PerfModelSet& models, const workload::Workload
     out.cache_stats = result.cache_stats;
     out.budget_exhausted = result.budget_exhausted;
     out.tempering = std::move(result.tempering);
-    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-        out.lint_notes.push_back(f->format());
-    }
+    out.lint_notes = warning_notes(pre);
     return out;
 }
 
@@ -114,9 +134,7 @@ CastResult plan_cast_greedy(const model::PerfModelSet& models,
     out.evaluation = evaluator.evaluate(out.plan, cache);
     out.greedy_initial = out.plan;
     out.cache_stats = cache->stats();
-    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-        out.lint_notes.push_back(f->format());
-    }
+    out.lint_notes = warning_notes(pre);
     return out;
 }
 
@@ -361,16 +379,9 @@ void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache
 WorkflowSolver::WorkflowSolver(const WorkflowEvaluator& evaluator, AnnealingOptions options,
                                double deadline_safety)
     : evaluator_(&evaluator), options_(std::move(options)), deadline_safety_(deadline_safety) {
-    options_.validate();
-    CAST_EXPECTS(deadline_safety_ > 0.0 && deadline_safety_ <= 1.0);
     const auto& wf = evaluator_->workflow();
-    if (!options_.active_jobs.empty()) {
-        CAST_EXPECTS_MSG(options_.active_jobs.size() == wf.size(),
-                         "active_jobs mask must match the workflow size");
-        bool any = false;
-        for (const std::uint8_t a : options_.active_jobs) any = any || a != 0;
-        CAST_EXPECTS_MSG(any, "active_jobs mask must flag at least one job");
-    }
+    options_.validate(wf.size());
+    CAST_EXPECTS(deadline_safety_ > 0.0 && deadline_safety_ <= 1.0);
     // cᵢ is a continuous decision variable in the paper; our move set
     // discretizes it. Extend the factor menu so a uniform plan can reach
     // the per-VM capacity where persSSD saturates its bandwidth ceiling —
@@ -531,21 +542,9 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     // Arm the shared wall clock before lint and the uniform sweep so the
     // whole solve answers to one budget.
     const SolveDeadline deadline = SolveDeadline::from(options_);
-    // Pre-solve lint. Structural errors reject; an unattainable deadline
-    // (L009's certified lower bound) is demoted to a note because this
-    // solver's contract is best-effort — the §5.2.2 baselines count misses,
-    // so a plan must come back even when no plan can meet the deadline.
-    lint::LintContext lint_ctx;
-    lint_ctx.models = &evaluator_->models();
-    lint::Report pre = lint::lint_workflow(evaluator_->workflow(), lint_ctx);
-    lint::demote(pre, "L009", lint::Severity::kWarning);
-    lint::enforce(pre);
-
+    const lint::Report pre = workflow_lint_gate(*evaluator_);
     std::unique_ptr<EvalCache> owned;
-    if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
+    cache = cache_or_owned(cache, owned);
     CAST_EXPECTS(!evaluator_->workflow().dfs_order().empty());
 
     // The uniform sweep is both the guaranteed result floor and the source
@@ -590,35 +589,23 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     chosen.budget_exhausted = run.budget_exhausted;
     chosen.cache_stats = cache->stats();
     chosen.tempering = std::move(run.stats);
-    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-        chosen.lint_notes.push_back(f->format());
-    }
+    chosen.lint_notes = warning_notes(pre);
     return chosen;
 }
 
 WorkflowSolveResult WorkflowSolver::solve_greedy(EvalCache* cache) const {
     // Same lint gate as solve(), including the L009 demotion: the degraded
     // path stays best-effort on deadlines no full solve could meet either.
-    lint::LintContext lint_ctx;
-    lint_ctx.models = &evaluator_->models();
-    lint::Report pre = lint::lint_workflow(evaluator_->workflow(), lint_ctx);
-    lint::demote(pre, "L009", lint::Severity::kWarning);
-    lint::enforce(pre);
-
+    const lint::Report pre = workflow_lint_gate(*evaluator_);
     std::unique_ptr<EvalCache> owned;
-    if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
+    cache = cache_or_owned(cache, owned);
 
     WorkflowSolveResult out;
     out.plan = best_uniform_plan(cache);
     out.evaluation = evaluator_->evaluate(out.plan, cache);
     out.best_chain = -1;  // the uniform sweep "won" by being the only entry
     out.cache_stats = cache->stats();
-    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-        out.lint_notes.push_back(f->format());
-    }
+    out.lint_notes = warning_notes(pre);
     return out;
 }
 

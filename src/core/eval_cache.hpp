@@ -141,4 +141,12 @@ private:
     std::atomic<std::uint64_t> generation_bumps_{0};
 };
 
+/// `cache` when the caller supplied one, otherwise a fresh table owned by
+/// `owned` for the length of one solve.
+inline EvalCache* cache_or_owned(EvalCache* cache, std::unique_ptr<EvalCache>& owned) {
+    if (cache != nullptr) return cache;
+    owned = std::make_unique<EvalCache>();
+    return owned.get();
+}
+
 }  // namespace cast::core

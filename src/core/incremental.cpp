@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "core/eval_cache.hpp"
@@ -130,11 +129,8 @@ std::vector<std::size_t> IncrementalSolver::affected_neighborhood(
 }
 
 bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
-                                    const std::vector<std::size_t>& neighborhood,
-                                    TieringPlan* plan, PlanEvaluation* eval,
-                                    EvalCache* cache) const {
-    const workload::Workload& wl = evaluator.workload();
-    const auto groups = wl.reuse_groups();
+                                    const std::vector<MoveUnit>& units, TieringPlan* plan,
+                                    PlanEvaluation* eval, EvalCache* cache) const {
     // Candidates are scored on the annealer's flat state: each is staged
     // over the committed plan, kept on a strict improvement and reverted
     // otherwise, so the committed state always holds the unit at its best.
@@ -142,28 +138,16 @@ bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
     SoaState state;
     soa.init(state, *plan, *eval);
     bool changed = false;
-    for (const std::size_t idx : neighborhood) {
-        std::vector<std::size_t> unit{idx};
-        if (reuse_aware_ && wl.job(idx).reuse_group) {
-            const std::vector<std::size_t>& members = groups.at(*wl.job(idx).reuse_group);
-            // The neighborhood is closed under reuse groups, so every
-            // member is swept; let the lead member do it once for all.
-            if (members.front() != idx) continue;
-            unit = members;
-        }
-        std::optional<cloud::StorageTier> pin;
-        for (const std::size_t j : unit) {
-            if (wl.job(j).pinned_tier) pin = wl.job(j).pinned_tier;
-        }
-        const PlacementDecision original = plan->decision(idx);
+    for (const MoveUnit& unit : units) {
+        const PlacementDecision original = plan->decision(unit.jobs.front());
         PlacementDecision best = original;
         for (const cloud::StorageTier tier : cloud::kAllTiers) {
-            if (pin && *pin != tier) continue;
             const auto ti = static_cast<std::uint8_t>(cloud::tier_index(tier));
+            if ((unit.allowed_tiers & (1u << ti)) == 0) continue;
             for (const double k : options_.annealing.overprov_choices) {
                 if (tier == best.tier && k == best.overprovision) continue;
-                for (const std::size_t j : unit) soa.set_decision(state, j, ti, k);
-                if (soa.evaluate_candidate(state, unit, cache) &&
+                for (const std::size_t j : unit.jobs) soa.set_decision(state, j, ti, k);
+                if (soa.evaluate_candidate(state, unit.jobs, cache) &&
                     state.cand_utility > state.utility) {
                     best = PlacementDecision{tier, k};
                     soa.save_best(state);
@@ -185,9 +169,6 @@ bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
 void IncrementalSolver::solve_cold(const PlanEvaluator& evaluator, const TieringPlan& seed,
                                    ThreadPool* pool, EvalCache* cache,
                                    AmendResult* result) const {
-    AnnealingOptions annealing = options_.annealing;
-    annealing.group_moves = reuse_aware_;
-
     // The annealing solver requires a feasible start; fall back through
     // progressively safer plans (objStore has no aggregate capacity limit).
     std::vector<TieringPlan> candidates;
@@ -198,7 +179,7 @@ void IncrementalSolver::solve_cold(const PlanEvaluator& evaluator, const Tiering
     for (const TieringPlan& candidate : candidates) {
         const PlanEvaluation eval = evaluator.evaluate(candidate, cache);
         if (!eval.feasible) continue;
-        const AnnealingSolver solver(evaluator, annealing);
+        const AnnealingSolver solver(evaluator, options_.annealing);
         const AnnealingResult cold = solver.solve(candidate, pool, cache);
         result->plan = cold.plan;
         result->evaluation = cold.evaluation;
@@ -279,17 +260,7 @@ AmendResult IncrementalSolver::amend(const workload::Workload& prior,
         out.plan = seeded;
         out.evaluation = seeded_eval;
     } else {
-        // Repair sweep: deterministic coordinate descent over the
-        // neighborhood turns the verbatim-survivors seed into a locally
-        // optimal warm start, so the restricted anneal spends its budget
-        // escaping basins rather than walking to the nearest one.
-        TieringPlan warm = seeded;
-        PlanEvaluation warm_eval = seeded_eval;
-        for (int pass = 0; pass < policy_.repair_passes; ++pass) {
-            if (!repair_pass(next_eval, out.neighborhood, &warm, &warm_eval, cache)) break;
-        }
         AnnealingOptions annealing = options_.annealing;
-        annealing.group_moves = reuse_aware_;
         annealing.diverse_starts = false;  // the warm start IS the point
         annealing.chains = policy_.chains;
         annealing.iter_max = std::clamp(
@@ -297,6 +268,18 @@ AmendResult IncrementalSolver::amend(const workload::Workload& prior,
             policy_.min_iters, policy_.max_iters);
         annealing.active_jobs.assign(applied.workload.size(), 0);
         for (const std::size_t idx : out.neighborhood) annealing.active_jobs[idx] = 1;
+        // Repair sweep: deterministic coordinate descent over the
+        // neighborhood's move units, in ascending first-member order, turns
+        // the verbatim-survivors seed into a locally optimal warm start, so
+        // the restricted anneal spends its budget escaping basins rather
+        // than walking to the nearest one.
+        std::vector<MoveUnit> units = move_units(next_eval, annealing.active_jobs);
+        std::ranges::sort(units, {}, [](const MoveUnit& u) { return u.jobs.front(); });
+        TieringPlan warm = seeded;
+        PlanEvaluation warm_eval = seeded_eval;
+        for (int pass = 0; pass < policy_.repair_passes; ++pass) {
+            if (!repair_pass(next_eval, units, &warm, &warm_eval, cache)) break;
+        }
         const AnnealingSolver solver(next_eval, annealing);
         const AnnealingResult amended = solver.solve(warm, pool, cache);
         out.plan = amended.plan;

@@ -157,16 +157,15 @@ private:
         const PlanEvaluator& next_eval, const TieringPlan& seeded,
         const workload::DeltaApplication& applied, bool* capacity_overflow) const;
 
-    /// One deterministic coordinate-descent repair pass over the
-    /// neighborhood: ascending member order, each member — or its whole
-    /// reuse group when reuse-aware (Eq. 7 moves the group together) —
-    /// adopts the feasible (tier, k) with the best full-plan utility given
-    /// every other decision fixed. `plan`/`eval` are updated in place
-    /// (`eval` must be the feasible evaluation of `plan` on entry).
-    /// Returns true when any decision changed.
-    bool repair_pass(const PlanEvaluator& evaluator,
-                     const std::vector<std::size_t>& neighborhood, TieringPlan* plan,
-                     PlanEvaluation* eval, EvalCache* cache) const;
+    /// One deterministic coordinate-descent repair pass over `units` (the
+    /// neighborhood's move units, core/annealing.hpp, in order): each unit
+    /// — a job, or its whole reuse group when reuse-aware — adopts the
+    /// feasible (tier in its allowed_tiers, k) with the best full-plan
+    /// utility given every other decision fixed. `plan`/`eval` are updated
+    /// in place (`eval` must be the feasible evaluation of `plan` on
+    /// entry). Returns true when any decision changed.
+    bool repair_pass(const PlanEvaluator& evaluator, const std::vector<MoveUnit>& units,
+                     TieringPlan* plan, PlanEvaluation* eval, EvalCache* cache) const;
 
     /// Full unrestricted re-solve over `evaluator`, seeded from the best
     /// available plan; fills the result's plan/evaluation/counters.

@@ -13,7 +13,6 @@
 
 #include "cloud/storage.hpp"
 #include "common/error.hpp"
-#include "workload/job.hpp"
 
 namespace cast::core {
 
@@ -60,17 +59,6 @@ public:
     }
 
     [[nodiscard]] const std::vector<PlacementDecision>& decisions() const { return decisions_; }
-
-    /// Eq. 7 check: all members of every reuse group share one tier.
-    [[nodiscard]] bool respects_reuse_groups(const workload::Workload& workload) const {
-        CAST_EXPECTS(workload.size() == decisions_.size());
-        for (const auto& [group, members] : workload.reuse_groups()) {
-            for (std::size_t i = 1; i < members.size(); ++i) {
-                if (decisions_[members[i]].tier != decisions_[members[0]].tier) return false;
-            }
-        }
-        return true;
-    }
 
     /// Human-readable one-line summary ("33% ephSSD, 31% persSSD, ...").
     [[nodiscard]] std::string summarize() const;

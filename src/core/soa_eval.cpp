@@ -16,9 +16,7 @@ constexpr std::size_t kObj = tier_index(StorageTier::kObjectStore);
 SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
     : aos_(&evaluator),
       n_(evaluator.workload().size()),
-      nvm_(evaluator.models().cluster().worker_count),
-      reuse_aware_(evaluator.options().reuse_aware),
-      has_tier_pins_(evaluator.has_tier_pins_) {
+      nvm_(evaluator.models().cluster().worker_count) {
     const model::PerfModelSet& models = evaluator.models();
     for (const auto& job : evaluator.workload().jobs()) {
         if (models.has_tier_model(job.app, StorageTier::kObjectStore) &&
@@ -52,13 +50,18 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
     CAST_EXPECTS_MSG(plan.size() == n_, "plan/workload size mismatch");
     CAST_EXPECTS_MSG(eval.feasible && eval.job_runtimes.size() == n_,
                      "SoA state needs a feasible evaluated seed plan");
+    std::vector<lint::Finding> violations;
+    lint::check_tier_pins(aos_->workload().jobs(), plan.decisions(), violations);
+    if (aos_->options().reuse_aware) {
+        lint::check_reuse_group_split(aos_->workload().jobs(), plan.decisions(), violations);
+    }
+    CAST_EXPECTS_MSG(violations.empty(), violations.front().message);
     state.tier.resize(n_);
     state.overprov.resize(n_);
     state.runtime.resize(n_);
-    state.mirror = plan.decisions();
     for (std::size_t i = 0; i < n_; ++i) {
-        state.tier[i] = static_cast<std::uint8_t>(tier_index(state.mirror[i].tier));
-        state.overprov[i] = state.mirror[i].overprovision;
+        state.tier[i] = static_cast<std::uint8_t>(tier_index(plan.decision(i).tier));
+        state.overprov[i] = plan.decision(i).overprovision;
         state.runtime[i] = eval.job_runtimes[i].value();
     }
     state.caps = eval.capacities;
@@ -72,7 +75,8 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
     state.decision_undo.reserve(n_);
     state.runtime_undo.reserve(n_);
 
-    state.best_mirror = state.mirror;
+    state.best_tier = state.tier;
+    state.best_overprov = state.overprov;
     state.best_runtime = state.runtime;
     state.best_caps = state.caps;
     state.best_total = state.total_runtime;
@@ -87,7 +91,6 @@ void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t t
         {static_cast<std::uint32_t>(job), state.tier[job], state.overprov[job]});
     state.tier[job] = tier_idx;
     state.overprov[job] = overprov;
-    state.mirror[job] = PlacementDecision{cloud::kAllTiers[tier_idx], overprov};
 }
 
 double SoaEvaluator::runtime_for(const SoaState& state, std::size_t job,
@@ -106,20 +109,6 @@ double SoaEvaluator::runtime_for(const SoaState& state, std::size_t job,
 bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size_t> changed,
                                       EvalCache* cache) const {
     state.runtime_undo.clear();
-    // Placement constraints exactly as PlanEvaluator::evaluate: the shared lint
-    // checks over the AoS mirror, skipped when they could never fire. The
-    // clean path pushes nothing, so `violations` never allocates there.
-    if (reuse_aware_ || has_tier_pins_) {
-        std::vector<lint::Finding> violations;
-        if (reuse_aware_) {
-            lint::check_reuse_group_split(aos_->workload().jobs(), state.mirror, violations);
-        }
-        if (has_tier_pins_) {
-            lint::check_tier_pins(aos_->workload().jobs(), state.mirror, violations);
-        }
-        if (!violations.empty()) return false;
-    }
-
     // --- Capacity accounting, bit-identical to PlanEvaluator::capacities:
     // index-order accumulation into the tier aggregates, ephSSD backing on
     // objStore, the objStore persSSD floor, then provider provisioning
@@ -229,14 +218,14 @@ void SoaEvaluator::revert(SoaState& state) const {
     for (auto it = state.decision_undo.rbegin(); it != state.decision_undo.rend(); ++it) {
         state.tier[it->job] = it->tier;
         state.overprov[it->job] = it->overprov;
-        state.mirror[it->job] = PlacementDecision{cloud::kAllTiers[it->tier], it->overprov};
     }
     state.decision_undo.clear();
     state.runtime_undo.clear();
 }
 
 void SoaEvaluator::save_best(SoaState& state) const {
-    state.best_mirror = state.mirror;
+    state.best_tier = state.tier;
+    state.best_overprov = state.overprov;
     state.best_runtime = state.runtime;
     state.best_caps = state.cand_caps;
     state.best_total = state.cand_total;
@@ -250,7 +239,6 @@ void SoaEvaluator::swap_current(SoaState& a, SoaState& b) {
     CAST_EXPECTS(b.decision_undo.empty() && b.runtime_undo.empty());
     a.tier.swap(b.tier);
     a.overprov.swap(b.overprov);
-    a.mirror.swap(b.mirror);
     a.runtime.swap(b.runtime);
     std::swap(a.caps, b.caps);
     std::swap(a.total_runtime, b.total_runtime);
@@ -260,7 +248,12 @@ void SoaEvaluator::swap_current(SoaState& a, SoaState& b) {
 }
 
 TieringPlan SoaEvaluator::best_plan(const SoaState& state) const {
-    return TieringPlan{state.best_mirror};
+    std::vector<PlacementDecision> decisions;
+    decisions.reserve(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+        decisions.push_back({cloud::kAllTiers[state.best_tier[i]], state.best_overprov[i]});
+    }
+    return TieringPlan{std::move(decisions)};
 }
 
 PlanEvaluation SoaEvaluator::best_evaluation(const SoaState& state) const {

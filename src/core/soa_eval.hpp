@@ -32,10 +32,16 @@
 // hold this core to the uncached evaluate() along full annealing
 // trajectories.
 //
-// An AoS mirror of the decisions is maintained alongside the flat arrays
-// (one 16-byte write per decision change) so the shared lint checks and
-// the plan exporters see std::vector<PlacementDecision> without a
-// gather; TieringPlan stays the boundary type for Deployer/serve/lint.
+// Feasible by construction: placement legality (operator tier pins, Eq. 7
+// reuse-group co-location) is decided once, where moves are generated,
+// and never re-checked per candidate. init is the one place a plan enters
+// the flat state; it checks its seed once with the shared lint checks.
+// Both writers (the annealer and the repair pass) then stage only moves
+// drawn from move_units (core/annealing.hpp), which keep pins and, when
+// the evaluator is reuse-aware, move reuse groups whole. So
+// evaluate_candidate rejects only candidates that overflow a provider
+// capacity limit. TieringPlan stays the boundary type for
+// Deployer/serve/lint; best_plan builds it from the best snapshot.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +60,9 @@ class EvalCache;
 /// the best-so-far snapshot. Plain data; all invariants live in the
 /// evaluator.
 struct SoaState {
-    // --- committed plan (SoA + AoS mirror, kept in sync by set_decision)
+    // --- committed plan
     std::vector<std::uint8_t> tier;
     std::vector<double> overprov;
-    std::vector<PlacementDecision> mirror;
 
     // --- committed evaluation
     std::vector<double> runtime;
@@ -89,7 +94,8 @@ struct SoaState {
     std::vector<RuntimeUndo> runtime_undo;
 
     // --- best-so-far snapshot (copied only on improvement)
-    std::vector<PlacementDecision> best_mirror;
+    std::vector<std::uint8_t> best_tier;
+    std::vector<double> best_overprov;
     std::vector<double> best_runtime;
     CapacityBreakdown best_caps;
     double best_total = 0.0;
@@ -109,7 +115,9 @@ public:
     [[nodiscard]] std::size_t size() const { return n_; }
 
     /// Seed `state` from an already-evaluated feasible plan. Reserves all
-    /// vectors; nothing below allocates afterwards.
+    /// vectors; nothing below allocates afterwards. Throws
+    /// PreconditionError when the plan breaks a tier pin or, if reuse-aware,
+    /// splits a reuse group.
     void init(SoaState& state, const TieringPlan& plan, const PlanEvaluation& eval) const;
 
     /// Stage one decision change into the candidate (undo-logged).
@@ -118,7 +126,8 @@ public:
 
     /// Evaluate the staged candidate incrementally against the committed
     /// state; `changed` lists the jobs touched since the last
-    /// commit/revert. Returns feasibility; on true the cand_* scalars and
+    /// commit/revert. Checks provider capacity limits only (see the
+    /// contract above). Returns feasibility; on true the cand_* scalars and
     /// cand_caps hold the candidate's evaluation (runtime[] already holds
     /// its runtimes, under the undo log). On false the runtimes are
     /// untouched — only the decision log needs reverting.
@@ -153,8 +162,6 @@ private:
     const PlanEvaluator* aos_;
     std::size_t n_ = 0;
     int nvm_ = 0;
-    bool reuse_aware_ = false;
-    bool has_tier_pins_ = false;
     /// True when some app's objStore model scales with provisioned capacity
     /// (never the case for the paper's models, whose objStore runtime keys
     /// on the conventional intermediate volume); otherwise objStore

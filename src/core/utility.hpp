@@ -109,7 +109,7 @@ public:
 
 private:
     /// The struct-of-arrays mirror of this evaluator (core/soa_eval.hpp)
-    /// reads the precomputed per-job terms and flags directly so the two
+    /// reads the precomputed per-job terms directly so the two
     /// implementations can never drift on inputs.
     friend class SoaEvaluator;
 

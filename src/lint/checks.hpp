@@ -2,11 +2,14 @@
 //
 // These are the single source of truth for the constraints that more than
 // one layer enforces: the lint rules (L005, L014, L015), the PlanEvaluator
-// (which must mark violating plans infeasible so annealing rejects them),
+// (which must mark violating plans infeasible: it is the reference
+// evaluator, and it vets every start plan),
 // the Deployer (which must refuse to execute them), and the CAST++ facade
 // (which must detect unplaceable reuse groups before projecting the greedy
 // plan). Each helper appends Findings only on violation, so the clean path
-// allocates nothing and is cheap enough for the solver's inner loop.
+// allocates nothing. The annealer and the repair pass never call them per
+// candidate: their moves keep pins and reuse groups by construction, so
+// they check only each seed plan (core/soa_eval.hpp).
 #pragma once
 
 #include <vector>

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/greedy.hpp"
 #include "test_support.hpp"
 
@@ -101,10 +103,9 @@ TEST(Annealing, GroupMovesPreserveEq7) {
                           mk_job(3, AppKind::kSort, 20.0), mk_job(4, AppKind::kKMeans, 25.0)});
     PlanEvaluator eval(testing::small_models(), w, EvalOptions{.reuse_aware = true});
     AnnealingOptions opts = fast_options();
-    opts.group_moves = true;
     AnnealingSolver solver(eval, opts);
     const auto result = solver.solve(TieringPlan::uniform(4, StorageTier::kPersistentSsd));
-    EXPECT_TRUE(result.plan.respects_reuse_groups(w));
+    EXPECT_TRUE(testing::respects_placement(w, result.plan));
     EXPECT_TRUE(result.evaluation.feasible);
 }
 
@@ -147,6 +148,20 @@ TEST(Annealing, OptionValidation) {
     EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
     bad = fast_options();
     bad.app_move_probability = 1.5;
+    EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
+    // Over-provisioning factors below 1 or not finite violate Eq. 3: they
+    // must be rejected up front, not after the search has run.
+    for (const double k : {0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+        bad = fast_options();
+        bad.overprov_choices = {1.0, k};
+        EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError) << "factor " << k;
+    }
+    // The active_jobs mask must cover the workload and flag some job.
+    bad = fast_options();
+    bad.active_jobs.assign(mixed_workload().size() + 1, 1);
+    EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
+    bad.active_jobs.assign(mixed_workload().size(), 0);
     EXPECT_THROW(AnnealingSolver(eval, bad), PreconditionError);
 }
 

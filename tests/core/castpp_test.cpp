@@ -60,7 +60,7 @@ TEST(CastFacade, PlusPlusRespectsReuseGroups) {
          mk_job(5, AppKind::kKMeans, 25.0)});
     const auto result = plan_cast_plus_plus(testing::small_models(), w, fast_cast_options());
     ASSERT_TRUE(result.evaluation.feasible);
-    EXPECT_TRUE(result.plan.respects_reuse_groups(w));
+    EXPECT_TRUE(testing::respects_placement(w, result.plan));
 }
 
 TEST(CastFacade, SolverHonorsTierPin) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.hpp"
+
 namespace cast::core {
 namespace {
 
@@ -96,7 +98,7 @@ TEST(ClusterPlanner, ReuseAwareModeRespectsGroups) {
     ClusterPlanner planner(cloud::StorageCatalog::google_cloud(), two_sizes(), opts);
     const auto outcomes = planner.evaluate(w);
     for (const auto& o : outcomes) {
-        EXPECT_TRUE(o.plan.respects_reuse_groups(w)) << o.candidate.label;
+        EXPECT_TRUE(testing::respects_placement(w, o.plan)) << o.candidate.label;
     }
 }
 

@@ -150,9 +150,7 @@ void expect_bit_identical(const PlanEvaluation& candidate, const PlanEvaluation&
 void golden_walk(bool reuse_aware) {
     const workload::Workload w = workload::synthesize_facebook_workload(7);
     PlanEvaluator eval(testing::small_models(), w, EvalOptions{.reuse_aware = reuse_aware});
-    AnnealingOptions opts;
-    opts.group_moves = reuse_aware;
-    const reference::ReferenceAnnealer proposer(eval, opts);
+    const reference::ReferenceAnnealer proposer(eval, AnnealingOptions{});
     const auto units = proposer.move_units();
 
     EvalCache cache;
@@ -241,7 +239,6 @@ TEST(AnnealingMoves, AppMoveRelocatesUnitsByMembership) {
                                 mk_job(3, AppKind::kGrep, 20.0)});
     PlanEvaluator eval(testing::small_models(), w, EvalOptions{.reuse_aware = true});
     AnnealingOptions opts;
-    opts.group_moves = true;
     opts.app_move_probability = 1.0;
     opts.tier_move_probability = 0.0;
     const reference::ReferenceAnnealer solver(eval, opts);

@@ -278,6 +278,41 @@ TEST_F(IncrementalTest, NeighborhoodClosesOverReuseGroups) {
     EXPECT_EQ(out.plan.decision(0).tier, out.plan.decision(3).tier);
 }
 
+// The repair sweep never re-checks pins per candidate, so it must draw its
+// tiers from each unit's allowed_tiers: a pinned reuse group and a pinned
+// arrival in the neighborhood stay on an objStore pin that unpinned, they
+// would leave, and the warm start handed to the restricted anneal (and to
+// the next sweep's seed check) stays legal.
+TEST_F(IncrementalTest, RepairSweepKeepsPinsInTheNeighborhood) {
+    workload::JobSpec a = mk_job(1, AppKind::kSort, 200.0);
+    workload::JobSpec b = mk_job(2, AppKind::kGrep, 200.0);
+    a.reuse_group = 7;
+    b.reuse_group = 7;
+    a.pinned_tier = StorageTier::kObjectStore;
+    const workload::Workload base({a, b, mk_job(3, AppKind::kJoin, 150.0)});
+    const CastResult cold =
+        plan_cast_plus_plus(testing::small_models(), base, fast_options());
+
+    AmendPolicy policy;
+    policy.capacity_slack = 1e9;
+    policy.escalate_below = 0.0;  // keep the repair + restricted-anneal path
+    const IncrementalSolver solver(testing::small_models(), fast_options(), policy,
+                                   /*reuse_aware=*/true);
+    JobDelta delta;
+    workload::JobSpec joiner = mk_job(10, AppKind::kKMeans, 200.0);
+    joiner.reuse_group = 7;
+    workload::JobSpec pinned = mk_job(11, AppKind::kJoin, 120.0);
+    pinned.pinned_tier = StorageTier::kObjectStore;
+    delta.arrivals = {joiner, pinned};
+    const AmendResult out = solver.amend(base, cold.plan, delta);
+    EXPECT_EQ(out.neighborhood, (std::vector<std::size_t>{0, 1, 3, 4}));
+    EXPECT_FALSE(out.escalated_cold);
+    ASSERT_TRUE(out.evaluation.feasible);
+    EXPECT_TRUE(testing::respects_placement(out.workload, out.plan));
+    EXPECT_EQ(out.plan.decision(0).tier, StorageTier::kObjectStore);
+    EXPECT_EQ(out.plan.decision(4).tier, StorageTier::kObjectStore);
+}
+
 TEST_F(IncrementalTest, EmptyDeltaReturnsSurvivorsVerbatim) {
     const IncrementalSolver solver(testing::small_models(), fast_options());
     const AmendResult out = solver.amend(mixed_workload(), prior().plan, JobDelta{});

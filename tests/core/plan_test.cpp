@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.hpp"
+
 namespace cast::core {
 namespace {
 
@@ -44,11 +46,11 @@ TEST(TieringPlan, OverprovisionBelowOneRejected) {
 TEST(TieringPlan, RespectsReuseGroupsDetectsSplit) {
     const workload::Workload w({job(1, 1), job(2, 1), job(3)});
     TieringPlan p = TieringPlan::uniform(3, StorageTier::kPersistentSsd);
-    EXPECT_TRUE(p.respects_reuse_groups(w));
+    EXPECT_TRUE(testing::respects_placement(w, p));
     p.set_decision(1, {StorageTier::kPersistentHdd, 1.0});
-    EXPECT_FALSE(p.respects_reuse_groups(w));
+    EXPECT_FALSE(testing::respects_placement(w, p));
     p.set_decision(0, {StorageTier::kPersistentHdd, 1.0});
-    EXPECT_TRUE(p.respects_reuse_groups(w));  // group reunited on HDD
+    EXPECT_TRUE(testing::respects_placement(w, p));  // group reunited on HDD
 }
 
 TEST(TieringPlan, SummarizeCountsTiers) {

@@ -28,14 +28,14 @@ class ReferenceAnnealer {
 public:
     ReferenceAnnealer(const PlanEvaluator& evaluator, AnnealingOptions options)
         : evaluator_(&evaluator), options_(std::move(options)) {
-        options_.validate();
+        options_.validate(evaluator.workload().size());
         CAST_EXPECTS(options_.max_wall_ms == 0.0 && options_.cancel == nullptr);
     }
 
-    /// Same move units as production (single jobs, or reuse groups in
-    /// group_moves mode, filtered by the active_jobs mask).
+    /// Same move units as production (single jobs, or reuse groups under
+    /// a reuse-aware evaluator, filtered by the active_jobs mask).
     [[nodiscard]] std::vector<MoveUnit> move_units() const {
-        return AnnealingSolver(*evaluator_, options_).move_units();
+        return core::move_units(*evaluator_, options_.active_jobs);
     }
 
     /// One neighbor of `curr`, appending the indices of every decision that

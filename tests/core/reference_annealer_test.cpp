@@ -1,9 +1,13 @@
 // Differential test: the production AnnealingSolver (SoA state, memoized
 // incremental evaluation) against the reference annealer (TieringPlan
 // copies, uncached full evaluation) on seeded hostile workloads — tier
-// pins, reuse groups under group moves, active_jobs masks, jobs large
-// enough that over-provisioning overflows provider capacity limits, and
-// ladders of 1..8 replicas. Every field must agree bit for bit.
+// pins (on reuse-group members too), reuse groups under group moves,
+// active_jobs masks, jobs large enough that over-provisioning overflows
+// provider capacity limits, and ladders of 1..8 replicas. Every field must
+// agree bit for bit. The reference re-checks pins and Eq. 7 on every
+// neighbor while production never does, so any illegal proposal would
+// show up as a mismatch; a property test walks the shared proposer
+// directly and holds every proposal to the shared lint checks.
 #include "core/reference_annealer.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/castpp.hpp"
 #include "core/eval_cache.hpp"
+#include "lint/checks.hpp"
 #include "test_support.hpp"
 
 namespace cast::core {
@@ -46,7 +51,8 @@ workload::JobSpec random_job(Rng& rng, int id, double gb) {
 /// Jobs of 20-800 GB on the 5-worker test cluster: at the larger
 /// over-provisioning factors a few of them fill ephSSD's per-VM limit, so
 /// the search meets infeasible neighbors. About a third of the jobs join
-/// reuse groups of 2-3 (equal inputs); a few ungrouped jobs carry pins.
+/// reuse groups of 2-3 (equal inputs); a few ungrouped jobs carry pins,
+/// and some groups pin one or more members to one shared tier.
 std::optional<Case> make_case(std::uint64_t seed, int chains) {
     Rng rng(seed);
     Case c;
@@ -60,9 +66,13 @@ std::optional<Case> make_case(std::uint64_t seed, int chains) {
         if (rng.uniform() < 0.3 && static_cast<int>(jobs.size()) + 2 <= n) {
             const int members = 2 + static_cast<int>(rng.below(2));
             ++group;
+            // Pins within a group agree (conflicting ones fail lint L005).
+            std::optional<StorageTier> group_pin;
+            if (rng.uniform() < 0.3) group_pin = cloud::kAllTiers[rng.below(cloud::kTierCount)];
             for (int m = 0; m < members && static_cast<int>(jobs.size()) < n; ++m) {
                 workload::JobSpec job = random_job(rng, id + m, gb);
                 job.reuse_group = group;
+                if (group_pin && (m == 0 || rng.uniform() < 0.5)) job.pinned_tier = group_pin;
                 jobs.push_back(job);
             }
             continue;
@@ -78,7 +88,17 @@ std::optional<Case> make_case(std::uint64_t seed, int chains) {
     const PlanEvaluator evaluator(testing::small_models(), c.workload,
                                   EvalOptions{.reuse_aware = c.reuse_aware});
     // Start from the pin-projected greedy plan, falling back to pinned
-    // uniform plans.
+    // uniform plans. A pinned member moves its whole group to the pin.
+    std::vector<std::optional<StorageTier>> pin(c.workload.size());
+    for (std::size_t i = 0; i < c.workload.size(); ++i) {
+        pin[i] = c.workload.job(i).pinned_tier;
+        if (pin[i] || !c.workload.job(i).reuse_group) continue;
+        for (const workload::JobSpec& mate : c.workload.jobs()) {
+            if (mate.reuse_group == c.workload.job(i).reuse_group && mate.pinned_tier) {
+                pin[i] = mate.pinned_tier;
+            }
+        }
+    }
     std::vector<TieringPlan> candidates{
         greedy_projected_plan(evaluator, GreedyOptions{}, c.reuse_aware),
         TieringPlan::uniform(c.workload.size(), StorageTier::kObjectStore),
@@ -86,9 +106,7 @@ std::optional<Case> make_case(std::uint64_t seed, int chains) {
     bool found = false;
     for (TieringPlan& plan : candidates) {
         for (std::size_t i = 0; i < c.workload.size(); ++i) {
-            if (c.workload.job(i).pinned_tier) {
-                plan.set_decision(i, PlacementDecision{*c.workload.job(i).pinned_tier, 1.0});
-            }
+            if (pin[i]) plan.set_decision(i, PlacementDecision{*pin[i], 1.0});
         }
         if (evaluator.evaluate(plan).feasible) {
             c.initial = plan;
@@ -106,7 +124,6 @@ std::optional<Case> make_case(std::uint64_t seed, int chains) {
     o.diverse_starts = rng.uniform() < 0.6;
     o.app_move_probability = std::array{0.0, 0.1, 0.4}[rng.below(3)];
     o.tier_move_probability = 0.5 + 0.5 * rng.uniform() * (1.0 - o.app_move_probability);
-    o.group_moves = c.reuse_aware;
     if (rng.uniform() < 0.3) {
         o.active_jobs.assign(c.workload.size(), 0);
         for (auto& a : o.active_jobs) a = rng.uniform() < 0.4 ? 1 : 0;
@@ -178,6 +195,67 @@ TEST(ReferenceAnnealer, ProductionSolveMatchesOracleBitForBit) {
     EXPECT_GE(cases, 500);
     EXPECT_GT(infeasible_neighbors, 0);
     EXPECT_GT(exchanges, 0);
+}
+
+// Feasible by construction: from a legal plan, every proposal drawn from
+// the production move units honors every tier pin and, under a
+// reuse-aware evaluator, keeps every reuse group on one tier (without one,
+// splitting a group is legal). A masked walk moves only flagged jobs and,
+// under a reuse-aware evaluator, the group mates they carry along.
+// The walk takes every proposal — legality does not depend on capacity —
+// so it reaches far more plans than a Metropolis chain would.
+TEST(ReferenceAnnealer, EveryProposalKeepsPinsAndReuseGroups) {
+    int steps = 0;
+    int moves = 0;
+    int masked_steps = 0;
+    int pinned_group_steps = 0;
+    for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+        const std::optional<Case> c = make_case(seed, 1);
+        if (!c) continue;
+        const PlanEvaluator evaluator(testing::small_models(), c->workload,
+                                      EvalOptions{.reuse_aware = c->reuse_aware});
+        const reference::ReferenceAnnealer proposer(evaluator, c->options);
+        const std::vector<MoveUnit> units = proposer.move_units();
+        const std::vector<std::uint8_t>& mask = c->options.active_jobs;
+        const auto movable = [&](std::size_t j) {
+            if (mask.empty() || mask[j] != 0) return true;
+            const std::optional<int> group = c->workload.job(j).reuse_group;
+            if (!c->reuse_aware || !group) return false;
+            for (std::size_t m = 0; m < mask.size(); ++m) {
+                if (mask[m] != 0 && c->workload.job(m).reuse_group == group) return true;
+            }
+            return false;
+        };
+        const bool pinned_group =
+            c->reuse_aware && std::ranges::any_of(c->workload.jobs(), [](const auto& job) {
+                return job.reuse_group && job.pinned_tier;
+            });
+        Rng rng(seed);
+        TieringPlan curr = c->initial;
+        std::vector<std::size_t> changed;
+        for (int step = 0; step < 40; ++step) {
+            curr = proposer.propose_neighbor(rng, curr, units, changed);
+            std::vector<lint::Finding> violations;
+            lint::check_tier_pins(c->workload.jobs(), curr.decisions(), violations);
+            if (c->reuse_aware) {
+                lint::check_reuse_group_split(c->workload.jobs(), curr.decisions(), violations);
+            }
+            ASSERT_TRUE(violations.empty())
+                << "seed " << seed << ", step " << step << ": " << violations.front().message;
+            for (const std::size_t j : changed) {
+                ASSERT_TRUE(movable(j))
+                    << "seed " << seed << ", step " << step << ": frozen job " << j << " moved";
+            }
+            ++steps;
+            moves += changed.empty() ? 0 : 1;
+            masked_steps += mask.empty() ? 0 : 1;
+            pinned_group_steps += pinned_group ? 1 : 0;
+        }
+    }
+    EXPECT_GE(steps, 10000);
+    EXPECT_GT(moves, steps / 2);
+    EXPECT_GT(masked_steps, 1000);
+    EXPECT_GT(pinned_group_steps, 1000);
 }
 
 }  // namespace

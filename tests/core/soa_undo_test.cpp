@@ -1,14 +1,15 @@
 // SoA undo-log revert coverage: rejected candidates must restore the
 // committed state bit-for-bit, including the paths the annealing loop
-// exercises rarely — tier-pinned rejections (the lint gate fires before
-// any runtime is touched), provider-capacity throws, zero-length staging
-// legs (persSSD <-> persHDD moves stage nothing), and stacked undo entries
-// for one job.
+// exercises rarely — provider-capacity throws, zero-length staging legs
+// (persSSD <-> persHDD moves stage nothing), and stacked undo entries for
+// one job. Candidates are never checked for pins or Eq. 7 (the move units
+// keep both), so init's one seed check is covered here too.
 #include "core/soa_eval.hpp"
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/eval_cache.hpp"
@@ -36,7 +37,6 @@ workload::JobSpec mk_job(int id, AppKind app, double gb) {
 struct Committed {
     std::vector<std::uint8_t> tier;
     std::vector<double> overprov;
-    std::vector<PlacementDecision> mirror;
     std::vector<double> runtime;
     CapacityBreakdown caps;
     double total_runtime;
@@ -46,20 +46,38 @@ struct Committed {
 };
 
 Committed snapshot(const SoaState& state) {
-    return Committed{state.tier,    state.overprov,      state.mirror,
-                     state.runtime, state.caps,          state.total_runtime,
-                     state.vm_cost, state.storage_cost,  state.utility};
+    return Committed{state.tier,          state.overprov,     state.runtime,
+                     state.caps,          state.total_runtime, state.vm_cost,
+                     state.storage_cost,  state.utility};
+}
+
+/// The plan the flat arrays hold (the candidate while one is staged).
+TieringPlan plan_of(const SoaState& state) {
+    std::vector<PlacementDecision> decisions;
+    for (std::size_t i = 0; i < state.tier.size(); ++i) {
+        decisions.push_back({cloud::kAllTiers[state.tier[i]], state.overprov[i]});
+    }
+    return TieringPlan{std::move(decisions)};
+}
+
+/// The PreconditionError message init throws for `plan`, or "" when it
+/// accepts it. `eval` is a feasible evaluation of `plan` by a twin
+/// evaluator without the placement constraint under test, so only init's
+/// own seed check can refuse it.
+std::string init_error(const SoaEvaluator& soa, const TieringPlan& plan,
+                       const PlanEvaluation& eval) {
+    SoaState state;
+    try {
+        soa.init(state, plan, eval);
+    } catch (const PreconditionError& e) {
+        return e.what();
+    }
+    return "";
 }
 
 void expect_restored(const SoaState& state, const Committed& want) {
     EXPECT_EQ(state.tier, want.tier);
     EXPECT_EQ(state.overprov, want.overprov);
-    ASSERT_EQ(state.mirror.size(), want.mirror.size());
-    for (std::size_t i = 0; i < want.mirror.size(); ++i) {
-        EXPECT_EQ(state.mirror[i].tier, want.mirror[i].tier) << "job " << i;
-        EXPECT_EQ(state.mirror[i].overprovision, want.mirror[i].overprovision)
-            << "job " << i;
-    }
     EXPECT_EQ(state.runtime, want.runtime);
     for (std::size_t t = 0; t < cloud::kTierCount; ++t) {
         EXPECT_EQ(state.caps.aggregate[t].value(), want.caps.aggregate[t].value());
@@ -119,63 +137,43 @@ TEST_F(SoaUndoTest, RevertRestoresStateAfterFeasibleCandidate) {
     EXPECT_EQ(state.cand_total, want.total_runtime);
 }
 
-// Tier-pinned rejection path: the lint gate fails the candidate before any
-// capacity or runtime work, leaving only the decision log to replay.
-TEST_F(SoaUndoTest, RevertAfterTierPinRejection) {
+// The seed gate: a seed that breaks a tier pin never enters the flat
+// state, because no candidate is checked against pins afterwards.
+TEST_F(SoaUndoTest, InitRejectsPinBreakingSeed) {
     workload::JobSpec pinned = mk_job(1, AppKind::kSort, 320.0);
     pinned.pinned_tier = StorageTier::kPersistentSsd;
-    const PlanEvaluator eval(
-        testing::small_models(),
-        workload::Workload({pinned, mk_job(2, AppKind::kJoin, 240.0)}));
+    const workload::JobSpec other = mk_job(2, AppKind::kJoin, 240.0);
+    const PlanEvaluator eval(testing::small_models(), workload::Workload({pinned, other}));
+    const PlanEvaluator unpinned(testing::small_models(),
+                                 workload::Workload({mk_job(1, AppKind::kSort, 320.0), other}));
     const SoaEvaluator soa(eval);
-    SoaState state;
-    seed(eval, state, soa);
-    const Committed want = snapshot(state);
 
-    // Move the pinned job off its pin: rejected by check_tier_pins.
-    soa.set_decision(state, 0, static_cast<std::uint8_t>(tier_index(StorageTier::kPersistentHdd)),
-                     1.0);
-    const std::size_t changed[] = {0};
-    EXPECT_FALSE(soa.evaluate_candidate(state, changed, nullptr));
-    EXPECT_TRUE(state.runtime_undo.empty());  // runtimes never touched
-    EXPECT_FALSE(state.decision_undo.empty());
+    const TieringPlan off_pin = TieringPlan::uniform(2, StorageTier::kPersistentHdd);
+    const PlanEvaluation pe = unpinned.evaluate(off_pin);
+    ASSERT_TRUE(pe.feasible);
+    EXPECT_NE(init_error(soa, off_pin, pe).find("pinned"), std::string::npos);
 
-    soa.revert(state);
-    expect_restored(state, want);
-
-    // A legal follow-up move on the unpinned job still works and matches
-    // the AoS evaluator exactly.
-    soa.set_decision(state, 1, static_cast<std::uint8_t>(tier_index(StorageTier::kPersistentHdd)),
-                     1.0);
-    const std::size_t changed2[] = {1};
-    ASSERT_TRUE(soa.evaluate_candidate(state, changed2, nullptr));
-    const PlanEvaluation aos = eval.evaluate(TieringPlan{state.mirror});
-    ASSERT_TRUE(aos.feasible);
-    EXPECT_EQ(state.cand_utility, aos.utility);
-    soa.commit(state);
-    EXPECT_EQ(state.utility, aos.utility);
+    const TieringPlan on_pin = TieringPlan::uniform(2, StorageTier::kPersistentSsd);
+    EXPECT_EQ(init_error(soa, on_pin, eval.evaluate(on_pin)), "");
 }
 
-// Reuse-group split rejection (the other lint gate) with group_moves off:
-// moving one member alone must reject and revert cleanly.
-TEST_F(SoaUndoTest, RevertAfterReuseGroupSplitRejection) {
+// The seed gate for Eq. 7: a reuse-aware evaluator refuses a seed that
+// splits a reuse group; a reuse-oblivious one has no such constraint.
+TEST_F(SoaUndoTest, InitRejectsGroupSplittingSeed) {
     workload::JobSpec a = mk_job(1, AppKind::kSort, 200.0);
     workload::JobSpec b = mk_job(2, AppKind::kGrep, 200.0);
     a.reuse_group = 3;
     b.reuse_group = 3;
-    const PlanEvaluator eval(testing::small_models(), workload::Workload({a, b}),
-                             EvalOptions{.reuse_aware = true});
-    const SoaEvaluator soa(eval);
-    SoaState state;
-    seed(eval, state, soa);
-    const Committed want = snapshot(state);
+    const workload::Workload w({a, b});
+    const PlanEvaluator aware(testing::small_models(), w, EvalOptions{.reuse_aware = true});
+    const PlanEvaluator oblivious(testing::small_models(), w);
 
-    soa.set_decision(state, 0, static_cast<std::uint8_t>(tier_index(StorageTier::kPersistentHdd)),
-                     1.0);
-    const std::size_t changed[] = {0};
-    EXPECT_FALSE(soa.evaluate_candidate(state, changed, nullptr));
-    soa.revert(state);
-    expect_restored(state, want);
+    TieringPlan split = TieringPlan::uniform(2, StorageTier::kPersistentSsd);
+    split.set_decision(0, {StorageTier::kPersistentHdd, 1.0});
+    const PlanEvaluation pe = oblivious.evaluate(split);
+    ASSERT_TRUE(pe.feasible);
+    EXPECT_NE(init_error(SoaEvaluator(aware), split, pe).find("Eq. 7"), std::string::npos);
+    EXPECT_EQ(init_error(SoaEvaluator(oblivious), split, pe), "");
 }
 
 // Provider-capacity throw: a candidate overflowing ephSSD's per-VM volume
@@ -219,7 +217,7 @@ TEST_F(SoaUndoTest, ZeroLengthStagingLegMovesRevertAndReevaluate) {
     const std::size_t changed[] = {1};
     ASSERT_TRUE(soa.evaluate_candidate(state, changed, nullptr));
     const double first_utility = state.cand_utility;
-    const PlanEvaluation aos = eval.evaluate(TieringPlan{state.mirror});
+    const PlanEvaluation aos = eval.evaluate(plan_of(state));
     ASSERT_TRUE(aos.feasible);
     EXPECT_EQ(first_utility, aos.utility);
 

@@ -100,10 +100,8 @@ SolvePin batch_pin(bool reuse_aware, ThreadPool* pool) {
     EvalCache cache;
     const TieringPlan initial =
         greedy_projected_plan(evaluator, options.greedy_init, reuse_aware, &cache);
-    AnnealingOptions annealing = options.annealing;
-    annealing.group_moves = reuse_aware;
-    const AnnealingResult direct = AnnealingSolver(evaluator, annealing).solve(initial, pool,
-                                                                               &cache);
+    const AnnealingResult direct =
+        AnnealingSolver(evaluator, options.annealing).solve(initial, pool, &cache);
 
     EXPECT_EQ(plan_fingerprint(direct.plan), plan_fingerprint(facade.plan));
     EXPECT_EQ(direct.evaluation.utility, facade.evaluation.utility);

@@ -78,7 +78,7 @@ TEST_F(Fig7Test, CastPlusPlusAtLeastMatchesCast) {
     const double u_cast = deployer.deploy(oblivious, cast.plan).utility;
     const double u_castpp = deployer.deploy(aware, castpp.plan).utility;
     EXPECT_GT(u_castpp, 0.93 * u_cast);
-    EXPECT_TRUE(castpp.plan.respects_reuse_groups(fb_workload()));
+    EXPECT_TRUE(testing::respects_placement(fb_workload(), castpp.plan));
 }
 
 TEST(Fig8Accuracy, ModelTracksDeploymentWithinTenPercent) {

@@ -94,11 +94,10 @@ TEST_P(SolverSeedSweep, ReuseAwareSolverAlwaysSatisfiesEq7) {
     const auto w = random_workload(seed, 12, /*share_fraction=*/0.35);
     PlanEvaluator eval(testing::small_models(), w, EvalOptions{.reuse_aware = true});
     AnnealingOptions opts = quick_options(seed * 3 + 1);
-    opts.group_moves = true;
     AnnealingSolver solver(eval, opts);
     const auto result =
         solver.solve(TieringPlan::uniform(w.size(), StorageTier::kPersistentSsd));
-    EXPECT_TRUE(result.plan.respects_reuse_groups(w));
+    EXPECT_TRUE(testing::respects_placement(w, result.plan));
     EXPECT_TRUE(result.evaluation.feasible);
 }
 

@@ -4,9 +4,14 @@
 // share one memoized campaign per cluster size instead of re-profiling.
 #pragma once
 
+#include <vector>
+
 #include "cloud/cluster.hpp"
 #include "cloud/storage.hpp"
+#include "core/plan.hpp"
+#include "lint/checks.hpp"
 #include "model/profiler.hpp"
+#include "workload/job.hpp"
 
 namespace cast::testing {
 
@@ -46,6 +51,16 @@ inline const model::PerfModelSet& paper_models() {
         return profiler.profile();
     }();
     return kModels;
+}
+
+/// True when `plan` honors every tier pin and keeps every reuse group on
+/// one tier (Eq. 7), judged by the shared lint checks.
+inline bool respects_placement(const workload::Workload& workload,
+                               const core::TieringPlan& plan) {
+    std::vector<lint::Finding> violations;
+    lint::check_tier_pins(workload.jobs(), plan.decisions(), violations);
+    lint::check_reuse_group_split(workload.jobs(), plan.decisions(), violations);
+    return violations.empty();
 }
 
 }  // namespace cast::testing
