@@ -214,7 +214,6 @@ int main(int argc, char** argv) {
     // Capacity far above any flood in this bench: the drain-time estimate,
     // not the queue-occupancy backstop, should be what walks the ladder.
     base_opts.queue_capacity = 4096;
-    base_opts.max_batch = 16;
     base_opts.solver.annealing.iter_max = iter_max;
     base_opts.solver.annealing.chains = 2;
     base_opts.governor.enabled = true;

@@ -158,9 +158,6 @@ int main(int argc, char** argv) {
 
     serve::ServiceOptions sopts;
     sopts.queue_capacity = requests.size() + 8;
-    // Deep dispatches give the coalescer more duplicates to fold under
-    // open-loop load; closed-loop runs never see a batch deeper than 1.
-    sopts.max_batch = 32;
     sopts.solver.annealing.iter_max = iter_max;
     sopts.solver.annealing.chains = 2;
     // Metrics + tracing stay ON for every service run: the numbers this

@@ -2,11 +2,11 @@
 //
 // The planning service's admission layer: producers (request submitters)
 // try_push and are told immediately when the queue is full — backpressure
-// is an explicit reject, never an unbounded buffer — while the consumer
-// (the dispatcher) pops the highest-priority items first, FIFO within a
-// priority level, and can drain a whole compatible batch under one lock
-// acquisition. close() wakes every waiter; items already admitted are
-// still handed out after close so no accepted request is ever dropped.
+// is an explicit reject, never an unbounded buffer — while consumers (the
+// service's serve loops) each pop one item at a time, highest priority
+// first, FIFO within a priority level. close() wakes every waiter; items
+// already admitted are still handed out after close so no accepted
+// request is ever dropped.
 //
 // Deliberately mutex+cv rather than a lock-free ring: operations are a few
 // pointer moves under a lock that is held for nanoseconds, while the work
@@ -68,21 +68,6 @@ public:
         while (size_ == 0 && !closed_) cv_.wait(lock);
         if (size_ == 0) return std::nullopt;
         return pop_one_locked();
-    }
-
-    /// Drain up to `max` items into `out` (appended), highest priority
-    /// first, under one lock acquisition. Blocks for the first item like
-    /// pop(); returns the number appended — 0 only when closed and drained.
-    std::size_t pop_batch(std::vector<T>& out, std::size_t max) CAST_EXCLUDES(mutex_) {
-        CAST_EXPECTS(max >= 1);
-        UniqueLock lock(mutex_);
-        while (size_ == 0 && !closed_) cv_.wait(lock);
-        std::size_t n = 0;
-        while (size_ > 0 && n < max) {
-            out.push_back(pop_one_locked());
-            ++n;
-        }
-        return n;
     }
 
     /// Refuse new items and wake every blocked consumer. Items admitted

@@ -138,24 +138,24 @@ CastResult plan_cast_greedy(const model::PerfModelSet& models,
     return out;
 }
 
-/// Greedy ignores reuse groups, so every group is aligned on its leader's
-/// tier to make the plan Eq. 7-feasible; a pinned member dictates the whole
-/// group's tier (members pinned apart were rejected by lint rule L005).
+/// Greedy ignores reuse groups, so the reuse-aware start plan is projected
+/// onto Eq. 7 afterwards.
 TieringPlan greedy_projected_plan(const PlanEvaluator& evaluator, const GreedyOptions& options,
                                   bool reuse_aware, EvalCache* cache) {
-    const workload::Workload& workload = evaluator.workload();
     GreedySolver greedy(evaluator);
     TieringPlan initial = greedy.solve(options, cache);
-    if (reuse_aware) {
-        for (const auto& [group, members] : workload.reuse_groups()) {
-            PlacementDecision lead = initial.decision(members.front());
-            for (std::size_t m : members) {
-                if (workload.job(m).pinned_tier) lead.tier = *workload.job(m).pinned_tier;
-            }
-            for (std::size_t m : members) initial.set_decision(m, lead);
-        }
-    }
+    if (reuse_aware) align_reuse_groups(evaluator.workload(), initial);
     return initial;
+}
+
+void align_reuse_groups(const workload::Workload& workload, TieringPlan& plan) {
+    for (const auto& [group, members] : workload.reuse_groups()) {
+        PlacementDecision lead = plan.decision(members.front());
+        for (const std::size_t m : members) {
+            if (workload.job(m).pinned_tier) lead.tier = *workload.job(m).pinned_tier;
+        }
+        for (const std::size_t m : members) plan.set_decision(m, lead);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -270,26 +270,11 @@ void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache
             }
         }
     }
-    if (any_on_object_store) {
-        auto& pers = out.capacities.aggregate[tier_index(StorageTier::kPersistentSsd)];
-        const GigaBytes floor{
-            cloud::object_store_intermediate_volume(max_object_store_inter, nvm).value() *
-            nvm};
-        if (pers < floor) pers = floor;
-    }
     try {
-        for (StorageTier t : cloud::kAllTiers) {
-            const GigaBytes agg = out.capacities.aggregate[tier_index(t)];
-            if (agg.value() <= 0.0) continue;
-            if (t == StorageTier::kObjectStore) {
-                out.capacities.per_vm[tier_index(t)] = GigaBytes{agg.value() / nvm};
-                continue;
-            }
-            const auto& service = models_->catalog().service(t);
-            const GigaBytes per_vm = service.provision(GigaBytes{agg.value() / nvm});
-            out.capacities.per_vm[tier_index(t)] = per_vm;
-            out.capacities.aggregate[tier_index(t)] = GigaBytes{per_vm.value() * nvm};
-        }
+        provision_capacities(models_->catalog(), nvm,
+                             any_on_object_store ? std::optional(max_object_store_inter)
+                                                 : std::nullopt,
+                             out.capacities);
     } catch (const ValidationError& e) {
         out.infeasibility = e.what();
         return;
@@ -636,23 +621,13 @@ ReuseScenarioResult evaluate_reuse_scenario(const model::PerfModelSet& models,
     if (tier == StorageTier::kEphemeralSsd) {
         caps.aggregate[tier_index(StorageTier::kObjectStore)] += job.input + job.output();
     }
-    if (tier == StorageTier::kObjectStore) {
-        caps.aggregate[tier_index(StorageTier::kPersistentSsd)] +=
-            GigaBytes{cloud::object_store_intermediate_volume(job.intermediate(), nvm).value() *
-                      nvm};
-    }
-    for (StorageTier t : cloud::kAllTiers) {
-        const GigaBytes agg = caps.aggregate[tier_index(t)];
-        if (agg.value() <= 0.0) continue;
-        if (t == StorageTier::kObjectStore) {
-            caps.per_vm[tier_index(t)] = GigaBytes{agg.value() / nvm};
-            continue;
-        }
-        const auto& service = catalog.service(t);
-        const GigaBytes per_vm = service.provision(GigaBytes{agg.value() / nvm});
-        caps.per_vm[tier_index(t)] = per_vm;
-        caps.aggregate[tier_index(t)] = GigaBytes{per_vm.value() * nvm};
-    }
+    // persSSD is empty when the dataset sits on objStore, so the floor
+    // provisions exactly the conventional intermediate volume.
+    provision_capacities(catalog, nvm,
+                         tier == StorageTier::kObjectStore
+                             ? std::optional(job.intermediate())
+                             : std::nullopt,
+                         caps);
 
     ReuseScenarioResult result;
     const GigaBytes per_vm = caps.per_vm[tier_index(tier)];

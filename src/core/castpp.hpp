@@ -93,6 +93,11 @@ struct CastResult {
                                                 bool reuse_aware,
                                                 EvalCache* cache = nullptr);
 
+/// Eq. 7 projection: every reuse group takes its first member's placement,
+/// with the tier of a pinned member (if any) overriding it. Members pinned
+/// apart are rejected earlier by lint rule L005.
+void align_reuse_groups(const workload::Workload& workload, TieringPlan& plan);
+
 // ---------------------------------------------------------------------------
 // Workflow planning (Enhancement 2).
 // ---------------------------------------------------------------------------

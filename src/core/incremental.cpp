@@ -13,8 +13,8 @@ namespace cast::core {
 namespace {
 
 /// Uniform fallback start plan honoring tier pins and Eq. 7: everything on
-/// `tier`, pinned jobs moved to their pin, groups aligned on a pinned
-/// member when one exists (mirrors greedy_projected_plan's projection).
+/// `tier`, pinned jobs moved to their pin, then the reuse-group projection
+/// greedy_projected_plan applies.
 TieringPlan pinned_uniform(const workload::Workload& workload, cloud::StorageTier tier) {
     TieringPlan plan = TieringPlan::uniform(workload.size(), tier);
     for (std::size_t i = 0; i < workload.size(); ++i) {
@@ -22,13 +22,7 @@ TieringPlan pinned_uniform(const workload::Workload& workload, cloud::StorageTie
             plan.set_decision(i, PlacementDecision{*workload.job(i).pinned_tier, 1.0});
         }
     }
-    for (const auto& [group, members] : workload.reuse_groups()) {
-        PlacementDecision lead = plan.decision(members.front());
-        for (const std::size_t m : members) {
-            if (workload.job(m).pinned_tier) lead.tier = *workload.job(m).pinned_tier;
-        }
-        for (const std::size_t m : members) plan.set_decision(m, lead);
-    }
+    align_reuse_groups(workload, plan);
     return plan;
 }
 

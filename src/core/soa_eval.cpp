@@ -9,7 +9,6 @@ namespace {
 using cloud::StorageTier;
 using cloud::tier_index;
 constexpr std::size_t kEph = tier_index(StorageTier::kEphemeralSsd);
-constexpr std::size_t kPers = tier_index(StorageTier::kPersistentSsd);
 constexpr std::size_t kObj = tier_index(StorageTier::kObjectStore);
 }  // namespace
 
@@ -128,27 +127,11 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size
         }
     }
     try {
-        if (any_on_object_store) {
-            auto& pers = agg[kPers];
-            const GigaBytes floor{cloud::object_store_intermediate_volume(
-                                      GigaBytes{max_object_store_inter}, nvm_)
-                                      .value() *
-                                  nvm_};
-            if (pers < floor) pers = floor;
-        }
-        for (StorageTier t : cloud::kAllTiers) {
-            const std::size_t ti = tier_index(t);
-            const GigaBytes aggregate = agg[ti];
-            if (aggregate.value() <= 0.0) continue;
-            if (t == StorageTier::kObjectStore) {
-                state.cand_caps.per_vm[ti] = GigaBytes{aggregate.value() / nvm_};
-                continue;
-            }
-            const auto& service = aos_->models().catalog().service(t);
-            const GigaBytes per_vm = service.provision(GigaBytes{aggregate.value() / nvm_});
-            state.cand_caps.per_vm[ti] = per_vm;
-            agg[ti] = GigaBytes{per_vm.value() * nvm_};
-        }
+        provision_capacities(aos_->models().catalog(), nvm_,
+                             any_on_object_store
+                                 ? std::optional(GigaBytes{max_object_store_inter})
+                                 : std::nullopt,
+                             state.cand_caps);
     } catch (const ValidationError&) {
         return false;
     }

@@ -74,18 +74,24 @@ CapacityBreakdown PlanEvaluator::capacities(const TieringPlan& plan) const {
             if (inter_[i] > max_object_store_inter) max_object_store_inter = inter_[i];
         }
     }
-    const int nvm = models_->cluster().worker_count;
-    if (any_on_object_store) {
+    provision_capacities(models_->catalog(), models_->cluster().worker_count,
+                         any_on_object_store ? std::optional(max_object_store_inter)
+                                             : std::nullopt,
+                         caps);
+    return caps;
+}
+
+void provision_capacities(const cloud::StorageCatalog& catalog, int nvm,
+                          std::optional<GigaBytes> object_store_inter,
+                          CapacityBreakdown& caps) {
+    if (object_store_inter) {
         // Reserve the conventional persSSD intermediate volume on each VM
         // if the plan does not already provision at least that much.
         auto& pers = caps.aggregate[tier_index(StorageTier::kPersistentSsd)];
         const GigaBytes floor{
-            cloud::object_store_intermediate_volume(max_object_store_inter, nvm).value() *
-            nvm};
+            cloud::object_store_intermediate_volume(*object_store_inter, nvm).value() * nvm};
         if (pers < floor) pers = floor;
     }
-    // Round per-VM capacities to what the provider actually provisions;
-    // throws when a tier exceeds its per-VM limits.
     for (StorageTier t : cloud::kAllTiers) {
         const GigaBytes agg = caps.aggregate[tier_index(t)];
         if (agg.value() <= 0.0) continue;
@@ -93,12 +99,10 @@ CapacityBreakdown PlanEvaluator::capacities(const TieringPlan& plan) const {
             caps.per_vm[tier_index(t)] = GigaBytes{agg.value() / nvm};
             continue;
         }
-        const auto& service = models_->catalog().service(t);
-        const GigaBytes per_vm = service.provision(GigaBytes{agg.value() / nvm});
+        const GigaBytes per_vm = catalog.service(t).provision(GigaBytes{agg.value() / nvm});
         caps.per_vm[tier_index(t)] = per_vm;
         caps.aggregate[tier_index(t)] = GigaBytes{per_vm.value() * nvm};
     }
-    return caps;
 }
 
 std::pair<Dollars, Dollars> eq5_eq6_costs(const model::PerfModelSet& models, Seconds runtime,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,6 +137,18 @@ private:
     /// lint check is skipped (it could never fire).
     bool has_tier_pins_ = false;
 };
+
+/// The provider's provisioning rule over accumulated tier aggregates — the
+/// one copy every evaluator calls, so their capacities cannot drift. When
+/// `object_store_inter` is set (some job sits on objStore; the value is the
+/// largest such job's intermediate volume), persSSD is raised to the
+/// conventional per-VM intermediate volume. Then each block tier's per-VM
+/// share is rounded to what the provider provisions and its aggregate reset
+/// to per_vm x nvm; objStore is split evenly, unrounded. Throws
+/// ValidationError when a tier exceeds its per-VM limits.
+void provision_capacities(const cloud::StorageCatalog& catalog, int nvm,
+                          std::optional<GigaBytes> object_store_inter,
+                          CapacityBreakdown& caps);
 
 /// Eq. 5-6 applied to a makespan and a capacity breakdown — the one cost
 /// formula shared by PlanEvaluator, WorkflowEvaluator and the Deployer, so

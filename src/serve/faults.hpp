@@ -23,17 +23,16 @@
 //                           the circuit breaker's;
 //   * swap storms         — bursts of snapshot swaps; driven by the bench/
 //                           test harness via storm parameters here, since
-//                           swaps originate outside the dispatcher;
+//                           swaps originate outside the serve loops;
 //   * request floods      — open-loop arrival bursts, likewise a driver-
 //                           side parameter (flood_factor scales offered
 //                           load relative to service capacity).
 //
 // Determinism: every per-request decision is drawn from a stream forked
 // from (profile.seed, request id), so it is independent of thread
-// interleaving, dispatch batching and coalescing order — two runs with the
-// same profile and request ids inject identical faults, and the
-// fault-injection tests assert bit-identical outcomes on the deterministic
-// paths.
+// interleaving and coalescing order — two runs with the same profile and
+// request ids inject identical faults, and the fault-injection tests
+// assert bit-identical outcomes on the deterministic paths.
 #pragma once
 
 #include <atomic>
@@ -112,7 +111,7 @@ struct ServeFaultStats {
     }
 };
 
-/// Sampled plan for one solve attempt, consumed by the dispatcher.
+/// Sampled plan for one solve attempt, consumed by the serve loop solving it.
 struct AttemptFault {
     double stall_ms = 0.0;     ///< sleep this long before the attempt
     bool throw_exception = false;  ///< the attempt fails with SimulationError

@@ -118,8 +118,8 @@ struct GovernorOptions {
 
 /// Watches queue depth, in-flight count and the solve-latency EWMA; answers
 /// "what ladder level does this request get" and "can this deadline still
-/// be met". Shared by the dispatcher and all pool workers — the EWMA is the
-/// only mutable state and is mutex-guarded.
+/// be met". Shared by every serve loop — the EWMA is the only mutable state
+/// and is mutex-guarded.
 class OverloadGovernor {
 public:
     OverloadGovernor(GovernorOptions options, std::size_t workers,

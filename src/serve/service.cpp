@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -177,23 +176,25 @@ PlannerService::PlannerService(SnapshotPtr snapshot, ServiceOptions options)
       injector_(options_.faults),
       swap_breaker_(options_.governor.swap_breaker) {
     CAST_EXPECTS_MSG(snapshot_ != nullptr, "PlannerService needs a snapshot");
-    CAST_EXPECTS(options_.max_batch >= 1);
     CAST_EXPECTS(options_.default_max_wall_ms >= 0.0);
-    // Instruments and gauges must exist before the dispatcher can run a
+    // Instruments and gauges must exist before a serve loop can run a
     // single request; inst_ is immutable from here on.
     if (options_.obs.metrics) {
         inst_ = std::make_unique<Instruments>(metrics_);
         register_gauges();
     }
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
+    // One loop per pool thread, each holding its thread until shutdown.
+    for (std::size_t w = 0; w < pool_.worker_count(); ++w) {
+        loops_.push_back(pool_.submit([this] { serve_loop(); }));
+    }
 }
 
 PlannerService::~PlannerService() {
-    // Close admission; the dispatcher drains whatever is already queued
-    // (fast when cancel_inflight() latched the token) and exits on the
-    // queue's closed+empty signal. Pool workers join in ~ThreadPool.
+    // Close admission; the loops drain whatever is already queued (fast
+    // when cancel_inflight() latched the token) and return once it is
+    // closed and empty. Waiting here keeps every member alive for them.
     queue_.close();
-    if (dispatcher_.joinable()) dispatcher_.join();
+    for (auto& loop : loops_) loop.get();
 }
 
 void PlannerService::register_gauges() {
@@ -245,25 +246,24 @@ double PlannerService::total_breaker_trips() const {
 }
 
 void PlannerService::trace_response(
-    const PlanRequest& request, const PlanResponse& resp,
-    std::chrono::steady_clock::time_point enqueued,
-    std::optional<std::chrono::steady_clock::time_point> dispatched,
+    Priority priority, const PlanResponse& resp, std::chrono::steady_clock::time_point enqueued,
+    std::optional<std::chrono::steady_clock::time_point> dequeued,
     std::optional<std::chrono::steady_clock::time_point> solved, const std::string& note) {
     if (!trace_.enabled()) return;
     obs::TraceSpan span;
     span.id = resp.id;
-    span.label = priority_name(request.priority);
+    span.label = priority_name(priority);
     switch (resp.status) {
         case ResponseStatus::kOk: span.outcome = "ok"; break;
         case ResponseStatus::kRejected: span.outcome = "rejected"; break;
         case ResponseStatus::kError: span.outcome = "error"; break;
     }
     span.events.push_back({"admit", trace_.at_ms(enqueued), ""});
-    if (dispatched) {
-        span.events.push_back({"dequeue", trace_.at_ms(*dispatched), ""});
+    if (dequeued) {
+        span.events.push_back({"dequeue", trace_.at_ms(*dequeued), ""});
         // The ladder decision is made at dequeue time; kFull on an
         // ungoverned service documents "no governor in the way".
-        span.events.push_back({"governor", trace_.at_ms(*dispatched),
+        span.events.push_back({"governor", trace_.at_ms(*dequeued),
                                degradation_level_name(resp.degradation_level)});
     }
     if (solved) {
@@ -295,8 +295,8 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
         }
         PlanResponse resp = shed_response(
             request, 0, "deadline shed: predicted queue wait exceeds deadline-ms");
-        trace_response(request, resp, std::chrono::steady_clock::now(), std::nullopt,
-                       std::nullopt, resp.error);
+        trace_response(request.priority, resp, std::chrono::steady_clock::now(),
+                       std::nullopt, std::nullopt, resp.error);
         std::promise<PlanResponse> immediate;
         immediate.set_value(std::move(resp));
         return immediate.get_future();
@@ -308,9 +308,28 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
     const std::uint64_t id = pending->request.id;
     const RequestKind kind = pending->request.kind;
     const auto level = static_cast<std::size_t>(pending->request.priority);
-    // The future must be taken before the push: once admitted, the
-    // dispatcher owns the Pending and may fulfill it at any moment.
+    // The future must be taken before the push: once admitted, a serve
+    // loop owns the Pending and may fulfill it at any moment.
     std::future<PlanResponse> fut = pending->promise.get_future();
+    if (options_.coalesce_identical || governor_.enabled()) {
+        pending->key = dedup_key(pending->request);
+    }
+
+    // Coalesce: an identical request queued on this epoch computes exactly
+    // the bits this one would (deterministic solvers, same options), so
+    // attach to it. The epoch is read before taking inflight_mutex_, a leaf.
+    std::optional<Inflight::iterator> group;
+    if (options_.coalesce_identical) {
+        InflightKey key(pending->key, snapshot()->epoch());
+        LockGuard lock(inflight_mutex_);
+        const auto [it, opened] = inflight_.try_emplace(std::move(key));
+        if (!opened) {
+            in_flight_.fetch_add(1, std::memory_order_relaxed);
+            it->second.push_back(std::move(pending));
+            return fut;
+        }
+        pending->group = group = it;
+    }
     if (queue_.try_push(std::move(pending), level)) return fut;
 
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -320,18 +339,22 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
     resp.kind = kind;
     resp.status = ResponseStatus::kRejected;
     resp.error = "queue full or service shutting down";
-    if (trace_.enabled()) {
-        // The request moved into the queue attempt; stamp a minimal span
-        // from what the rejection response carries.
-        obs::TraceSpan span;
-        span.id = id;
-        span.label = priority_name(static_cast<Priority>(level));
-        span.outcome = "rejected";
-        const double now = trace_.now_ms();
-        span.events.push_back({"admit", now, ""});
-        span.events.push_back({"respond", now, resp.error});
-        trace_.push(std::move(span));
+    // Close the entry, turning away whatever attached to it between the
+    // insert and the failed push.
+    std::vector<std::unique_ptr<Pending>> attached;
+    if (group) {
+        LockGuard lock(inflight_mutex_);
+        attached = std::move(inflight_.extract(*group).mapped());
     }
+    for (const std::unique_ptr<Pending>& dup : attached) {
+        PlanResponse share = resp;
+        share.id = dup->request.id;
+        trace_response(dup->request.priority, share, dup->enqueued, std::nullopt,
+                       std::nullopt, share.error);
+        fulfill(*dup, std::move(share));
+    }
+    trace_response(static_cast<Priority>(level), resp, std::chrono::steady_clock::now(),
+                   std::nullopt, std::nullopt, resp.error);
     std::promise<PlanResponse> immediate;
     immediate.set_value(std::move(resp));
     return immediate.get_future();
@@ -373,7 +396,7 @@ void PlannerService::swap_snapshot(SnapshotPtr next) {
         }
     }
 
-    // Solves dispatched against the old snapshot may still be running;
+    // Solves that captured the old snapshot may still be running;
     // clearing bumps the cache generation, so their thread-local L1 slots
     // are invalidated and values re-derive from the model set — the same
     // bits either way, since the cache is a pure memo.
@@ -419,20 +442,15 @@ ServiceStats PlannerService::stats() const {
     return s;
 }
 
-void PlannerService::dispatcher_loop() {
-    std::vector<std::unique_ptr<Pending>> batch;
-    for (;;) {
-        batch.clear();
-        if (queue_.pop_batch(batch, options_.max_batch) == 0) return;  // closed + drained
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        if (inst_) inst_->batches.add();
-        dispatch_batch(batch);
+void PlannerService::serve_loop() noexcept {
+    while (std::optional<std::unique_ptr<Pending>> popped = queue_.pop()) {
+        serve_one(std::move(*popped));
     }
 }
 
 void PlannerService::fulfill(Pending& pending, PlanResponse&& resp) {
     if (resp.status == ResponseStatus::kRejected) {
-        // A dispatch-time shed is backpressure, not completed work — same
+        // A shed after the pop is backpressure, not completed work — same
         // accounting as a queue-full rejection at submit.
         rejected_.fetch_add(1, std::memory_order_relaxed);
         if (inst_) inst_->rejected.add();
@@ -457,137 +475,109 @@ void PlannerService::fulfill(Pending& pending, PlanResponse&& resp) {
     pending.promise.set_value(std::move(resp));
 }
 
-void PlannerService::dispatch_batch(std::vector<std::unique_ptr<Pending>>& batch) {
-    // One snapshot capture per dispatch: every request in the batch solves
-    // against the same epoch even if a swap lands mid-batch.
+void PlannerService::serve_one(std::unique_ptr<Pending> pending) {
+    Pending& rep = *pending;
+    const auto start = std::chrono::steady_clock::now();
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (inst_) inst_->batches.add();
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    // One snapshot capture per request, never older than the epoch its group
+    // was opened on; a swap landing mid-solve leaves this solve on it.
     const SnapshotPtr snap = snapshot();
-    in_flight_.fetch_add(batch.size(), std::memory_order_relaxed);
 
-    // Coalesce identical requests: one representative solve per dedup key;
-    // the duplicates get a copy of its response. The duplicate would have
-    // computed exactly the same bits (deterministic solvers, shared
-    // snapshot, identical options), so sharing is observationally free.
-    std::vector<std::size_t> reps;
-    std::vector<std::vector<std::size_t>> dupes;
-    if (options_.coalesce_identical && batch.size() > 1) {
-        std::map<std::string, std::size_t> groups;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const auto [it, inserted] =
-                groups.emplace(dedup_key(batch[i]->request), reps.size());
-            if (inserted) {
-                reps.push_back(i);
-                dupes.emplace_back();
-            } else {
-                dupes[it->second].push_back(i);
-            }
+    // Walk the ladder: classify against the live backlog, then either shed
+    // or solve at the chosen level.
+    const double waited_ms = ms_between(rep.enqueued, start);
+    enum class Shed { kNone, kDeadline, kGovernor } shed = Shed::kNone;
+    PlanResponse resp;
+    if (governor_.enabled()) {
+        const DegradationLevel level = governor_.classify(governor_.pressure(
+            queue_.size(), in_flight_.load(std::memory_order_relaxed)));
+        if (options_.governor.deadline_admission && rep.request.deadline_ms > 0.0 &&
+            waited_ms > rep.request.deadline_ms) {
+            shed = Shed::kDeadline;
+            resp = shed_response(rep.request, snap->epoch(),
+                                 "deadline shed: deadline-ms elapsed in queue");
+        } else if (level == DegradationLevel::kShed) {
+            shed = Shed::kGovernor;
+            resp = shed_response(rep.request, snap->epoch(),
+                                 "overload shed: backlog past the shed threshold");
+        } else {
+            resp = solve_request(rep.request, rep.key, *snap, level);
         }
     } else {
-        reps.resize(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) reps[i] = i;
-        dupes.resize(batch.size());
+        resp = solve_request(rep.request, rep.key, *snap, DegradationLevel::kFull);
+    }
+    const auto solved_at = std::chrono::steady_clock::now();
+    resp.queue_ms = waited_ms;
+    resp.solve_ms = ms_between(start, solved_at);
+    if (inst_ && resp.ok()) {
+        if (resp.batch) inst_->record_tempering(resp.batch->tempering, resp.solve_ms);
+        if (resp.workflow) inst_->record_tempering(resp.workflow->tempering, resp.solve_ms);
+    }
+    if (shed == Shed::kNone) {
+        // Feed the latency EWMA with actual solve time only — sheds are
+        // near-free and would talk the governor out of shedding.
+        governor_.record_solve_ms(resp.solve_ms);
     }
 
-    pool_.parallel_for(
-        reps.size(),
-        [&](std::size_t r) {
-            Pending& rep = *batch[reps[r]];
-            const auto start = std::chrono::steady_clock::now();
-            const double waited_ms = ms_between(rep.enqueued, start);
+    // Close the group before fulfilling anyone: a request submitted from
+    // here on starts its own solve instead of attaching to a finished one.
+    std::vector<std::unique_ptr<Pending>> attached;
+    if (rep.group) {
+        LockGuard lock(inflight_mutex_);
+        attached = std::move(inflight_.extract(*rep.group).mapped());
+    }
 
-            // Walk the ladder: classify once per representative against the
-            // live backlog, then either shed or solve at the chosen level.
-            enum class Shed { kNone, kDeadline, kGovernor } shed = Shed::kNone;
-            PlanResponse resp;
-            if (governor_.enabled()) {
-                const DegradationLevel level = governor_.classify(governor_.pressure(
-                    queue_.size(), in_flight_.load(std::memory_order_relaxed)));
-                if (options_.governor.deadline_admission &&
-                    rep.request.deadline_ms > 0.0 &&
-                    waited_ms > rep.request.deadline_ms) {
-                    shed = Shed::kDeadline;
-                    resp = shed_response(rep.request, snap->epoch(),
-                                         "deadline shed: deadline-ms elapsed in queue");
-                } else if (level == DegradationLevel::kShed) {
-                    shed = Shed::kGovernor;
-                    resp = shed_response(rep.request, snap->epoch(),
-                                         "overload shed: backlog past the shed threshold");
-                } else {
-                    resp = solve_request(rep.request, *snap, level);
-                }
-            } else {
-                resp = solve_request(rep.request, *snap, DegradationLevel::kFull);
-            }
-            const auto solved_at = std::chrono::steady_clock::now();
-            resp.queue_ms = waited_ms;
-            resp.solve_ms = ms_between(start, solved_at);
-            if (inst_ && resp.ok()) {
-                if (resp.batch) inst_->record_tempering(resp.batch->tempering, resp.solve_ms);
-                if (resp.workflow) {
-                    inst_->record_tempering(resp.workflow->tempering, resp.solve_ms);
-                }
-            }
+    // Outcome counters count responses, attached ones included.
+    const std::uint64_t responses = 1 + attached.size();
+    if (shed == Shed::kDeadline) {
+        deadline_shed_.fetch_add(responses, std::memory_order_relaxed);
+        if (inst_) inst_->shed_deadline.add(responses);
+    } else if (shed == Shed::kGovernor) {
+        governor_shed_.fetch_add(responses, std::memory_order_relaxed);
+        if (inst_) inst_->shed_overload.add(responses);
+    } else if (resp.ok()) {
+        switch (resp.degradation_level) {
+            case DegradationLevel::kFull:
+                served_full_.fetch_add(responses, std::memory_order_relaxed);
+                if (inst_) inst_->served_full.add(responses);
+                break;
+            case DegradationLevel::kTrimmed:
+                served_trimmed_.fetch_add(responses, std::memory_order_relaxed);
+                if (inst_) inst_->served_trimmed.add(responses);
+                break;
+            case DegradationLevel::kGreedy:
+                served_greedy_.fetch_add(responses, std::memory_order_relaxed);
+                if (inst_) inst_->served_greedy.add(responses);
+                break;
+            case DegradationLevel::kShed:
+                break;
+        }
+    }
+    coalesced_.fetch_add(attached.size(), std::memory_order_relaxed);
+    if (inst_) inst_->coalesced.add(attached.size());
 
-            auto count_outcome = [&](const PlanResponse& out) {
-                switch (shed) {
-                    case Shed::kDeadline:
-                        deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->shed_deadline.add();
-                        return;
-                    case Shed::kGovernor:
-                        governor_shed_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->shed_overload.add();
-                        return;
-                    case Shed::kNone:
-                        break;
-                }
-                if (!out.ok()) return;
-                switch (out.degradation_level) {
-                    case DegradationLevel::kFull:
-                        served_full_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->served_full.add();
-                        break;
-                    case DegradationLevel::kTrimmed:
-                        served_trimmed_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->served_trimmed.add();
-                        break;
-                    case DegradationLevel::kGreedy:
-                        served_greedy_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->served_greedy.add();
-                        break;
-                    case DegradationLevel::kShed:
-                        break;
-                }
-            };
-
-            if (shed == Shed::kNone) {
-                // Feed the latency EWMA with actual solve time only — sheds
-                // are near-free and would talk the governor out of shedding.
-                governor_.record_solve_ms(resp.solve_ms);
-            }
-
-            for (const std::size_t d : dupes[r]) {
-                Pending& dup = *batch[d];
-                PlanResponse share = resp;
-                share.id = dup.request.id;
-                share.coalesced = true;
-                share.queue_ms = ms_between(dup.enqueued, start);
-                count_outcome(share);
-                coalesced_.fetch_add(1, std::memory_order_relaxed);
-                if (inst_) inst_->coalesced.add();
-                trace_response(dup.request, share, dup.enqueued, start, std::nullopt,
-                               "coalesced");
-                fulfill(dup, std::move(share));
-            }
-            count_outcome(resp);
-            trace_response(rep.request, resp, rep.enqueued, start,
-                           shed == Shed::kNone
-                               ? std::optional<std::chrono::steady_clock::time_point>(
-                                     solved_at)
-                               : std::nullopt,
-                           resp.error);
-            fulfill(rep, std::move(resp));
-        },
-        /*grain=*/1);
+    const auto shared_at = std::chrono::steady_clock::now();
+    for (const std::unique_ptr<Pending>& dup : attached) {
+        // Its queue wait ends when the shared solve starts, or at once if
+        // it attached mid-solve.
+        const auto joined = std::max(dup->enqueued, start);
+        PlanResponse share = resp;
+        share.id = dup->request.id;
+        share.coalesced = true;
+        share.queue_ms = ms_between(dup->enqueued, joined);
+        share.solve_ms = ms_between(joined, shared_at);
+        trace_response(dup->request.priority, share, dup->enqueued, joined, std::nullopt,
+                       "coalesced");
+        fulfill(*dup, std::move(share));
+    }
+    trace_response(rep.request.priority, resp, rep.enqueued, start,
+                   shed == Shed::kNone
+                       ? std::optional<std::chrono::steady_clock::time_point>(solved_at)
+                       : std::nullopt,
+                   resp.error);
+    fulfill(rep, std::move(resp));
 }
 
 std::shared_ptr<CircuitBreaker> PlannerService::breaker_for(const std::string& key) {
@@ -606,7 +596,8 @@ std::shared_ptr<CircuitBreaker> PlannerService::breaker_for(const std::string& k
     return breaker;
 }
 
-PlanResponse PlannerService::solve_request(const PlanRequest& request, const Snapshot& snap,
+PlanResponse PlannerService::solve_request(const PlanRequest& request,
+                                           const std::string& key, const Snapshot& snap,
                                            DegradationLevel level) {
     const bool governed = governor_.enabled();
 
@@ -615,7 +606,7 @@ PlanResponse PlannerService::solve_request(const PlanRequest& request, const Sna
     // time it reappears.
     std::shared_ptr<CircuitBreaker> breaker;
     if (governed) {
-        breaker = breaker_for(dedup_key(request));
+        breaker = breaker_for(key);
         if (!breaker->allow()) {
             breaker_fastfail_.fetch_add(1, std::memory_order_relaxed);
             if (inst_) inst_->breaker_fastfail.add();
@@ -660,8 +651,7 @@ PlanResponse PlannerService::solve_request(const PlanRequest& request, const Sna
             return resp;
         } catch (const std::exception& e) {
             // Lint rejections, validation failures and injected faults are
-            // per-request faults; they must never take down the service or
-            // the batch.
+            // per-request faults; they must never take down the service.
             if (breaker) breaker->record_failure();
             resp = PlanResponse{};
             resp.id = request.id;

@@ -6,9 +6,11 @@
 //
 //   * requests are admitted through a bounded priority queue (reject on
 //     overflow = explicit backpressure, never unbounded memory),
-//   * a dispatcher thread pops them in batches, coalesces identical
-//     requests (popular-template replay solves once, everyone gets the
-//     bits), and fans the unique solves over the work-stealing ThreadPool,
+//   * `workers` serve loops on the service's ThreadPool each pop one
+//     request at a time, so a request starts on the next free worker,
+//   * a request identical to one queued or solving on the same snapshot
+//     epoch attaches to it at admission (popular-template replay solves
+//     once, everyone gets the bits),
 //   * every solve runs against the current immutable Snapshot and its
 //     snapshot-scoped EvalCache, so REG runtimes computed for request N
 //     are free for request N+1 (bit-identical by EvalCache's contract),
@@ -29,11 +31,12 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -111,9 +114,9 @@ struct PlanResponse {
     std::optional<core::WorkflowSolveResult> workflow;
     /// Epoch of the snapshot this request was solved against.
     std::uint64_t snapshot_epoch = 0;
-    /// True when this response was shared from an identical request solved
-    /// in the same dispatch (bit-identical by solver determinism — the
-    /// duplicate would have computed exactly these bits).
+    /// True when this request attached at admission to an identical one and
+    /// got its bits (exactly what its own solve would compute); queue_ms +
+    /// solve_ms is still its own submit-to-fulfill time.
     bool coalesced = false;
     /// Ladder level this response was served at (kFull when the governor is
     /// idle; kShed on a governor/deadline rejection).
@@ -152,13 +155,10 @@ struct ObservabilityOptions {
 };
 
 struct ServiceOptions {
-    /// Solver pool size (the dispatcher thread is extra).
+    /// Serve loops, one per pool thread: at most this many solves at once.
     std::size_t workers = ThreadPool::default_workers();
     /// Admission-queue bound; try_push beyond it rejects (backpressure).
     std::size_t queue_capacity = 256;
-    /// Max requests coalesced into one dispatch: they share one snapshot
-    /// capture and fan out over the pool together.
-    std::size_t max_batch = 16;
     /// Default per-request wall budget (ms); 0 = unbudgeted.
     double default_max_wall_ms = 0.0;
     /// Solver configuration applied to every request (seed and budget are
@@ -169,9 +169,9 @@ struct ServiceOptions {
     /// Incremental re-planning policy applied to amend requests (the
     /// governor's trimmed/greedy rungs shrink it further per request).
     core::AmendPolicy amend;
-    /// Solve identical requests landing in one dispatch once and share the
-    /// response (popular-template replay dedup). Safe because solves are
-    /// deterministic functions of (request, snapshot, options).
+    /// Attach a submitted request to an identical queued or running one and
+    /// share its response (popular-template replay dedup). Safe because
+    /// solves are deterministic functions of (request, snapshot, options).
     bool coalesce_identical = true;
     /// Overload governor; disabled by default, which leaves every response
     /// bit-identical to an ungoverned service.
@@ -189,16 +189,16 @@ struct ServiceStats {
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;
     std::uint64_t errors = 0;
-    std::uint64_t batches = 0;         ///< dispatches (pop_batch groups)
+    std::uint64_t batches = 0;         ///< requests popped (attached ones never are)
     std::uint64_t coalesced = 0;       ///< responses shared from a duplicate
     std::uint64_t snapshot_swaps = 0;  ///< swap_snapshot calls
-    // Governor ladder counters: how many representative solves ran at each
-    // level, and how many requests were shed before any solve.
+    // Governor ladder counters: how many responses were served at each
+    // level (coalesced copies included), and how many were shed unsolved.
     std::uint64_t served_full = 0;
     std::uint64_t served_trimmed = 0;
     std::uint64_t served_greedy = 0;
-    std::uint64_t governor_shed = 0;   ///< load-shed at dispatch (ladder level 3)
-    std::uint64_t deadline_shed = 0;   ///< provably-late drops (admission/dispatch)
+    std::uint64_t governor_shed = 0;   ///< load-shed when popped (ladder level 3)
+    std::uint64_t deadline_shed = 0;   ///< provably-late drops (admission or pop)
     // Incremental re-planning counters (amend requests only).
     std::uint64_t amend_requests = 0;     ///< amend solves that ran (ok or error)
     std::uint64_t amend_escalations = 0;  ///< amends escalated to a full cold re-solve
@@ -232,8 +232,8 @@ public:
     PlannerService(const PlannerService&) = delete;
     PlannerService& operator=(const PlannerService&) = delete;
 
-    /// Closes admission, drains queued work (unless cancel_inflight() was
-    /// called), and joins the dispatcher and pool.
+    /// Closes admission, lets the serve loops drain queued work (fast when
+    /// cancel_inflight() was called), and joins the pool.
     ~PlannerService();
 
     /// Enqueue a request. Always returns a future: on admission it resolves
@@ -243,7 +243,7 @@ public:
     [[nodiscard]] std::future<PlanResponse> submit(PlanRequest request);
 
     /// Install a new snapshot. In-flight requests keep the snapshot they
-    /// were dispatched with (refcount); later dispatches see the new one.
+    /// captured when popped (refcount); later requests see the new one.
     /// The outgoing snapshot's cache is cleared, bumping its generation so
     /// any thread-local L1 entries die with it.
     void swap_snapshot(SnapshotPtr next) CAST_EXCLUDES(snapshot_mutex_);
@@ -296,19 +296,37 @@ public:
         DegradationLevel level = DegradationLevel::kFull);
 
 private:
+    struct Pending;
+    /// Coalescing table: (dedup key, snapshot epoch at submit) of each
+    /// request queued or solving -> the identical requests attached to it.
+    /// The epoch keeps a request submitted after a swap off older groups;
+    /// a std::map, so an entry's iterator stays valid until it is extracted.
+    using InflightKey = std::pair<std::string, std::uint64_t>;
+    using Inflight = std::map<InflightKey, std::vector<std::unique_ptr<Pending>>>;
     struct Pending {
         PlanRequest request;
         std::promise<PlanResponse> promise;
         std::chrono::steady_clock::time_point enqueued;
+        /// dedup_key(request) when coalescing or governed; empty otherwise.
+        std::string key;
+        /// The inflight_ entry this request opened, if coalescing.
+        std::optional<Inflight::iterator> group;
     };
 
-    void dispatcher_loop();
-    void dispatch_batch(std::vector<std::unique_ptr<Pending>>& batch);
+    /// One per worker: pop and serve requests until the queue is closed
+    /// and drained. noexcept: a fault escaping serve_one is a bug that must
+    /// end the process, not silently retire a worker.
+    void serve_loop() noexcept;
+    /// Capture the snapshot, ask the governor, shed or solve, and fulfill
+    /// this request and every request attached to it.
+    void serve_one(std::unique_ptr<Pending> pending);
     /// Compute the response at the given ladder level, surviving injected
     /// and real solver exceptions via the retry/breaker wrapper (never
     /// throws; terminal faults become kError). Timing fields are the
     /// caller's to fill.
+    /// `key` is the request's dedup key, the breaker's template identity.
     [[nodiscard]] PlanResponse solve_request(const PlanRequest& request,
+                                             const std::string& key,
                                              const Snapshot& snap,
                                              DegradationLevel level);
     /// Amend path: look up the stored plan, run the IncrementalSolver with
@@ -329,8 +347,8 @@ private:
     [[nodiscard]] std::shared_ptr<CircuitBreaker> breaker_for(const std::string& key)
         CAST_EXCLUDES(breaker_mutex_);
     /// Fulfill one pending with its response, maintaining the
-    /// completed/rejected/errors counters (a dispatch-time shed counts as
-    /// rejected, not completed).
+    /// completed/rejected/errors counters (a governor shed after the pop
+    /// counts as rejected, not completed).
     void fulfill(Pending& pending, PlanResponse&& resp);
     /// Coalescing identity: kind, solver-relevant options, and the full
     /// workload/workflow content (spec serialization + job names).
@@ -342,17 +360,17 @@ private:
     struct Instruments;
     /// Register the serve.* pull gauges (queue depth, in-flight, EWMA,
     /// cache stats, breaker states) against live service state. Called
-    /// once from the constructor, before the dispatcher starts.
+    /// once from the constructor, before the serve loops start.
     void register_gauges();
     /// Breaker aggregates for the pull gauges.
     [[nodiscard]] double open_breaker_count() const CAST_EXCLUDES(breaker_mutex_);
     [[nodiscard]] double total_breaker_trips() const CAST_EXCLUDES(breaker_mutex_);
     /// Push a span for one fulfilled response (no-op when tracing is off).
-    /// `enqueued`/`dispatched` stamp the admit/dequeue events; `solved` is
+    /// `enqueued`/`dequeued` stamp the admit/dequeue events; `solved` is
     /// unset for sheds, which never reach a solver.
-    void trace_response(const PlanRequest& request, const PlanResponse& resp,
+    void trace_response(Priority priority, const PlanResponse& resp,
                         std::chrono::steady_clock::time_point enqueued,
-                        std::optional<std::chrono::steady_clock::time_point> dispatched,
+                        std::optional<std::chrono::steady_clock::time_point> dequeued,
                         std::optional<std::chrono::steady_clock::time_point> solved,
                         const std::string& note);
 
@@ -390,9 +408,14 @@ private:
     std::atomic<std::uint64_t> solve_retries_{0};
     std::atomic<std::uint64_t> breaker_fastfail_{0};
     std::atomic<std::uint64_t> swap_clears_suppressed_{0};
-    /// Requests popped from the queue whose response is not yet fulfilled;
+    /// Requests popped or attached whose response is not yet fulfilled;
     /// feeds the governor's backlog estimate together with queue depth.
     std::atomic<std::size_t> in_flight_{0};
+
+    /// A leaf: never held while solving, fulfilling or taking the queue or
+    /// snapshot mutex.
+    mutable Mutex inflight_mutex_;
+    Inflight inflight_ CAST_GUARDED_BY(inflight_mutex_);
 
     /// Plan store for amend requests. Two-level locking: store_mutex_
     /// guards the handle map only; each entry carries its own mutex held
@@ -424,8 +447,8 @@ private:
     std::chrono::steady_clock::time_point last_swap_ CAST_GUARDED_BY(snapshot_mutex_){};
     bool any_swap_ CAST_GUARDED_BY(snapshot_mutex_) = false;
 
-    /// Started last: everything it touches must already be constructed.
-    std::thread dispatcher_;
+    /// The serve loops: started last, waited on before any member dies.
+    std::vector<std::future<void>> loops_;
 };
 
 }  // namespace cast::serve

@@ -13,7 +13,7 @@
 //     request N computed (bit-identical by EvalCache's contract).
 //
 // Snapshots are immutable and refcounted (std::shared_ptr<const Snapshot>):
-// every in-flight request holds the snapshot it was dispatched with, so a
+// every in-flight request holds the snapshot it captured when popped, so a
 // swap can never pull models out from under a running solve. Each snapshot
 // carries a process-globally unique epoch; PlannerService::swap_snapshot
 // installs the next epoch and clear()s the outgoing snapshot's cache,

@@ -1,4 +1,4 @@
-// Fixture: C008 must fire on an ad-hoc std::thread outside the pool/service.
+// Fixture: C008 must fire on an ad-hoc std::thread outside the pool.
 #include <thread>
 
 namespace fixture {

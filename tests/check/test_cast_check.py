@@ -51,6 +51,7 @@ class RuleFiresExactlyWhereExpected(unittest.TestCase):
         "c006_nodiscard.cpp": [("C006", 4), ("C006", 5)],
         "c007_unjustified_escape.cpp": [("C007", 5)],
         "c008_adhoc_thread.cpp": [("C008", 6)],
+        "serve/service.cpp": [("C008", 7)],
         "c009_escape_budget.cpp": [("C009", None)],
         "serve/adhoc_cerr.cpp": [("C010", 8), ("C010", 9)],
         "solver/annealing.cpp": [("C011", 12), ("C011", 13), ("C011", 14)],

@@ -57,21 +57,6 @@ TEST(BoundedPriorityQueue, CloseRejectsNewItemsButDrainsAdmittedOnes) {
     EXPECT_EQ(q.pop(), std::nullopt);  // closed + drained: no block
 }
 
-TEST(BoundedPriorityQueue, PopBatchDrainsUpToMaxHighestFirst) {
-    BoundedPriorityQueue<int> q(8, 2);
-    for (int v : {10, 11, 12}) ASSERT_TRUE(q.try_push(v, 1));
-    for (int v : {1, 2}) ASSERT_TRUE(q.try_push(v, 0));
-
-    std::vector<int> out;
-    EXPECT_EQ(q.pop_batch(out, 4), 4u);
-    EXPECT_EQ(out, (std::vector<int>{1, 2, 10, 11}));
-    EXPECT_EQ(q.pop_batch(out, 4), 1u);
-    EXPECT_EQ(out.back(), 12);
-
-    q.close();
-    EXPECT_EQ(q.pop_batch(out, 4), 0u);  // closed + drained
-}
-
 TEST(BoundedPriorityQueue, MoveOnlyItemsFlowThrough) {
     BoundedPriorityQueue<std::unique_ptr<int>> q(2);
     ASSERT_TRUE(q.try_push(std::make_unique<int>(7)));
@@ -81,9 +66,9 @@ TEST(BoundedPriorityQueue, MoveOnlyItemsFlowThrough) {
 }
 
 // Concurrency contract under TSan: many producers race try_push against
-// consumers draining with pop_batch; every admitted item comes out exactly
-// once and close() releases every blocked consumer.
-TEST(BoundedPriorityQueue, ConcurrentProducersAndBatchConsumersLoseNothing) {
+// consumers draining with pop; every admitted item comes out exactly once
+// and close() releases every blocked consumer.
+TEST(BoundedPriorityQueue, ConcurrentProducersAndConsumersLoseNothing) {
     constexpr int kProducers = 4;
     constexpr int kConsumers = 3;
     constexpr int kPerProducer = 500;
@@ -97,14 +82,9 @@ TEST(BoundedPriorityQueue, ConcurrentProducersAndBatchConsumersLoseNothing) {
     consumers.reserve(kConsumers);
     for (int c = 0; c < kConsumers; ++c) {
         consumers.emplace_back([&] {
-            std::vector<int> batch;
-            for (;;) {
-                batch.clear();
-                if (q.pop_batch(batch, 8) == 0) return;
-                for (const int v : batch) {
-                    popped_sum.fetch_add(v, std::memory_order_relaxed);
-                    popped_count.fetch_add(1, std::memory_order_relaxed);
-                }
+            while (const auto v = q.pop()) {
+                popped_sum.fetch_add(*v, std::memory_order_relaxed);
+                popped_count.fetch_add(1, std::memory_order_relaxed);
             }
         });
     }
@@ -134,11 +114,11 @@ TEST(BoundedPriorityQueue, ConcurrentProducersAndBatchConsumersLoseNothing) {
 }
 
 // Shutdown race: close() fires while producers are mid-try_push and
-// consumers are mid-pop_batch. The contract under this race is exact —
+// consumers are mid-pop. The contract under this race is exact —
 // every try_push that returned true is drained exactly once, every
 // try_push after close returns false, and no thread hangs. Run many short
 // rounds so TSan sees lots of distinct interleavings of close vs push/pop.
-TEST(BoundedPriorityQueue, CloseRacingPushAndPopBatchLosesNoAdmittedItem) {
+TEST(BoundedPriorityQueue, CloseRacingPushAndPopLosesNoAdmittedItem) {
     constexpr int kRounds = 25;
     constexpr int kProducers = 3;
     constexpr int kConsumers = 2;
@@ -155,14 +135,9 @@ TEST(BoundedPriorityQueue, CloseRacingPushAndPopBatchLosesNoAdmittedItem) {
         consumers.reserve(kConsumers);
         for (int c = 0; c < kConsumers; ++c) {
             consumers.emplace_back([&] {
-                std::vector<int> batch;
-                for (;;) {
-                    batch.clear();
-                    if (q.pop_batch(batch, 4) == 0) return;
-                    for (const int v : batch) {
-                        drained_sum.fetch_add(v, std::memory_order_relaxed);
-                        drained_count.fetch_add(1, std::memory_order_relaxed);
-                    }
+                while (const auto v = q.pop()) {
+                    drained_sum.fetch_add(*v, std::memory_order_relaxed);
+                    drained_count.fetch_add(1, std::memory_order_relaxed);
                 }
             });
         }
@@ -214,23 +189,10 @@ TEST(BoundedPriorityQueue, BlockedConsumersWakeOnPushNotOnlyOnClose) {
     std::vector<std::thread> consumers;
     consumers.reserve(3);
     for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&, c] {
-            std::vector<int> batch;
-            for (;;) {
-                if (c == 0) {
-                    // Single-pop path: exercises the pop() wait loop.
-                    const auto v = q.pop();
-                    if (!v) return;
-                    drained_sum.fetch_add(*v, std::memory_order_relaxed);
-                    drained_count.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    batch.clear();
-                    if (q.pop_batch(batch, 4) == 0) return;
-                    for (const int v : batch) {
-                        drained_sum.fetch_add(v, std::memory_order_relaxed);
-                        drained_count.fetch_add(1, std::memory_order_relaxed);
-                    }
-                }
+        consumers.emplace_back([&] {
+            while (const auto v = q.pop()) {
+                drained_sum.fetch_add(*v, std::memory_order_relaxed);
+                drained_count.fetch_add(1, std::memory_order_relaxed);
             }
         });
     }
@@ -253,7 +215,7 @@ TEST(BoundedPriorityQueue, BlockedConsumersWakeOnPushNotOnlyOnClose) {
 }
 
 // close() must release consumers blocked on an *empty* queue — the
-// wait-predicate race the dispatcher shutdown depends on.
+// wait-predicate race the serve loops' shutdown depends on.
 TEST(BoundedPriorityQueue, CloseReleasesConsumersBlockedOnEmptyQueue) {
     BoundedPriorityQueue<int> q(4);
     std::atomic<int> released{0};
@@ -261,13 +223,8 @@ TEST(BoundedPriorityQueue, CloseReleasesConsumersBlockedOnEmptyQueue) {
     std::vector<std::thread> consumers;
     consumers.reserve(3);
     for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&, c] {
-            if (c % 2 == 0) {
-                EXPECT_EQ(q.pop(), std::nullopt);
-            } else {
-                std::vector<int> batch;
-                EXPECT_EQ(q.pop_batch(batch, 8), 0u);
-            }
+        consumers.emplace_back([&] {
+            EXPECT_EQ(q.pop(), std::nullopt);
             released.fetch_add(1, std::memory_order_relaxed);
         });
     }

@@ -222,7 +222,6 @@ TEST(AmendService, MetricsMirrorAmendCounters) {
 
 TEST(AmendService, AmendsNeverCoalesceEvenWhenIdentical) {
     ServiceOptions opts = fast_options(1);
-    opts.max_batch = 8;  // both amends land in one dispatch window
     PlannerService service(fresh_snapshot(), opts);
     ASSERT_TRUE(service.submit(batch_request(1, "live")).get().ok());
 

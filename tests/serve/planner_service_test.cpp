@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <set>
 #include <thread>
@@ -202,7 +203,6 @@ TEST(PlannerService, TinyBudgetFlagsExhaustionButStillPlans) {
 TEST(PlannerService, BackpressureRejectsWhenQueueIsFull) {
     ServiceOptions opts = fast_options(1);
     opts.queue_capacity = 1;
-    opts.max_batch = 1;
     opts.coalesce_identical = false;
     opts.solver.annealing.iter_max = 2'000'000;
     opts.default_max_wall_ms = 50.0;  // each solve occupies the worker ~50ms
@@ -339,10 +339,10 @@ TEST(PlannerService, CoalescingSharesBitsAcrossIdenticalRequests) {
     ServiceOptions opts = fast_options(1);
     opts.solver.annealing.iter_max = 2'000'000;
     opts.default_max_wall_ms = 40.0;  // first solve long enough to queue behind
-    opts.max_batch = 16;
 
     PlannerService service(fresh_snapshot(), opts);
-    // Occupy the dispatcher so the identical requests below land in one batch.
+    // Occupy the only worker so the identical requests below queue behind it
+    // and attach to the first of them.
     PlanRequest head;
     head.id = 1;
     head.workload = workload_b();
@@ -369,6 +369,126 @@ TEST(PlannerService, CoalescingSharesBitsAcrossIdenticalRequests) {
     EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(std::count_if(
                                    responses.begin(), responses.end(),
                                    [](const PlanResponse& r) { return r.coalesced; })));
+    EXPECT_GT(stats.coalesced, 0u);
+}
+
+/// Block until the serve loops have popped `n` requests in total.
+void wait_until_popped(const PlannerService& service, std::uint64_t n) {
+    while (service.stats().batches < n) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+/// A batch request that anneals until its wall budget runs out.
+PlanRequest wall_bound_request(std::uint64_t id, workload::Workload workload,
+                               double max_wall_ms) {
+    PlanRequest request;
+    request.id = id;
+    request.workload = std::move(workload);
+    request.seed = 9;
+    request.max_wall_ms = max_wall_ms;
+    return request;
+}
+
+/// Service options whose solves run until their request's wall budget.
+ServiceOptions wall_bound_options(std::size_t workers) {
+    ServiceOptions opts = fast_options(workers);
+    opts.solver.annealing.iter_max = 2'000'000;
+    return opts;
+}
+
+double ms_since(std::chrono::steady_clock::time_point from) {
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - from)
+        .count();
+}
+
+// No batch barrier: with two workers, a request arriving while another is
+// mid-solve starts at once on the idle worker instead of waiting for the
+// running solve to finish.
+TEST(PlannerService, IdleWorkerStartsRequestArrivingMidSolve) {
+    PlannerService service(fresh_snapshot(), wall_bound_options(2));
+    auto slow = service.submit(wall_bound_request(1, workload_a(), 300.0));
+    wait_until_popped(service, 1);
+
+    auto quick = service.submit(wall_bound_request(2, workload_b(), 5.0));
+    const PlanResponse quick_resp = quick.get();
+    EXPECT_EQ(slow.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
+        << "the 5 ms request resolved only after the 300 ms one";
+    const PlanResponse slow_resp = slow.get();
+    ASSERT_TRUE(quick_resp.ok()) << quick_resp.error;
+    ASSERT_TRUE(slow_resp.ok()) << slow_resp.error;
+    EXPECT_LT(quick_resp.queue_ms, slow_resp.solve_ms / 4.0);
+}
+
+// In-flight coalescing: an identical request submitted while its twin is
+// being solved attaches to that solve and shares its bits; its timings
+// still add up to its own submit-to-fulfill time, and the registry counts
+// the attach exactly like the stats do.
+TEST(PlannerService, IdenticalRequestMidSolveAttachesToItsTwin) {
+    ServiceOptions opts = wall_bound_options(2);
+    opts.obs.metrics = true;
+    opts.obs.trace_capacity = 8;
+    PlannerService service(fresh_snapshot(), opts);
+    auto twin = service.submit(wall_bound_request(1, workload_a(), 200.0));
+    wait_until_popped(service, 1);
+
+    const auto submitted_at = std::chrono::steady_clock::now();
+    auto dup = service.submit(wall_bound_request(2, workload_a(), 200.0));
+    const PlanResponse dup_resp = dup.get();
+    const double dup_elapsed_ms = ms_since(submitted_at);
+    const PlanResponse twin_resp = twin.get();
+
+    ASSERT_TRUE(twin_resp.ok()) << twin_resp.error;
+    ASSERT_TRUE(dup_resp.ok()) << dup_resp.error;
+    EXPECT_FALSE(twin_resp.coalesced);
+    EXPECT_TRUE(dup_resp.coalesced);
+    EXPECT_EQ(dup_resp.id, 2u);
+    expect_bit_identical(dup_resp, twin_resp);
+    EXPECT_GE(dup_resp.queue_ms, 0.0);
+    EXPECT_GT(dup_resp.solve_ms, 0.0);
+    EXPECT_LE(dup_resp.queue_ms + dup_resp.solve_ms, dup_elapsed_ms);
+    EXPECT_GT(dup_resp.queue_ms + dup_resp.solve_ms, dup_elapsed_ms / 2.0);
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.coalesced, 1u);
+    EXPECT_EQ(stats.batches, 1u);  // the attached request is never popped
+    EXPECT_EQ(stats.served_full, 2u);
+    const obs::MetricsRegistry& reg = service.metrics();
+    EXPECT_EQ(reg.counter_value("serve.requests.coalesced"), stats.coalesced);
+    EXPECT_EQ(reg.counter_value("serve.governor.served_full"), stats.served_full);
+    EXPECT_EQ(reg.histogram_count("serve.latency_ms.normal"), 2u);
+    EXPECT_EQ(reg.histogram_count("serve.solve_ms"), 1u);  // one solve ran
+    const auto spans = service.trace_spans();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [](const obs::TraceSpan& span) {
+                                return span.events.back().detail == "coalesced";
+                            }),
+              1);
+}
+
+// The epoch is part of the coalescing key: after a swap, an identical
+// request solves on the new snapshot rather than attaching to the solve
+// still running on the old one.
+TEST(PlannerService, IdenticalRequestAfterSwapSolvesOnTheNewEpoch) {
+    PlannerService service(fresh_snapshot(), wall_bound_options(2));
+    const std::uint64_t old_epoch = service.snapshot()->epoch();
+    auto before = service.submit(wall_bound_request(1, workload_a(), 200.0));
+    wait_until_popped(service, 1);
+
+    service.swap_snapshot(fresh_snapshot());
+    const std::uint64_t new_epoch = service.snapshot()->epoch();
+    ASSERT_NE(new_epoch, old_epoch);
+    auto after = service.submit(wall_bound_request(2, workload_a(), 200.0));
+    const PlanResponse after_resp = after.get();
+    const PlanResponse before_resp = before.get();
+
+    ASSERT_TRUE(before_resp.ok()) << before_resp.error;
+    ASSERT_TRUE(after_resp.ok()) << after_resp.error;
+    EXPECT_EQ(before_resp.snapshot_epoch, old_epoch);
+    EXPECT_EQ(after_resp.snapshot_epoch, new_epoch);
+    EXPECT_FALSE(after_resp.coalesced);
+    EXPECT_EQ(service.stats().coalesced, 0u);
 }
 
 }  // namespace

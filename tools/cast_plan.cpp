@@ -24,7 +24,7 @@
 //                   [--governor] [--latency-target-ms X] [--fault-intensity I]
 //                   [--metrics] [--metrics-out FILE] [--trace [N]]
 //       Replay a request file through the long-lived PlannerService
-//       (snapshot cache, batching, coalescing) and print per-request
+//       (snapshot cache, coalescing) and print per-request
 //       results plus service/cache statistics. --governor enables the
 //       overload governor (degradation ladder, deadline admission, retry +
 //       circuit breakers); --fault-intensity injects the seeded serve-layer
@@ -83,7 +83,7 @@ int usage() {
            "  cast_plan workflow --models FILE --spec FILE [--deploy]\n"
            "  cast_plan synth    [--seed N] [--out FILE]\n"
            "  cast_plan serve    --models FILE --requests FILE [--workers N]\n"
-           "                     [--queue N] [--batch N] [--budget-ms X]\n"
+           "                     [--queue N] [--budget-ms X]\n"
            "                     [--governor] [--latency-target-ms X]\n"
            "                     [--fault-intensity I] [--fault-seed N]\n"
            "                     [--metrics] [--metrics-out FILE] [--trace [N]]\n"
@@ -280,8 +280,6 @@ int cmd_serve(const Args& args) {
     if (!workers.empty()) opts.workers = std::stoul(workers);
     const std::string queue = args.get("queue");
     if (!queue.empty()) opts.queue_capacity = std::stoul(queue);
-    const std::string batch = args.get("batch");
-    if (!batch.empty()) opts.max_batch = std::stoul(batch);
     const std::string budget = args.get("budget-ms");
     if (!budget.empty()) opts.default_max_wall_ms = std::stod(budget);
 
@@ -325,8 +323,9 @@ int cmd_serve(const Args& args) {
     std::cout << "serving " << requests.size() << " requests over " << opts.workers
               << " workers (snapshot epoch " << snapshot->epoch() << ")\n";
 
-    // Open loop: everything is queued up front, so the dispatcher sees deep
-    // batches and coalescing/caching get a fair chance to kick in.
+    // Open loop: everything is queued up front, so identical requests are
+    // submitted while their twin is still queued or solving and
+    // coalescing/caching get a fair chance to kick in.
     std::vector<std::future<serve::PlanResponse>> futures;
     futures.reserve(requests.size());
     for (serve::PlanRequest& request : requests) {
@@ -368,7 +367,7 @@ int cmd_serve(const Args& args) {
     const serve::ServiceStats stats = service.stats();
     std::cout << "service: " << stats.completed << " completed, " << stats.rejected
               << " rejected, " << stats.errors << " errors, " << stats.coalesced
-              << " coalesced across " << stats.batches << " dispatches\n";
+              << " coalesced\n";
     if (opts.governor.enabled) {
         std::cout << "governor: full " << stats.served_full << ", trimmed "
                   << stats.served_trimmed << ", greedy " << stats.served_greedy
