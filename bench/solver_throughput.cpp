@@ -4,9 +4,9 @@
 //   soa_incremental_evaluation   a single-chain solve (a one-rung ladder)
 //                                on the calling thread: the per-iteration
 //                                cost of the SoA evaluation core
-//                                (core/soa_eval.hpp) with a fresh EvalCache
+//                                (core/soa_eval.hpp)
 //   tempering_solve              the replica-exchange ladder (6 replicas)
-//                                on the pool, sharing one cache
+//                                on the pool
 //   workflow_tempering_solve     WorkflowSolver::solve on the five Fig. 9
 //                                deadline workflows at default
 //                                AnnealingOptions on the pool
@@ -16,7 +16,9 @@
 // the reported evaluation must equal it exactly; a mismatch exits 1.
 // Output: a JSON document written to BENCH_solver_throughput.json in the
 // working directory and echoed to stdout — iterations/sec per row and the
-// memo-table hit rates. Progress goes to stderr.
+// memo-table hit rates. Each batch solve gets a fresh EvalCache, which only
+// its start-plan evaluations look up (the SoA core scores candidates
+// without it). Progress goes to stderr.
 //
 // Usage: solver_throughput [--smoke] [--threads N]
 // `--smoke` shrinks the iteration counts so the CTest smoke target finishes

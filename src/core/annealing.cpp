@@ -128,8 +128,7 @@ struct AnnealingSolver::ChainCtx {
 
 int AnnealingSolver::run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
                               const std::vector<MoveUnit>& units, const SoaEvaluator& soa,
-                              EvalCache* cache, double u_scale,
-                              const SolveDeadline& deadline) const {
+                              double u_scale, const SolveDeadline& deadline) const {
     const bool bounded = !deadline.unbounded();
     int iter = iter_begin;
     for (; iter < iter_end; ++iter) {
@@ -150,7 +149,7 @@ int AnnealingSolver::run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_
             ++ctx.accepted_moves;
             continue;
         }
-        if (!soa.evaluate_candidate(ctx.soa, ctx.changed, cache)) {
+        if (!soa.evaluate_candidate(ctx.soa, ctx.changed)) {
             ++ctx.infeasible_neighbors;
             soa.revert(ctx.soa);
             continue;
@@ -185,10 +184,9 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     lint_ctx.reuse_aware = evaluator_->options().reuse_aware;
     lint::enforce(lint::lint_workload(evaluator_->workload(), lint_ctx));
 
-    // One memo table shared by every replica: they revisit the same
-    // (job, tier, capacity) points constantly, so sharing multiplies the
-    // hit rate. EvalCache is thread-safe (sharded locks) and
-    // value-deterministic, so sharing cannot perturb trajectories.
+    // The memo table serves the start-plan evaluations only: replicas
+    // score candidates through the SoA core's own REG kernel, which needs
+    // no table.
     std::unique_ptr<EvalCache> owned;
     cache = cache_or_owned(cache, owned);
 
@@ -226,7 +224,7 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
             ctx.changed.reserve(evaluator_->workload().size());
         },
         [&](ChainCtx& ctx, Rng& rng, int begin, int end) {
-            return run_span(ctx, rng, begin, end, units, soa, cache, u_scale, deadline);
+            return run_span(ctx, rng, begin, end, units, soa, u_scale, deadline);
         },
         [&](const ChainCtx& ctx) { return -ctx.soa.utility / u_scale; },
         [](ChainCtx& a, ChainCtx& b) { SoaEvaluator::swap_current(a.soa, b.soa); });

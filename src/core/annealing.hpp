@@ -172,7 +172,9 @@ struct AnnealingResult {
     int infeasible_neighbors = 0;
     /// Index of the winning replica (0 for a single chain).
     int best_chain = 0;
-    /// Memo-table statistics of the run.
+    /// Memo-table statistics of the run's start-plan evaluations (the
+    /// chains' candidate scoring does no cache lookups). Cumulative over
+    /// the cache's lifetime when the caller supplied one.
     EvalCacheStats cache_stats{};
     /// True when the wall budget (or a cancellation) stopped the search
     /// early: the plan is the best feasible one found so far, not the
@@ -211,8 +213,9 @@ public:
     /// Anneal from `initial` (e.g. the greedy plan, or a uniform plan).
     /// The initial plan must be feasible. Runs options.chains chains, on
     /// `pool` when provided, and returns the best result with counters
-    /// aggregated across chains. All chains share one evaluation cache:
-    /// `cache` when supplied, otherwise an internally created one.
+    /// aggregated across chains. The start plans are evaluated through
+    /// `cache` when supplied, otherwise an internally created one; the
+    /// chains themselves score candidates without it.
     [[nodiscard]] AnnealingResult solve(const TieringPlan& initial,
                                         ThreadPool* pool = nullptr,
                                         EvalCache* cache = nullptr) const;
@@ -227,7 +230,7 @@ private:
     /// many ran (fewer only when the deadline stopped it).
     int run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
                  const std::vector<MoveUnit>& units, const SoaEvaluator& soa,
-                 EvalCache* cache, double u_scale, const SolveDeadline& deadline) const;
+                 double u_scale, const SolveDeadline& deadline) const;
     /// Generate one neighbor in place: mutate the flat state under its
     /// undo log, appending the indices of every decision that actually
     /// differs to `changed` (cleared first). Pin- and app-membership-aware:

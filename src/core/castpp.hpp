@@ -40,7 +40,8 @@ struct CastResult {
     std::vector<std::string> lint_notes;
     /// Search-effort counters and memo-table statistics, carried up from
     /// the annealing stage so CLI/serve reports can show them without
-    /// re-running anything.
+    /// re-running anything. The cache counts the greedy sweep's and the
+    /// start plans' full evaluations; annealing candidates bypass it.
     int iterations = 0;
     int best_chain = 0;
     EvalCacheStats cache_stats{};

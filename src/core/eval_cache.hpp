@@ -1,13 +1,15 @@
-// Memoized REG runtime lookups for plan evaluation.
+// Memoized REG runtime lookups for full plan evaluation.
 //
-// The annealing inner loop evaluates one neighbor plan per iteration, and
-// the dominant cost of an evaluation is the per-job REG estimate
-// (model::PerfModelSet::job_runtime): spline lookups plus the staging-leg
-// model. Provider-side provisioning quantizes per-VM capacities (whole
-// 375 GB ephSSD volumes, whole-GB persistent volumes), so the search keeps
-// revisiting a small set of (job, tier, capacity, legs) configurations —
-// across iterations, across chains, and across the greedy initialization.
-// EvalCache memoizes exactly that quadruple.
+// The dominant cost of a PlanEvaluator::evaluate is the per-job REG
+// estimate (model::PerfModelSet::job_runtime): spline lookups plus the
+// staging-leg model. Provider-side provisioning quantizes per-VM
+// capacities (whole 375 GB ephSSD volumes, whole-GB persistent volumes),
+// so greedy's single-job sweeps, the solvers' start-plan evaluations and
+// the workflow evaluator keep revisiting a small set of
+// (job, tier, capacity, legs) configurations. EvalCache memoizes exactly
+// that quadruple. The annealing inner loop does not come here: the SoA
+// core (core/soa_eval.hpp) splits REG into per-(job, tier) and per-tier
+// factors of its own and needs no table.
 //
 // Keying. Jobs are identified by the fields job_runtime actually reads
 // (application class, input size, map/reduce task counts) rather than by

@@ -122,13 +122,11 @@ std::vector<std::size_t> IncrementalSolver::affected_neighborhood(
     return neighborhood;
 }
 
-bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
-                                    const std::vector<MoveUnit>& units, TieringPlan* plan,
-                                    PlanEvaluation* eval, EvalCache* cache) const {
+bool IncrementalSolver::repair_pass(const SoaEvaluator& soa, const std::vector<MoveUnit>& units,
+                                    TieringPlan* plan, PlanEvaluation* eval) const {
     // Candidates are scored on the annealer's flat state: each is staged
     // over the committed plan, kept on a strict improvement and reverted
     // otherwise, so the committed state always holds the unit at its best.
-    const SoaEvaluator soa(evaluator);
     SoaState state;
     soa.init(state, *plan, *eval);
     bool changed = false;
@@ -141,7 +139,7 @@ bool IncrementalSolver::repair_pass(const PlanEvaluator& evaluator,
             for (const double k : options_.annealing.overprov_choices) {
                 if (tier == best.tier && k == best.overprovision) continue;
                 for (const std::size_t j : unit.jobs) soa.set_decision(state, j, ti, k);
-                if (soa.evaluate_candidate(state, unit.jobs, cache) &&
+                if (soa.evaluate_candidate(state, unit.jobs) &&
                     state.cand_utility > state.utility) {
                     best = PlacementDecision{tier, k};
                     soa.save_best(state);
@@ -271,8 +269,9 @@ AmendResult IncrementalSolver::amend(const workload::Workload& prior,
         std::ranges::sort(units, {}, [](const MoveUnit& u) { return u.jobs.front(); });
         TieringPlan warm = seeded;
         PlanEvaluation warm_eval = seeded_eval;
+        const SoaEvaluator soa(next_eval);
         for (int pass = 0; pass < policy_.repair_passes; ++pass) {
-            if (!repair_pass(next_eval, units, &warm, &warm_eval, cache)) break;
+            if (!repair_pass(soa, units, &warm, &warm_eval)) break;
         }
         const AnnealingSolver solver(next_eval, annealing);
         const AnnealingResult amended = solver.solve(warm, pool, cache);

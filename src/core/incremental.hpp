@@ -163,9 +163,11 @@ private:
     /// feasible (tier in its allowed_tiers, k) with the best full-plan
     /// utility given every other decision fixed. `plan`/`eval` are updated
     /// in place (`eval` must be the feasible evaluation of `plan` on
-    /// entry). Returns true when any decision changed.
-    bool repair_pass(const PlanEvaluator& evaluator, const std::vector<MoveUnit>& units,
-                     TieringPlan* plan, PlanEvaluation* eval, EvalCache* cache) const;
+    /// entry). `soa` is the amended workload's SoA evaluator, built once
+    /// per amendment and shared by its passes. Returns true when any
+    /// decision changed.
+    bool repair_pass(const SoaEvaluator& soa, const std::vector<MoveUnit>& units,
+                     TieringPlan* plan, PlanEvaluation* eval) const;
 
     /// Full unrestricted re-solve over `evaluator`, seeded from the best
     /// available plan; fills the result's plan/evaluation/counters.

@@ -1,6 +1,7 @@
 #include "core/soa_eval.hpp"
 
-#include "core/eval_cache.hpp"
+#include <bit>
+
 #include "lint/checks.hpp"
 
 namespace cast::core {
@@ -17,18 +18,10 @@ SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
       n_(evaluator.workload().size()),
       nvm_(evaluator.models().cluster().worker_count) {
     const model::PerfModelSet& models = evaluator.models();
-    for (const auto& job : evaluator.workload().jobs()) {
-        if (models.has_tier_model(job.app, StorageTier::kObjectStore) &&
-            !models.tier_model(job.app, StorageTier::kObjectStore)
-                 .scales_with_intermediate_volume) {
-            objstore_capacity_sensitive_ = true;
-            break;
-        }
-    }
     req_.reserve(n_);
     eph_backing_.reserve(n_);
     inter_.reserve(n_);
-    legs_.reserve(n_ * cloud::kTierCount);
+    terms_.reserve(n_ * cloud::kTierCount);
     for (std::size_t i = 0; i < n_; ++i) {
         // The stored doubles are bitwise the evaluator's own precomputed
         // terms, so the capacity arithmetic below reproduces its results
@@ -36,10 +29,37 @@ SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
         req_.push_back(evaluator.req_[i].value());
         eph_backing_.push_back(evaluator.eph_backing_[i].value());
         inter_.push_back(evaluator.inter_[i].value());
+        const workload::JobSpec& job = evaluator.workload().job(i);
         for (StorageTier t : cloud::kAllTiers) {
-            model::StagingLegs legs = model::StagingLegs::for_tier(t);
-            if (legs.download_input) legs.download_input = evaluator.pays_input_download(i);
-            legs_.push_back(legs);
+            const std::size_t ti = tier_index(t);
+            JobTierTerms terms;
+            terms.app = static_cast<std::uint8_t>(workload::app_index(job.app));
+            terms.modeled = models.has_tier_model(job.app, t);
+            if (terms.modeled) {
+                // The capacity-free half of PerfModelSet::job_runtime,
+                // through the same model calls.
+                const model::TierModel& m = models.tier_model(job.app, t);
+                terms.base = model::estimate(models.cluster(), job, m.bandwidths).value();
+                terms.capacity_scaled = !m.scales_with_intermediate_volume;
+                if (terms.capacity_scaled) {
+                    scaled_apps_[ti] |= 1u << terms.app;
+                    objstore_capacity_sensitive_ =
+                        objstore_capacity_sensitive_ || t == StorageTier::kObjectStore;
+                } else {
+                    terms.scale = m.scale_at(cloud::object_store_intermediate_volume(
+                        job.intermediate(), nvm_));
+                }
+                if (t != StorageTier::kObjectStore) {
+                    const model::StagingLegs legs = model::StagingLegs::for_tier(t);
+                    if (legs.download_input && evaluator.pays_input_download(i)) {
+                        terms.download_mb = job.input.megabytes();
+                    }
+                    if (legs.upload_output) terms.upload_mb = job.output().megabytes();
+                    downloads_[ti] = downloads_[ti] || terms.download_mb > 0.0;
+                    uploads_[ti] = uploads_[ti] || terms.upload_mb > 0.0;
+                }
+            }
+            terms_.push_back(terms);
         }
     }
 }
@@ -82,6 +102,8 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
     state.best_vm = state.vm_cost;
     state.best_storage = state.storage_cost;
     state.best_utility = state.utility;
+
+    state.factors_ = {};
 }
 
 void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t tier_idx,
@@ -92,21 +114,57 @@ void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t t
     state.overprov[job] = overprov;
 }
 
-double SoaEvaluator::runtime_for(const SoaState& state, std::size_t job,
-                                 const CapacityBreakdown& caps, EvalCache* cache) const {
-    const std::size_t ti = state.tier[job];
+void SoaEvaluator::refresh_factors(SoaState::TierFactors& f, std::size_t ti,
+                                   double per_vm) const {
+    const model::PerfModelSet& models = aos_->models();
     const StorageTier tier = cloud::kAllTiers[ti];
-    const model::StagingLegs legs = legs_[job * cloud::kTierCount + ti];
-    const GigaBytes per_vm = caps.per_vm[ti];
-    const auto& spec = aos_->workload().job(job);
-    if (cache != nullptr) {
-        return cache->job_runtime(aos_->models(), spec, tier, per_vm, legs).value();
+    const GigaBytes capacity{per_vm};
+    f.valid = false;
+    for (const workload::AppKind app : workload::kAllApps) {
+        const std::size_t a = workload::app_index(app);
+        if ((scaled_apps_[ti] & (1u << a)) != 0) {
+            f.scale[a] = models.tier_model(app, tier).scale_at(capacity);
+        }
     }
-    return aos_->models().job_runtime(spec, tier, per_vm, legs).value();
+    if (downloads_[ti]) {
+        f.download_mbps = model::staging_rate_mbps(models.cluster(), models.catalog(), tier,
+                                                   capacity, model::StagingDirection::kDownload);
+    }
+    if (uploads_[ti]) {
+        f.upload_mbps = model::staging_rate_mbps(models.cluster(), models.catalog(), tier,
+                                                 capacity, model::StagingDirection::kUpload);
+    }
+    f.capacity_bits = std::bit_cast<std::uint64_t>(per_vm);
+    f.valid = true;
 }
 
-bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size_t> changed,
-                                      EvalCache* cache) const {
+double SoaEvaluator::job_runtime(SoaState& state, std::size_t job,
+                                 const CapacityBreakdown& caps) const {
+    const std::size_t ti = state.tier[job];
+    const JobTierTerms& terms = terms_[job * cloud::kTierCount + ti];
+    if (!terms.modeled) {
+        // No profiled model: the model set raises its PreconditionError.
+        return aos_->models()
+            .job_runtime(aos_->workload().job(job), cloud::kAllTiers[ti], caps.per_vm[ti])
+            .value();
+    }
+    const bool download = terms.download_mb > 0.0;
+    const bool upload = terms.upload_mb > 0.0;
+    if (!terms.capacity_scaled && !download && !upload) return terms.base * terms.scale;
+    const double per_vm = caps.per_vm[ti].value();
+    SoaState::TierFactors& f = state.factors_[ti];
+    if (!f.valid || f.capacity_bits != std::bit_cast<std::uint64_t>(per_vm)) {
+        refresh_factors(f, ti, per_vm);
+    }
+    // PerfModelSet::job_runtime's operations, in its order.
+    double t = terms.base * (terms.capacity_scaled ? f.scale[terms.app] : terms.scale);
+    if (download) t += terms.download_mb / f.download_mbps;
+    if (upload) t += terms.upload_mb / f.upload_mbps;
+    return t;
+}
+
+bool SoaEvaluator::evaluate_candidate(SoaState& state,
+                                      std::span<const std::size_t> changed) const {
     state.runtime_undo.clear();
     // --- Capacity accounting, bit-identical to PlanEvaluator::capacities:
     // index-order accumulation into the tier aggregates, ephSSD backing on
@@ -137,10 +195,9 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size
     }
 
     // --- Runtime reuse: bitwise per-VM comparison decides reusability per
-    // tier; jobs on capacity-shifted tiers re-derive directly (these keys
-    // carry a freshly rounded capacity and would mostly miss the memo
-    // table), changed jobs through the memo table; the total re-sums in
-    // index order only when some runtime actually changed.
+    // tier; jobs on capacity-shifted tiers and changed jobs re-derive
+    // through the REG kernel; the total re-sums in index order only when
+    // some runtime actually changed.
     std::array<bool, cloud::kTierCount> reusable{};
     bool all_reusable = true;
     for (StorageTier t : cloud::kAllTiers) {
@@ -153,7 +210,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size
     if (!all_reusable) {
         for (std::size_t i = 0; i < n_; ++i) {
             if (!reusable[state.tier[i]]) {
-                const double t = runtime_for(state, i, state.cand_caps, nullptr);
+                const double t = job_runtime(state, i, state.cand_caps);
                 any_runtime_changed |= t != state.runtime[i];
                 state.runtime_undo.push_back(
                     {static_cast<std::uint32_t>(i), state.runtime[i]});
@@ -163,7 +220,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state, std::span<const std::size
     }
     for (std::size_t j : changed) {
         if (reusable[state.tier[j]]) {
-            const double t = runtime_for(state, j, state.cand_caps, cache);
+            const double t = job_runtime(state, j, state.cand_caps);
             any_runtime_changed |= t != state.runtime[j];
             state.runtime_undo.push_back({static_cast<std::uint32_t>(j), state.runtime[j]});
             state.runtime[j] = t;

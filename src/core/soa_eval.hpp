@@ -13,7 +13,7 @@
 //   runtime[]   job -> REG seconds       (double, contiguous)
 //
 // plus plan-invariant per-job capacity terms (req, ephSSD backing,
-// intermediate size) and precomputed staging legs, unwrapped from their
+// intermediate size) and per-(job, tier) REG terms, unwrapped from their
 // unit types into raw double arrays. A candidate move writes an undo log
 // instead of copying the plan, and reverting a rejected move replays the
 // log — the steady-state iteration does zero heap allocation. The
@@ -25,12 +25,24 @@
 // repeat evaluate's floating-point operations in the same order
 // (index-order accumulation, the objStore persSSD floor, provider
 // provisioning rounding) and costs go through the shared eq5_eq6_costs.
-// Runtimes are reused per tier: a job whose decision did not move keeps
-// its committed runtime when its tier's per-VM capacity is bitwise
-// unchanged (REG is deterministic, so the bits are the same), and the
-// total re-sums in index order only when some runtime changed. The tests
-// hold this core to the uncached evaluate() along full annealing
-// trajectories.
+// Runtimes are REG split at the line the model draws, with no shared memo
+// table:
+//
+//   base × scale (+ in_mb / download_rate) (+ out_mb / upload_rate)
+//
+// The Eq. 1 base, the job's staging volumes and, for models that scale
+// with the job's intermediate volume (the paper's objStore models), the
+// scale are keyed on (job, tier) alone and computed once at construction
+// through the same model calls PerfModelSet::job_runtime makes. The spline
+// scale of capacity-scaled models (per app) and the staging rates are
+// keyed on (tier, per-VM capacity): each SoaState memoizes one entry per
+// tier, refreshed when the tier's per-VM capacity changes bitwise. The
+// kernel then repeats job_runtime's floating-point operations in the same
+// order. A job whose decision did not move keeps its committed runtime
+// when its tier's per-VM capacity is bitwise unchanged, and the total
+// re-sums in index order only when some runtime changed. The tests hold
+// this core to the uncached evaluate() along full annealing trajectories
+// and to PerfModelSet::job_runtime across the spline knots.
 //
 // Feasible by construction: placement legality (operator tier pins, Eq. 7
 // reuse-group co-location) is decided once, where moves are generated,
@@ -44,6 +56,7 @@
 // Deployer/serve/lint; best_plan builds it from the best snapshot.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -53,12 +66,10 @@
 
 namespace cast::core {
 
-class EvalCache;
-
 /// Per-chain flat solver state operated on by SoaEvaluator. Owns the
-/// committed plan + evaluation, the candidate scratch, the undo logs and
-/// the best-so-far snapshot. Plain data; all invariants live in the
-/// evaluator.
+/// committed plan + evaluation, the candidate scratch, the undo logs, the
+/// best-so-far snapshot and the evaluator's per-tier REG memo. Plain data;
+/// all invariants live in the evaluator.
 struct SoaState {
     // --- committed plan
     std::vector<std::uint8_t> tier;
@@ -102,6 +113,22 @@ struct SoaState {
     double best_vm = 0.0;
     double best_storage = 0.0;
     double best_utility = 0.0;
+
+private:
+    friend class SoaEvaluator;
+
+    /// REG's (tier, per-VM capacity)-keyed factors for one tier, valid
+    /// while the tier's per-VM capacity keeps the bits `capacity_bits`.
+    struct TierFactors {
+        bool valid = false;
+        std::uint64_t capacity_bits = 0;
+        /// Spline scale per app (indexed by workload::app_index), filled
+        /// for the capacity-scaled models of the workload's apps.
+        std::array<double, workload::kAllApps.size()> scale{};
+        double download_mbps = 0.0;
+        double upload_mbps = 0.0;
+    };
+    std::array<TierFactors, cloud::kTierCount> factors_{};
 };
 
 /// Allocation-free incremental evaluation over SoaState. Constructed once
@@ -132,8 +159,7 @@ public:
     /// its runtimes, under the undo log). On false the runtimes are
     /// untouched — only the decision log needs reverting.
     [[nodiscard]] bool evaluate_candidate(SoaState& state,
-                                          std::span<const std::size_t> changed,
-                                          EvalCache* cache) const;
+                                          std::span<const std::size_t> changed) const;
 
     /// Accept the candidate: promote cand_* to committed, clear the logs.
     void commit(SoaState& state) const;
@@ -156,8 +182,32 @@ public:
     [[nodiscard]] PlanEvaluation best_evaluation(const SoaState& state) const;
 
 private:
-    [[nodiscard]] double runtime_for(const SoaState& state, std::size_t job,
-                                     const CapacityBreakdown& caps, EvalCache* cache) const;
+    /// REG's (job, tier)-keyed terms: everything of
+    /// PerfModelSet::job_runtime that does not depend on capacity.
+    struct JobTierTerms {
+        /// Eq. 1 estimate (model::estimate).
+        double base = 0.0;
+        /// Runtime scale when the model keys it on the job's intermediate
+        /// volume; unused when `capacity_scaled`.
+        double scale = 0.0;
+        /// Staging volumes (MB) of the legs this placement pays; 0 for a
+        /// leg it does not pay. estimate_staging's zero-volume leg adds
+        /// +0.0, which leaves the (positive) runtime's bits as they are,
+        /// so a zero volume means "no leg" here.
+        double download_mb = 0.0;
+        double upload_mb = 0.0;
+        std::uint8_t app = 0;
+        /// False when no model is profiled for this (app, tier) pair.
+        bool modeled = false;
+        /// True when the scale is the spline at the tier's per-VM capacity.
+        bool capacity_scaled = false;
+    };
+
+    /// REG of `job` on its staged tier at the per-VM capacities of `caps`.
+    [[nodiscard]] double job_runtime(SoaState& state, std::size_t job,
+                                     const CapacityBreakdown& caps) const;
+    /// Recompute tier `ti`'s memo entry `f` at per-VM capacity `per_vm`.
+    void refresh_factors(SoaState::TierFactors& f, std::size_t ti, double per_vm) const;
 
     const PlanEvaluator* aos_;
     std::size_t n_ = 0;
@@ -171,9 +221,13 @@ private:
     std::vector<double> req_;
     std::vector<double> eph_backing_;
     std::vector<double> inter_;
-    /// Staging legs per (job, tier), row-major by job — for_tier plus the
-    /// reuse-aware download adjustment, precomputed.
-    std::vector<model::StagingLegs> legs_;
+    /// REG terms per (job, tier), row-major by job.
+    std::vector<JobTierTerms> terms_;
+    /// Per tier: bit per app whose capacity-scaled model the workload
+    /// uses there, and whether any job pays a download / upload leg there.
+    std::array<std::uint32_t, cloud::kTierCount> scaled_apps_{};
+    std::array<bool, cloud::kTierCount> downloads_{};
+    std::array<bool, cloud::kTierCount> uploads_{};
 };
 
 }  // namespace cast::core

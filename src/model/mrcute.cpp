@@ -30,20 +30,15 @@ EstimateBreakdown estimate_breakdown(const cloud::ClusterSpec& cluster,
     return est;
 }
 
-Seconds estimate_staging(const cloud::ClusterSpec& cluster,
+double staging_rate_mbps(const cloud::ClusterSpec& cluster,
                          const cloud::StorageCatalog& catalog, cloud::StorageTier tier,
-                         GigaBytes tier_capacity_per_vm, GigaBytes volume,
-                         StagingDirection direction) {
-    CAST_EXPECTS(volume.value() >= 0.0);
-    if (volume.value() <= 0.0) return Seconds{0.0};
+                         GigaBytes tier_capacity_per_vm, StagingDirection direction) {
     CAST_EXPECTS_MSG(tier != cloud::StorageTier::kObjectStore,
                      "staging to/from objStore itself is meaningless");
     const int nvm = cluster.worker_count;
     const auto& obj = catalog.service(cloud::StorageTier::kObjectStore);
     const auto& blk = catalog.service(tier);
     const auto blk_perf = blk.performance(blk.provision(tier_capacity_per_vm));
-    // Whole-cluster copy rate: the object store's aggregate ceiling for its
-    // side of the transfer vs the block volumes' combined rate.
     double cluster_mbps = 0.0;
     if (direction == StagingDirection::kDownload) {
         cluster_mbps = std::min(obj.cluster_read_bw(GigaBytes{0.0}, nvm).value(),
@@ -53,7 +48,17 @@ Seconds estimate_staging(const cloud::ClusterSpec& cluster,
                                 blk_perf.read_bw.value() * nvm);
     }
     CAST_ENSURES(cluster_mbps > 0.0);
-    return Seconds{volume.megabytes() / cluster_mbps};
+    return cluster_mbps;
+}
+
+Seconds estimate_staging(const cloud::ClusterSpec& cluster,
+                         const cloud::StorageCatalog& catalog, cloud::StorageTier tier,
+                         GigaBytes tier_capacity_per_vm, GigaBytes volume,
+                         StagingDirection direction) {
+    CAST_EXPECTS(volume.value() >= 0.0);
+    if (volume.value() <= 0.0) return Seconds{0.0};
+    return Seconds{volume.megabytes() /
+                   staging_rate_mbps(cluster, catalog, tier, tier_capacity_per_vm, direction)};
 }
 
 }  // namespace cast::model

@@ -67,10 +67,19 @@ enum class StagingDirection {
     kUpload,    // tier -> objStore
 };
 
+/// Whole-cluster copy rate (MB/s) of a staging leg between the object
+/// store and `tier` provisioned at `tier_capacity_per_vm`: the object
+/// store's aggregate ceiling for its side of the transfer vs the block
+/// volumes' combined rate. Depends only on (tier, per-VM capacity,
+/// direction), so callers that stage many jobs may hoist it.
+[[nodiscard]] double staging_rate_mbps(const cloud::ClusterSpec& cluster,
+                                       const cloud::StorageCatalog& catalog,
+                                       cloud::StorageTier tier, GigaBytes tier_capacity_per_vm,
+                                       StagingDirection direction);
+
 /// Analytical estimate of the bulk-copy staging legs a placement needs
 /// (download before / upload after): `volume` moved between the object
-/// store and `tier` across all VMs in parallel, bounded by the object
-/// store's cluster-level aggregate ceilings.
+/// store and `tier` at staging_rate_mbps. A zero volume costs nothing.
 [[nodiscard]] Seconds estimate_staging(const cloud::ClusterSpec& cluster,
                                        const cloud::StorageCatalog& catalog,
                                        cloud::StorageTier tier, GigaBytes tier_capacity_per_vm,

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/eval_cache.hpp"
 #include "core/utility.hpp"
 #include "test_support.hpp"
 
@@ -124,7 +123,7 @@ TEST_F(SoaUndoTest, RevertRestoresStateAfterFeasibleCandidate) {
     soa.set_decision(state, 0, static_cast<std::uint8_t>(tier_index(StorageTier::kPersistentHdd)),
                      2.0);
     const std::size_t changed[] = {0};
-    ASSERT_TRUE(soa.evaluate_candidate(state, changed, nullptr));
+    ASSERT_TRUE(soa.evaluate_candidate(state, changed));
     EXPECT_FALSE(state.runtime_undo.empty());  // persSSD capacity shifted
 
     soa.revert(state);
@@ -132,7 +131,7 @@ TEST_F(SoaUndoTest, RevertRestoresStateAfterFeasibleCandidate) {
 
     // The restored state still evaluates exactly as before: a no-op
     // candidate reproduces the committed scalars bitwise.
-    ASSERT_TRUE(soa.evaluate_candidate(state, std::span<const std::size_t>{}, nullptr));
+    ASSERT_TRUE(soa.evaluate_candidate(state, std::span<const std::size_t>{}));
     EXPECT_EQ(state.cand_utility, want.utility);
     EXPECT_EQ(state.cand_total, want.total_runtime);
 }
@@ -193,7 +192,7 @@ TEST_F(SoaUndoTest, RevertAfterProviderCapacityThrow) {
     soa.set_decision(state, 0, static_cast<std::uint8_t>(tier_index(StorageTier::kEphemeralSsd)),
                      1.0);
     const std::size_t changed[] = {0};
-    EXPECT_FALSE(soa.evaluate_candidate(state, changed, nullptr));
+    EXPECT_FALSE(soa.evaluate_candidate(state, changed));
     EXPECT_TRUE(state.runtime_undo.empty());
 
     soa.revert(state);
@@ -215,7 +214,7 @@ TEST_F(SoaUndoTest, ZeroLengthStagingLegMovesRevertAndReevaluate) {
     const auto hdd = static_cast<std::uint8_t>(tier_index(StorageTier::kPersistentHdd));
     soa.set_decision(state, 1, hdd, 1.5);
     const std::size_t changed[] = {1};
-    ASSERT_TRUE(soa.evaluate_candidate(state, changed, nullptr));
+    ASSERT_TRUE(soa.evaluate_candidate(state, changed));
     const double first_utility = state.cand_utility;
     const PlanEvaluation aos = eval.evaluate(plan_of(state));
     ASSERT_TRUE(aos.feasible);
@@ -224,7 +223,7 @@ TEST_F(SoaUndoTest, ZeroLengthStagingLegMovesRevertAndReevaluate) {
     soa.revert(state);
     // Same move again after revert: bitwise the same candidate.
     soa.set_decision(state, 1, hdd, 1.5);
-    ASSERT_TRUE(soa.evaluate_candidate(state, changed, nullptr));
+    ASSERT_TRUE(soa.evaluate_candidate(state, changed));
     EXPECT_EQ(state.cand_utility, first_utility);
     soa.revert(state);
 }
@@ -245,7 +244,7 @@ TEST_F(SoaUndoTest, StackedDecisionsOnOneJobUnwindInOrder) {
     soa.set_decision(state, 0, static_cast<std::uint8_t>(tier_index(StorageTier::kObjectStore)),
                      1.0);
     const std::size_t changed[] = {0};
-    ASSERT_TRUE(soa.evaluate_candidate(state, changed, nullptr));
+    ASSERT_TRUE(soa.evaluate_candidate(state, changed));
     soa.revert(state);
     expect_restored(state, want);
 }
@@ -263,7 +262,7 @@ TEST_F(SoaUndoTest, RevertAfterCommitIsNoop) {
     soa.set_decision(state, 0, static_cast<std::uint8_t>(tier_index(StorageTier::kPersistentHdd)),
                      1.25);
     const std::size_t changed[] = {0};
-    ASSERT_TRUE(soa.evaluate_candidate(state, changed, nullptr));
+    ASSERT_TRUE(soa.evaluate_candidate(state, changed));
     soa.commit(state);
     const Committed committed = snapshot(state);
     soa.revert(state);  // empty logs: nothing to replay

@@ -34,9 +34,13 @@
 //       and --trace dumps the per-request span timeline from the ring.
 //
 // Every command also accepts `--threads N` to pin thread-pool sizes
-// (profiling, solver chains, service workers).
+// (profiling, solver chains, service workers). An option or flag the
+// command does not read (e.g. a stale `serve --batch 4`) is refused with
+// the usage text rather than ignored.
 //
-// Exit codes: 0 success, 1 usage error, 2 runtime/validation error.
+// Exit codes: 0 success, 1 usage error, 2 runtime/validation error or an
+// option the command does not accept.
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -80,6 +84,7 @@ int usage() {
            "  cast_plan tiers    [--catalog google-cloud|aws-like]\n"
            "  cast_plan profile  --workers N [--catalog NAME] [--out FILE]\n"
            "  cast_plan plan     --models FILE --spec FILE [--reuse-aware] [--deploy]\n"
+           "                     [--budget-ms X] [--seed N]\n"
            "  cast_plan workflow --models FILE --spec FILE [--deploy]\n"
            "  cast_plan synth    [--seed N] [--out FILE]\n"
            "  cast_plan serve    --models FILE --requests FILE [--workers N]\n"
@@ -91,7 +96,52 @@ int usage() {
     return 1;
 }
 
+/// The options (`--name VALUE`) and flags (`--name`) each command reads.
+struct Accepted {
+    std::vector<std::string> options;
+    std::vector<std::string> flags;
+};
+
+const std::map<std::string, Accepted>& accepted_arguments() {
+    static const std::map<std::string, Accepted> kAccepted = {
+        {"tiers", {{"catalog"}, {}}},
+        {"profile", {{"workers", "catalog", "out"}, {}}},
+        {"plan", {{"models", "spec", "budget-ms", "seed"}, {"reuse-aware", "deploy"}}},
+        {"workflow", {{"models", "spec"}, {"deploy"}}},
+        {"synth", {{"seed", "out"}, {}}},
+        {"serve",
+         {{"models", "requests", "workers", "queue", "budget-ms", "latency-target-ms",
+           "fault-intensity", "fault-seed", "metrics-out", "trace"},
+          {"governor", "metrics", "trace"}}},
+    };
+    return kAccepted;
+}
+
+/// Why `args` does not fit what its command reads (an unknown option or
+/// flag, or a valued option given bare), or empty when it fits.
+std::string unaccepted_argument(const Args& args, const Accepted& accepted) {
+    const auto contains = [](const std::vector<std::string>& names, const std::string& name) {
+        return std::ranges::find(names, name) != names.end();
+    };
+    for (const auto& [name, value] : args.options) {
+        if (name != "threads" && !contains(accepted.options, name)) {
+            return "does not accept --" + name;
+        }
+    }
+    for (const std::string& flag : args.flags) {
+        if (contains(accepted.flags, flag)) continue;
+        if (flag == "threads" || contains(accepted.options, flag)) {
+            return "needs a value for --" + flag;
+        }
+        return "does not accept --" + flag;
+    }
+    return "";
+}
+
 /// Memo-table summary: how much of the evaluation work the cache absorbed.
+/// For batch plans that is greedy sweeps, start plans and full
+/// evaluations only (the SoA core scores annealing candidates without
+/// it); workflow candidates still go through it.
 void print_cache_stats(const core::EvalCacheStats& cache, std::ostream& os) {
     const std::uint64_t lookups = cache.hits + cache.misses;
     os << "cache:  " << cache.hits << "/" << lookups << " hits";
@@ -414,6 +464,14 @@ int cmd_serve(const Args& args) {
 int main(int argc, char** argv) {
     try {
         const Args args = parse_args(argc, argv);
+        const auto accepted = accepted_arguments().find(args.command);
+        if (accepted == accepted_arguments().end()) return usage();
+        const std::string unaccepted = unaccepted_argument(args, accepted->second);
+        if (!unaccepted.empty()) {
+            std::cerr << "cast_plan: " << args.command << " " << unaccepted << "\n";
+            usage();
+            return 2;
+        }
         // Applied before any ThreadPool exists: default_workers() reads it.
         const std::string threads = args.get("threads");
         if (!threads.empty()) ::setenv("CAST_THREADS", threads.c_str(), 1);
