@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/soa_eval.hpp"
@@ -169,7 +170,7 @@ int AnnealingSolver::run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_
 }
 
 AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* pool,
-                                       EvalCache* cache) const {
+                                       EvalCache* cache, const SoaEvaluator* soa) const {
     // One deadline for the whole solve, armed before any other work so the
     // wall budget covers lint and start-plan evaluation too: replicas
     // dispatched late (sequential execution, or more replicas than
@@ -214,17 +215,20 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     // comparable across rungs regardless of which start a replica got.
     const double u_scale = start_evals.front().utility;
     CAST_ENSURES(u_scale > 0.0);
-    const SoaEvaluator soa(*evaluator_);
+    std::optional<SoaEvaluator> owned_soa;
+    if (soa == nullptr) soa = &owned_soa.emplace(*evaluator_);
+    CAST_EXPECTS_MSG(&soa->evaluator() == evaluator_,
+                     "the SoA core must be built over the solver's evaluator");
 
     TemperingRun<ChainCtx> run = run_tempering<ChainCtx>(
         options_, pool,
         [&](ChainCtx& ctx, std::size_t r) {
             const std::size_t s = r % starts.size();
-            soa.init(ctx.soa, starts[s], start_evals[s]);
+            soa->init(ctx.soa, starts[s], start_evals[s]);
             ctx.changed.reserve(evaluator_->workload().size());
         },
         [&](ChainCtx& ctx, Rng& rng, int begin, int end) {
-            return run_span(ctx, rng, begin, end, units, soa, u_scale, deadline);
+            return run_span(ctx, rng, begin, end, units, *soa, u_scale, deadline);
         },
         [&](const ChainCtx& ctx) { return -ctx.soa.utility / u_scale; },
         [](ChainCtx& a, ChainCtx& b) { SoaEvaluator::swap_current(a.soa, b.soa); });
@@ -235,8 +239,8 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
         if (reps[r].soa.best_utility > reps[best].soa.best_utility) best = r;
     }
     AnnealingResult out;
-    out.plan = soa.best_plan(reps[best].soa);
-    out.evaluation = soa.best_evaluation(reps[best].soa);
+    out.plan = soa->best_plan(reps[best].soa);
+    out.evaluation = soa->best_evaluation(reps[best].soa);
     out.best_chain = static_cast<int>(best);
     // Every replica's best already floors at its own start, but with fewer
     // replicas than starts (or a budget that stopped round 0 early) some

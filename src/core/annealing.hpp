@@ -215,10 +215,14 @@ public:
     /// `pool` when provided, and returns the best result with counters
     /// aggregated across chains. The start plans are evaluated through
     /// `cache` when supplied, otherwise an internally created one; the
-    /// chains themselves score candidates without it.
+    /// chains themselves score candidates without it, on `soa` when
+    /// supplied (it must be built over this solver's evaluator, e.g. one
+    /// the caller's repair passes already use), otherwise on a core built
+    /// here.
     [[nodiscard]] AnnealingResult solve(const TieringPlan& initial,
                                         ThreadPool* pool = nullptr,
-                                        EvalCache* cache = nullptr) const;
+                                        EvalCache* cache = nullptr,
+                                        const SoaEvaluator* soa = nullptr) const;
 
 private:
     /// Per-replica search state: the SoA flat state, the cooling

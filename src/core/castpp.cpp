@@ -72,7 +72,7 @@ CastResult plan_with(const model::PerfModelSet& models, const workload::Workload
 
     // One memo table for the whole pipeline: runtimes computed during the
     // greedy sweep (keyed on job content, not workload index) are reused by
-    // every annealing chain. A caller-supplied cache (the serve layer's
+    // the annealing start plans. A caller-supplied cache (the serve layer's
     // snapshot-scoped table) replaces the per-call one, so the memo also
     // survives across requests.
     EvalCache local_cache;
@@ -162,26 +162,60 @@ void align_reuse_groups(const workload::Workload& workload, TieringPlan& plan) {
 // Workflow evaluation.
 // ---------------------------------------------------------------------------
 
+namespace {
+workload::Workflow validated(workload::Workflow workflow) {
+    workflow.validate();
+    return workflow;
+}
+}  // namespace
+
 WorkflowEvaluator::WorkflowEvaluator(const model::PerfModelSet& models,
                                      workload::Workflow workflow, EvalOptions options)
-    : models_(&models), workflow_(std::move(workflow)), options_(options) {
-    workflow_.validate();
+    : models_(&models),
+      workflow_(validated(std::move(workflow))),
+      options_(options),
+      reg_(models, workflow_.jobs(),
+           [this](std::size_t i, StorageTier t) { return staging_legs(i, t); }) {
+    const std::size_t n = workflow_.size();
+    input_.reserve(n);
+    inter_.reserve(n);
+    output_.reserve(n);
+    eph_backing_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const workload::JobSpec& job = workflow_.jobs()[i];
+        any_pinned_ = any_pinned_ || job.pinned_tier.has_value();
+        input_.push_back(job.input.value());
+        inter_.push_back(job.intermediate().value());
+        output_.push_back(job.output().value());
+        GigaBytes backing = job.output();
+        if (workflow_.predecessors(i).empty()) backing += job.input;
+        eph_backing_.push_back(backing.value());
+    }
 }
 
-GigaBytes WorkflowEvaluator::job_requirement(const WorkflowPlan& plan,
-                                             std::size_t job_idx) const {
+model::StagingLegs WorkflowEvaluator::staging_legs(std::size_t i, StorageTier tier) const {
+    model::StagingLegs legs{false, false};
+    if (tier == StorageTier::kEphemeralSsd) {
+        // Roots must pull their input down from the object store; terminal
+        // outputs must be persisted back.
+        legs.download_input = workflow_.predecessors(i).empty();
+        legs.upload_output = workflow_.successors(i).empty();
+    }
+    return legs;
+}
+
+double WorkflowEvaluator::requirement(const WorkflowPlan& plan, std::size_t i) const {
     // Eq. 10: a job provisions its intermediate and output, plus its input
     // unless the input is already resident — i.e. every predecessor whose
     // output feeds it lives on the same tier.
-    const auto& job = workflow_.jobs()[job_idx];
-    const StorageTier tier = plan.decisions[job_idx].tier;
-    const auto preds = workflow_.predecessors(job_idx);
+    const StorageTier tier = plan.decisions[i].tier;
+    const auto& preds = workflow_.predecessors(i);
     bool input_resident = !preds.empty();
     for (std::size_t p : preds) {
         if (plan.decisions[p].tier != tier) input_resident = false;
     }
-    GigaBytes req = job.intermediate() + job.output();
-    if (!input_resident) req += job.input;
+    double req = inter_[i] + output_[i];
+    if (!input_resident) req += input_[i];
     return req;
 }
 
@@ -189,44 +223,20 @@ Seconds WorkflowEvaluator::transfer_time(GigaBytes volume, StorageTier from,
                                          GigaBytes from_per_vm, StorageTier to,
                                          GigaBytes to_per_vm) const {
     if (volume.value() <= 0.0 || from == to) return Seconds{0.0};
-    const auto& catalog = models_->catalog();
-    const int nvm = models_->cluster().worker_count;
-    auto side_bw = [&](StorageTier t, GigaBytes per_vm, bool reading) {
-        const auto& svc = catalog.service(t);
-        if (t == StorageTier::kObjectStore) {
-            return reading ? svc.cluster_read_bw(per_vm, nvm).value()
-                           : svc.cluster_write_bw(per_vm, nvm).value();
-        }
-        const auto perf = svc.performance(svc.provision(per_vm));
-        return (reading ? perf.read_bw.value() : perf.write_bw.value()) * nvm;
-    };
+    const cloud::ClusterSpec& cluster = models_->cluster();
+    const cloud::StorageCatalog& catalog = models_->catalog();
     const double cluster_mbps =
-        std::min(side_bw(from, from_per_vm, true), side_bw(to, to_per_vm, false));
+        std::min(model::cluster_bandwidth_mbps(cluster, catalog, from, from_per_vm, true),
+                 model::cluster_bandwidth_mbps(cluster, catalog, to, to_per_vm, false));
     CAST_ENSURES(cluster_mbps > 0.0);
     return Seconds{volume.megabytes() / cluster_mbps};
 }
 
-WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
-                                               EvalCache* cache) const {
-    WorkflowEvaluation eval;
-    evaluate_into(plan, cache, eval);
-    return eval;
-}
-
-void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache,
-                                      WorkflowEvaluation& out, const Base* base) const {
+bool WorkflowEvaluator::begin_evaluation(const WorkflowPlan& plan,
+                                         WorkflowEvaluation& out) const {
     CAST_EXPECTS_MSG(plan.decisions.size() == workflow_.size(),
                      "plan/workflow size mismatch");
     for (const auto& d : plan.decisions) d.validate();
-    // Only a feasible base carries runtimes to reuse.
-    if (base != nullptr && !base->evaluation.feasible) base = nullptr;
-    if (base != nullptr) {
-        CAST_EXPECTS_MSG(&base->evaluation != &out, "base evaluation aliases the output");
-        CAST_EXPECTS(base->plan.decisions.size() == workflow_.size() &&
-                     base->evaluation.job_runtimes.size() == workflow_.size() &&
-                     base->evaluation.transfer_times.size() == workflow_.edges().size());
-    }
-
     // Reset every field (a new field must be reset here too); clear()
     // keeps the vectors' capacity.
     out.feasible = false;
@@ -238,47 +248,106 @@ void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache
     out.capacities = CapacityBreakdown{};
     out.job_runtimes.clear();
     out.transfer_times.clear();
-    {
+    if (any_pinned_) {
         // Operator pins via the shared lint check (same rule the deployer
         // and CLI enforce).
         std::vector<lint::Finding> violations;
         lint::check_tier_pins(workflow_.jobs(), plan.decisions, violations);
         if (!violations.empty()) {
             out.infeasibility = violations.front().message;
-            return;
+            return false;
         }
     }
-    const int nvm = models_->cluster().worker_count;
 
     // --- Capacities (Eq. 10 + deployment conventions).
     bool any_on_object_store = false;
-    GigaBytes max_object_store_inter{0.0};
+    double max_object_store_inter = 0.0;
     for (std::size_t i = 0; i < workflow_.size(); ++i) {
         const auto& d = plan.decisions[i];
-        const auto& job = workflow_.jobs()[i];
-        const GigaBytes ci{job_requirement(plan, i).value() * d.overprovision};
-        out.capacities.aggregate[tier_index(d.tier)] += ci;
+        out.capacities.aggregate[tier_index(d.tier)] +=
+            GigaBytes{requirement(plan, i) * d.overprovision};
         if (d.tier == StorageTier::kEphemeralSsd) {
-            GigaBytes backing = job.output();
-            if (workflow_.predecessors(i).empty()) backing += job.input;
-            out.capacities.aggregate[tier_index(StorageTier::kObjectStore)] += backing;
+            out.capacities.aggregate[tier_index(StorageTier::kObjectStore)] +=
+                GigaBytes{eph_backing_[i]};
         }
         if (d.tier == StorageTier::kObjectStore) {
             any_on_object_store = true;
-            if (job.intermediate() > max_object_store_inter) {
-                max_object_store_inter = job.intermediate();
-            }
+            if (inter_[i] > max_object_store_inter) max_object_store_inter = inter_[i];
         }
     }
     try {
-        provision_capacities(models_->catalog(), nvm,
-                             any_on_object_store ? std::optional(max_object_store_inter)
-                                                 : std::nullopt,
+        provision_capacities(models_->catalog(), models_->cluster().worker_count,
+                             any_on_object_store
+                                 ? std::optional(GigaBytes{max_object_store_inter})
+                                 : std::nullopt,
                              out.capacities);
     } catch (const ValidationError& e) {
         out.infeasibility = e.what();
-        return;
+        return false;
     }
+    out.job_runtimes.assign(workflow_.size(), Seconds{0.0});
+    out.transfer_times.reserve(workflow_.edge_endpoints().size());
+    return true;
+}
+
+void WorkflowEvaluator::finish_evaluation(Seconds total, WorkflowEvaluation& out) const {
+    out.total_runtime = total;
+    // --- Cost (Eq. 8): the shared Eq. 5-6 formula over the workflow
+    // makespan, so workflow plans are costed exactly like tiering plans.
+    const auto [vm, store] = eq5_eq6_costs(*models_, total, out.capacities);
+    out.vm_cost = vm;
+    out.storage_cost = store;
+    out.meets_deadline = total <= workflow_.deadline();
+    out.feasible = true;
+}
+
+WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
+                                               EvalCache* cache) const {
+    WorkflowEvaluation out;
+    if (!begin_evaluation(plan, out)) return out;
+    const auto& per_vm = out.capacities.per_vm;
+    // --- Runtime: serial execution in topological order (Eq. 9's sum),
+    // job estimates via REG plus staging legs, then the cross-tier
+    // transfers on edges (the pipelining of §3.1.3: "the output of one job
+    // is pipelined to another storage service where it acts as an input
+    // for the subsequent job").
+    Seconds total{0.0};
+    for (std::size_t i : workflow_.topological_order()) {
+        const StorageTier t = plan.decisions[i].tier;
+        const workload::JobSpec& job = workflow_.jobs()[i];
+        const model::StagingLegs legs = staging_legs(i, t);
+        const Seconds runtime =
+            cache != nullptr
+                ? cache->job_runtime(*models_, job, t, per_vm[tier_index(t)], legs)
+                : models_->job_runtime(job, t, per_vm[tier_index(t)], legs);
+        out.job_runtimes[i] = runtime;
+        total += runtime;
+    }
+    for (const auto [u, v] : workflow_.edge_endpoints()) {
+        const StorageTier su = plan.decisions[u].tier;
+        const StorageTier sv = plan.decisions[v].tier;
+        const Seconds t = transfer_time(GigaBytes{output_[u]}, su, per_vm[tier_index(su)], sv,
+                                        per_vm[tier_index(sv)]);
+        out.transfer_times.push_back(t);
+        total += t;
+    }
+    finish_evaluation(total, out);
+    return out;
+}
+
+void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, RegMemo& memo,
+                                      WorkflowEvaluation& out, const Base* base) const {
+    // Only a feasible base carries runtimes to reuse.
+    if (base != nullptr && !base->evaluation.feasible) base = nullptr;
+    if (base != nullptr) {
+        CAST_EXPECTS_MSG(&base->evaluation != &out, "base evaluation aliases the output");
+        CAST_EXPECTS(base->plan.decisions.size() == workflow_.size() &&
+                     base->evaluation.job_runtimes.size() == workflow_.size() &&
+                     base->evaluation.transfer_times.size() == workflow_.edges().size());
+    }
+    if (!begin_evaluation(plan, out)) return;
+    reg_.bind(memo);
+    const auto& per_vm = out.capacities.per_vm;
 
     // --- Delta reuse. A job's runtime is a pure function of (job, tier,
     // the tier's per-VM capacity, staging legs), and the legs depend only
@@ -288,11 +357,10 @@ void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache
     // transfer-time bits.
     std::array<bool, cloud::kTierCount> same_capacity{};
     if (base != nullptr) {
-        for (StorageTier t : cloud::kAllTiers) {
-            same_capacity[tier_index(t)] =
-                std::bit_cast<std::uint64_t>(out.capacities.per_vm[tier_index(t)].value()) ==
-                std::bit_cast<std::uint64_t>(
-                    base->evaluation.capacities.per_vm[tier_index(t)].value());
+        for (std::size_t ti = 0; ti < cloud::kTierCount; ++ti) {
+            same_capacity[ti] =
+                std::bit_cast<std::uint64_t>(per_vm[ti].value()) ==
+                std::bit_cast<std::uint64_t>(base->evaluation.capacities.per_vm[ti].value());
         }
     }
     auto reusable = [&](std::size_t i) {
@@ -301,60 +369,35 @@ void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, EvalCache* cache
                same_capacity[tier_index(t)];
     };
 
-    // --- Runtime: serial execution in topological order (Eq. 9's sum),
-    // job estimates via REG plus staging/transfer legs.
+    // --- Runtime and transfers as in evaluate(), from the REG kernels.
     Seconds total{0.0};
-    out.job_runtimes.assign(workflow_.size(), Seconds{0.0});
     for (std::size_t i : workflow_.topological_order()) {
         Seconds t{0.0};
         if (reusable(i)) {
             t = base->evaluation.job_runtimes[i];
         } else {
-            const auto& d = plan.decisions[i];
-            model::StagingLegs legs{false, false};
-            if (d.tier == StorageTier::kEphemeralSsd) {
-                // Roots must pull their input down from the object store;
-                // terminal outputs must be persisted back.
-                legs.download_input = workflow_.predecessors(i).empty();
-                legs.upload_output = workflow_.successors(i).empty();
-            }
-            const GigaBytes per_vm = out.capacities.per_vm[tier_index(d.tier)];
-            t = cache != nullptr
-                    ? cache->job_runtime(*models_, workflow_.jobs()[i], d.tier, per_vm, legs)
-                    : models_->job_runtime(workflow_.jobs()[i], d.tier, per_vm, legs);
+            const std::size_t ti = tier_index(plan.decisions[i].tier);
+            t = Seconds{reg_.runtime(i, ti, per_vm[ti].value(), memo)};
         }
         out.job_runtimes[i] = t;
         total += t;
     }
-    // Cross-tier transfers on edges (the pipelining of §3.1.3: "the output
-    // of one job is pipelined to another storage service where it acts as
-    // an input for the subsequent job").
     const auto& endpoints = workflow_.edge_endpoints();
-    out.transfer_times.reserve(endpoints.size());
     for (std::size_t k = 0; k < endpoints.size(); ++k) {
         const auto [u, v] = endpoints[k];
         Seconds t{0.0};
         if (reusable(u) && reusable(v)) {
             t = base->evaluation.transfer_times[k];
         } else {
-            const StorageTier su = plan.decisions[u].tier;
-            const StorageTier sv = plan.decisions[v].tier;
-            t = transfer_time(workflow_.jobs()[u].output(), su,
-                              out.capacities.per_vm[tier_index(su)], sv,
-                              out.capacities.per_vm[tier_index(sv)]);
+            const std::size_t su = tier_index(plan.decisions[u].tier);
+            const std::size_t sv = tier_index(plan.decisions[v].tier);
+            t = Seconds{reg_.transfer_time(output_[u], su, per_vm[su].value(), sv,
+                                           per_vm[sv].value(), memo)};
         }
         out.transfer_times.push_back(t);
         total += t;
     }
-    out.total_runtime = total;
-
-    // --- Cost (Eq. 8): the shared Eq. 5-6 formula over the workflow
-    // makespan, so workflow plans are costed exactly like tiering plans.
-    const auto [vm, store] = eq5_eq6_costs(*models_, total, out.capacities);
-    out.vm_cost = vm;
-    out.storage_cost = store;
-    out.meets_deadline = total <= workflow_.deadline();
-    out.feasible = true;
+    finish_evaluation(total, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,9 +447,12 @@ struct WorkflowSolver::WfChainCtx {
     /// Move buffers: each move copy-assigns curr's decisions into `next`
     /// and evaluates into `next_eval`; an accepted move swaps them with
     /// curr/curr_eval. After the first moves they own enough capacity that
-    /// a feasible move allocates nothing outside EvalCache miss inserts.
+    /// a move allocates nothing.
     WorkflowPlan next;
     WorkflowEvaluation next_eval;
+    /// REG factors per (tier, per-VM capacity) for evaluate_into; stays
+    /// with the replica across exchanges (its entries are plan-free).
+    RegMemo memo;
     double curr_score = 0.0;
     double best_score = 0.0;
     double temperature = 0.0;
@@ -444,8 +490,7 @@ void WorkflowSolver::init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed,
 }
 
 int WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                                EvalCache* cache, double scale,
-                                const SolveDeadline& deadline) const {
+                                double scale, const SolveDeadline& deadline) const {
     const std::vector<std::size_t>& dfs = evaluator_->workflow().dfs_order();
     const bool bounded = !deadline.unbounded();
     int iter = iter_begin;
@@ -489,7 +534,7 @@ int WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int i
         }
 
         const WorkflowEvaluator::Base base{ctx.curr, ctx.curr_eval};
-        evaluator_->evaluate_into(ctx.next, cache, ctx.next_eval, &base);
+        evaluator_->evaluate_into(ctx.next, ctx.memo, ctx.next_eval, &base);
         const double neighbor_score = score(ctx.next_eval);
         if (ctx.next_eval.feasible && neighbor_score > ctx.best_score) {
             ctx.best_plan = ctx.next;
@@ -548,7 +593,7 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
             init_wf_chain(ctx, options_.seed + 104729 * (r + 1), cache);
         },
         [&](WfChainCtx& ctx, Rng& rng, int begin, int end) {
-            return run_wf_span(ctx, rng, begin, end, cache, scale, deadline);
+            return run_wf_span(ctx, rng, begin, end, scale, deadline);
         },
         [&](const WfChainCtx& ctx) { return -ctx.curr_score / scale; },
         [](WfChainCtx& a, WfChainCtx& b) {

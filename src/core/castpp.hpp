@@ -18,6 +18,7 @@
 #include "core/annealing.hpp"
 #include "core/greedy.hpp"
 #include "core/plan.hpp"
+#include "core/reg_split.hpp"
 #include "core/utility.hpp"
 #include "workload/workflow.hpp"
 
@@ -54,9 +55,9 @@ struct CastResult {
 };
 
 /// Basic CAST: reuse-oblivious utility maximization. When `cache` is
-/// supplied the whole pipeline (greedy init + every annealing chain)
-/// memoizes through it instead of a per-call table — the serve layer passes
-/// its snapshot-scoped cache here so REG runtimes amortize across requests.
+/// supplied the greedy init and the annealing start plans memoize through
+/// it instead of a per-call table — the serve layer passes its
+/// snapshot-scoped cache here so REG runtimes amortize across requests.
 [[nodiscard]] CastResult plan_cast(const model::PerfModelSet& models,
                                    const workload::Workload& workload,
                                    const CastOptions& options = {},
@@ -140,9 +141,11 @@ public:
     /// topological order; a DAG edge whose endpoints sit on different tiers
     /// pays a cross-tier transfer of the producer's output; root jobs on
     /// ephSSD stage in from objStore, terminal jobs on ephSSD stage out.
-    /// When a cache is supplied, per-job REG runtimes are memoized through
-    /// it (bit-identical — REG is deterministic). The reference evaluation:
-    /// a thin wrapper over evaluate_into() with no base.
+    /// The reference evaluation: per-job runtimes are
+    /// PerfModelSet::job_runtime calls, memoized through `cache` when one
+    /// is supplied (bit-identical: REG is deterministic), and transfers
+    /// are transfer_time() calls. Start plans, the uniform sweep, the
+    /// Deployer and outside checks evaluate here.
     [[nodiscard]] WorkflowEvaluation evaluate(const WorkflowPlan& plan,
                                               EvalCache* cache = nullptr) const;
 
@@ -153,22 +156,27 @@ public:
         const WorkflowEvaluation& evaluation;
     };
 
-    /// evaluate() into a caller-owned buffer: every field of `out` is
-    /// reset (vectors keep their capacity, so a reused buffer needs no new
-    /// storage on the feasible path), including on an infeasible early
-    /// return, which leaves both vectors empty. With a feasible `base`, a
-    /// job whose tier matches the base plan's and whose tier's per-VM
-    /// capacity is bit-equal to the base's keeps the base runtime, and an
-    /// edge whose endpoints both pass that test keeps the base transfer
-    /// time: the inputs are identical, so are the bits. Capacities, the
-    /// runtime total and the costs are always recomputed over all jobs in
-    /// the reference order, so `out` bit-equals evaluate(plan, cache).
-    void evaluate_into(const WorkflowPlan& plan, EvalCache* cache, WorkflowEvaluation& out,
+    /// evaluate() into a caller-owned buffer, for the annealing loop.
+    /// Every field of `out` is reset (vectors keep their capacity, so a
+    /// reused buffer allocates nothing), including on an infeasible early
+    /// return, which leaves both vectors empty. Runtimes and transfers come
+    /// from the REG split (core/reg_split.hpp): per-(job, tier) terms
+    /// built at construction and per-(tier, per-VM capacity) factors in
+    /// the caller's chain-private `memo`, with no EvalCache. With a
+    /// feasible `base`, a job whose tier matches the base plan's and whose
+    /// tier's per-VM capacity is bit-equal to the base's keeps the base
+    /// runtime, and an edge whose endpoints both pass that test keeps the
+    /// base transfer time. Capacities, the runtime total and the costs are
+    /// always recomputed over all jobs in the reference order, so `out`
+    /// bit-equals evaluate(plan).
+    void evaluate_into(const WorkflowPlan& plan, RegMemo& memo, WorkflowEvaluation& out,
                        const Base* base = nullptr) const;
 
     /// Eq. 10 capacity requirement of one workflow job under a plan.
     [[nodiscard]] GigaBytes job_requirement(const WorkflowPlan& plan,
-                                            std::size_t job_idx) const;
+                                            std::size_t job_idx) const {
+        return GigaBytes{requirement(plan, job_idx)};
+    }
 
     /// Modeled time to move `volume` from tier `from` to tier `to` given
     /// per-VM capacities.
@@ -177,9 +185,34 @@ public:
                                         GigaBytes to_per_vm) const;
 
 private:
+    /// Staging legs of job `i` on `tier`: on ephSSD a root downloads its
+    /// input and a terminal job uploads its output; nothing elsewhere.
+    [[nodiscard]] model::StagingLegs staging_legs(std::size_t i,
+                                                  cloud::StorageTier tier) const;
+    /// job_requirement as a raw GB double.
+    [[nodiscard]] double requirement(const WorkflowPlan& plan, std::size_t i) const;
+    /// The part of an evaluation both paths share: reset `out`, check the
+    /// operator pins, accumulate and provision the Eq. 10 capacities.
+    /// False (with out.infeasibility set) when the plan is infeasible.
+    bool begin_evaluation(const WorkflowPlan& plan, WorkflowEvaluation& out) const;
+    /// Total runtime, Eq. 5-6 costs and the deadline flag; marks `out`
+    /// feasible.
+    void finish_evaluation(Seconds total, WorkflowEvaluation& out) const;
+
     const model::PerfModelSet* models_;
     workload::Workflow workflow_;
     EvalOptions options_;
+    /// True when some job carries an operator tier pin.
+    bool any_pinned_ = false;
+    /// Plan-invariant per-job volumes as raw doubles (GB).
+    std::vector<double> input_;
+    std::vector<double> inter_;
+    std::vector<double> output_;
+    /// objStore backing of the job on ephSSD: its output, plus its input
+    /// for a root.
+    std::vector<double> eph_backing_;
+    /// REG split over the workflow's jobs and staging legs.
+    RegSplit reg_;
 };
 
 struct WorkflowSolveResult {
@@ -190,7 +223,8 @@ struct WorkflowSolveResult {
     /// Index of the winning replica (-1 when the uniform-plan fallback beat
     /// every replica, 0 for a single chain).
     int best_chain = 0;
-    /// Memo-table statistics.
+    /// Memo-table statistics of the uniform sweep's and the start plans'
+    /// evaluations (cumulative when the caller supplied the cache).
     EvalCacheStats cache_stats{};
     /// Pre-solve lint warnings, including a demoted L009 when the deadline
     /// is below the certified runtime lower bound (the solve is then
@@ -215,8 +249,10 @@ public:
                    double deadline_safety = 1.0);
 
     /// Tempered anneal over options.chains replicas (a single chain is a
-    /// one-rung ladder). All replicas share one evaluation cache: `cache`
-    /// when supplied, otherwise an internally created one.
+    /// one-rung ladder). The uniform sweep and the replicas' start plans
+    /// evaluate through `cache` when supplied, otherwise an internally
+    /// created one; the replicas score candidates on their own REG memos
+    /// and make no cache lookups.
     [[nodiscard]] WorkflowSolveResult solve(ThreadPool* pool = nullptr,
                                             EvalCache* cache = nullptr) const;
     /// Greedy-only workflow answer: the best uniform plan over tiers x
@@ -236,7 +272,8 @@ private:
     /// multi-start anchor and result floor).
     [[nodiscard]] WorkflowPlan best_uniform_plan(EvalCache* cache = nullptr) const;
 
-    /// Per-replica search state; defined in the .cpp.
+    /// Per-replica search state, including the chain's REG memo; defined
+    /// in the .cpp.
     struct WfChainCtx;
     /// Seed `ctx` from the multi-start formula for `start_seed`
     /// (uniform-sweep anchor for seeds divisible by 3, rotated uniform
@@ -245,8 +282,8 @@ private:
     /// Run iterations [iter_begin, iter_end) of one replica (the DFS
     /// cursor and temperature live in ctx and carry across segments);
     /// returns how many ran (fewer only when the deadline stopped it).
-    int run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                    EvalCache* cache, double scale, const SolveDeadline& deadline) const;
+    int run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end, double scale,
+                    const SolveDeadline& deadline) const;
 
     const WorkflowEvaluator* evaluator_;
     AnnealingOptions options_;

@@ -5,11 +5,12 @@
 // staging-leg model. Provider-side provisioning quantizes per-VM
 // capacities (whole 375 GB ephSSD volumes, whole-GB persistent volumes),
 // so greedy's single-job sweeps, the solvers' start-plan evaluations and
-// the workflow evaluator keep revisiting a small set of
+// the workflow solver's uniform sweeps keep revisiting a small set of
 // (job, tier, capacity, legs) configurations. EvalCache memoizes exactly
-// that quadruple. The annealing inner loop does not come here: the SoA
-// core (core/soa_eval.hpp) splits REG into per-(job, tier) and per-tier
-// factors of its own and needs no table.
+// that quadruple. Neither annealing inner loop comes here: the batch SoA
+// core and the workflow evaluator's evaluate_into both score candidates
+// through the REG split (core/reg_split.hpp), whose per-(job, tier) terms
+// and chain-private per-tier memo need no table.
 //
 // Keying. Jobs are identified by the fields job_runtime actually reads
 // (application class, input size, map/reduce task counts) rather than by
@@ -24,17 +25,17 @@
 // high while objStore aggregates drift.
 //
 // Thread safety. The table is sharded by key hash; each shard has its own
-// mutex, so concurrent annealing chains sharing one cache (the ThreadPool
-// path) contend only on colliding shards. Each shard's map carries a
+// mutex, so concurrent solves sharing one cache (the serve layer's
+// snapshot-scoped table) contend only on colliding shards. Each shard's map carries a
 // CAST_GUARDED_BY contract, so the Clang thread-safety lane proves every
 // map access holds its shard mutex. Values are deterministic
 // functions of their key, so duplicated computation under a race is
 // benign: both threads store the same bits.
 //
 // L1 front. Each thread additionally keeps a small lock-free direct-mapped
-// array in front of the shared table: the annealing inner loop re-reads the
-// same few hundred hot keys, and a thread-local probe (one index, one key
-// compare) costs a fraction of a mutex acquisition. Entries are tagged with
+// array in front of the shared table: greedy sweeps and repeated start-plan
+// evaluations re-read the same hot keys, and a thread-local probe (one
+// index, one key compare) costs a fraction of a mutex acquisition. Entries are tagged with
 // the owning cache and a globally unique generation, so a cleared or
 // destroyed cache can never serve stale values — not even to a new cache
 // constructed at the same address.

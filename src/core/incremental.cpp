@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "core/eval_cache.hpp"
@@ -158,9 +159,10 @@ bool IncrementalSolver::repair_pass(const SoaEvaluator& soa, const std::vector<M
     return changed;
 }
 
-void IncrementalSolver::solve_cold(const PlanEvaluator& evaluator, const TieringPlan& seed,
+void IncrementalSolver::solve_cold(const SoaEvaluator& soa, const TieringPlan& seed,
                                    ThreadPool* pool, EvalCache* cache,
                                    AmendResult* result) const {
+    const PlanEvaluator& evaluator = soa.evaluator();
     // The annealing solver requires a feasible start; fall back through
     // progressively safer plans (objStore has no aggregate capacity limit).
     std::vector<TieringPlan> candidates;
@@ -172,7 +174,7 @@ void IncrementalSolver::solve_cold(const PlanEvaluator& evaluator, const Tiering
         const PlanEvaluation eval = evaluator.evaluate(candidate, cache);
         if (!eval.feasible) continue;
         const AnnealingSolver solver(evaluator, options_.annealing);
-        const AnnealingResult cold = solver.solve(candidate, pool, cache);
+        const AnnealingResult cold = solver.solve(candidate, pool, cache, &soa);
         result->plan = cold.plan;
         result->evaluation = cold.evaluation;
         result->iterations += cold.iterations;
@@ -243,9 +245,17 @@ AmendResult IncrementalSolver::amend(const workload::Workload& prior,
     const PlanEvaluation shadow_eval = next_eval.evaluate(shadow, cache);
     out.shadow_utility = shadow_eval.utility;
 
+    // One SoA core per amendment, built on first use: the repair passes,
+    // the restricted anneal and a cold escalation all score on it.
+    std::optional<SoaEvaluator> soa;
+    const auto soa_core = [&]() -> const SoaEvaluator& {
+        if (!soa) soa.emplace(next_eval);
+        return *soa;
+    };
+
     if (capacity_overflow || !seeded_eval.feasible) {
         out.escalated_cold = true;
-        solve_cold(next_eval, shadow, pool, cache, &out);
+        solve_cold(soa_core(), shadow, pool, cache, &out);
     } else if (out.neighborhood.empty()) {
         // Nothing to search (e.g. departures within capacity slack): the
         // seeded plan IS the amendment.
@@ -269,12 +279,11 @@ AmendResult IncrementalSolver::amend(const workload::Workload& prior,
         std::ranges::sort(units, {}, [](const MoveUnit& u) { return u.jobs.front(); });
         TieringPlan warm = seeded;
         PlanEvaluation warm_eval = seeded_eval;
-        const SoaEvaluator soa(next_eval);
         for (int pass = 0; pass < policy_.repair_passes; ++pass) {
-            if (!repair_pass(soa, units, &warm, &warm_eval)) break;
+            if (!repair_pass(soa_core(), units, &warm, &warm_eval)) break;
         }
         const AnnealingSolver solver(next_eval, annealing);
-        const AnnealingResult amended = solver.solve(warm, pool, cache);
+        const AnnealingResult amended = solver.solve(warm, pool, cache, &soa_core());
         out.plan = amended.plan;
         out.evaluation = amended.evaluation;
         out.iterations += amended.iterations;
@@ -290,7 +299,7 @@ AmendResult IncrementalSolver::amend(const workload::Workload& prior,
         out.escalated_cold = true;
         const bool amend_better =
             out.evaluation.feasible && out.evaluation.utility >= shadow_eval.utility;
-        solve_cold(next_eval, amend_better ? out.plan : shadow, pool, cache, &out);
+        solve_cold(soa_core(), amend_better ? out.plan : shadow, pool, cache, &out);
     }
 
     if (cache != nullptr) out.cache_stats = cache->stats();

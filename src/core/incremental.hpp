@@ -164,15 +164,16 @@ private:
     /// utility given every other decision fixed. `plan`/`eval` are updated
     /// in place (`eval` must be the feasible evaluation of `plan` on
     /// entry). `soa` is the amended workload's SoA evaluator, built once
-    /// per amendment and shared by its passes. Returns true when any
-    /// decision changed.
+    /// per amendment and shared by its passes and its anneals. Returns
+    /// true when any decision changed.
     bool repair_pass(const SoaEvaluator& soa, const std::vector<MoveUnit>& units,
                      TieringPlan* plan, PlanEvaluation* eval) const;
 
-    /// Full unrestricted re-solve over `evaluator`, seeded from the best
-    /// available plan; fills the result's plan/evaluation/counters.
-    void solve_cold(const PlanEvaluator& evaluator, const TieringPlan& seed,
-                    ThreadPool* pool, EvalCache* cache, AmendResult* result) const;
+    /// Full unrestricted re-solve over `soa`'s evaluator (annealing on
+    /// `soa`), seeded from the best available plan; fills the result's
+    /// plan/evaluation/counters.
+    void solve_cold(const SoaEvaluator& soa, const TieringPlan& seed, ThreadPool* pool,
+                    EvalCache* cache, AmendResult* result) const;
 
     const model::PerfModelSet* models_;
     CastOptions options_;

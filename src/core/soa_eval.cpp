@@ -1,7 +1,5 @@
 #include "core/soa_eval.hpp"
 
-#include <bit>
-
 #include "lint/checks.hpp"
 
 namespace cast::core {
@@ -16,12 +14,16 @@ constexpr std::size_t kObj = tier_index(StorageTier::kObjectStore);
 SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
     : aos_(&evaluator),
       n_(evaluator.workload().size()),
-      nvm_(evaluator.models().cluster().worker_count) {
-    const model::PerfModelSet& models = evaluator.models();
+      nvm_(evaluator.models().cluster().worker_count),
+      reg_(evaluator.models(), evaluator.workload().jobs(),
+           [&evaluator](std::size_t job, StorageTier t) {
+               model::StagingLegs legs = model::StagingLegs::for_tier(t);
+               legs.download_input = legs.download_input && evaluator.pays_input_download(job);
+               return legs;
+           }) {
     req_.reserve(n_);
     eph_backing_.reserve(n_);
     inter_.reserve(n_);
-    terms_.reserve(n_ * cloud::kTierCount);
     for (std::size_t i = 0; i < n_; ++i) {
         // The stored doubles are bitwise the evaluator's own precomputed
         // terms, so the capacity arithmetic below reproduces its results
@@ -29,38 +31,6 @@ SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
         req_.push_back(evaluator.req_[i].value());
         eph_backing_.push_back(evaluator.eph_backing_[i].value());
         inter_.push_back(evaluator.inter_[i].value());
-        const workload::JobSpec& job = evaluator.workload().job(i);
-        for (StorageTier t : cloud::kAllTiers) {
-            const std::size_t ti = tier_index(t);
-            JobTierTerms terms;
-            terms.app = static_cast<std::uint8_t>(workload::app_index(job.app));
-            terms.modeled = models.has_tier_model(job.app, t);
-            if (terms.modeled) {
-                // The capacity-free half of PerfModelSet::job_runtime,
-                // through the same model calls.
-                const model::TierModel& m = models.tier_model(job.app, t);
-                terms.base = model::estimate(models.cluster(), job, m.bandwidths).value();
-                terms.capacity_scaled = !m.scales_with_intermediate_volume;
-                if (terms.capacity_scaled) {
-                    scaled_apps_[ti] |= 1u << terms.app;
-                    objstore_capacity_sensitive_ =
-                        objstore_capacity_sensitive_ || t == StorageTier::kObjectStore;
-                } else {
-                    terms.scale = m.scale_at(cloud::object_store_intermediate_volume(
-                        job.intermediate(), nvm_));
-                }
-                if (t != StorageTier::kObjectStore) {
-                    const model::StagingLegs legs = model::StagingLegs::for_tier(t);
-                    if (legs.download_input && evaluator.pays_input_download(i)) {
-                        terms.download_mb = job.input.megabytes();
-                    }
-                    if (legs.upload_output) terms.upload_mb = job.output().megabytes();
-                    downloads_[ti] = downloads_[ti] || terms.download_mb > 0.0;
-                    uploads_[ti] = uploads_[ti] || terms.upload_mb > 0.0;
-                }
-            }
-            terms_.push_back(terms);
-        }
     }
 }
 
@@ -103,7 +73,7 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
     state.best_storage = state.storage_cost;
     state.best_utility = state.utility;
 
-    state.factors_ = {};
+    reg_.bind(state.memo_);
 }
 
 void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t tier_idx,
@@ -112,55 +82,6 @@ void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t t
         {static_cast<std::uint32_t>(job), state.tier[job], state.overprov[job]});
     state.tier[job] = tier_idx;
     state.overprov[job] = overprov;
-}
-
-void SoaEvaluator::refresh_factors(SoaState::TierFactors& f, std::size_t ti,
-                                   double per_vm) const {
-    const model::PerfModelSet& models = aos_->models();
-    const StorageTier tier = cloud::kAllTiers[ti];
-    const GigaBytes capacity{per_vm};
-    f.valid = false;
-    for (const workload::AppKind app : workload::kAllApps) {
-        const std::size_t a = workload::app_index(app);
-        if ((scaled_apps_[ti] & (1u << a)) != 0) {
-            f.scale[a] = models.tier_model(app, tier).scale_at(capacity);
-        }
-    }
-    if (downloads_[ti]) {
-        f.download_mbps = model::staging_rate_mbps(models.cluster(), models.catalog(), tier,
-                                                   capacity, model::StagingDirection::kDownload);
-    }
-    if (uploads_[ti]) {
-        f.upload_mbps = model::staging_rate_mbps(models.cluster(), models.catalog(), tier,
-                                                 capacity, model::StagingDirection::kUpload);
-    }
-    f.capacity_bits = std::bit_cast<std::uint64_t>(per_vm);
-    f.valid = true;
-}
-
-double SoaEvaluator::job_runtime(SoaState& state, std::size_t job,
-                                 const CapacityBreakdown& caps) const {
-    const std::size_t ti = state.tier[job];
-    const JobTierTerms& terms = terms_[job * cloud::kTierCount + ti];
-    if (!terms.modeled) {
-        // No profiled model: the model set raises its PreconditionError.
-        return aos_->models()
-            .job_runtime(aos_->workload().job(job), cloud::kAllTiers[ti], caps.per_vm[ti])
-            .value();
-    }
-    const bool download = terms.download_mb > 0.0;
-    const bool upload = terms.upload_mb > 0.0;
-    if (!terms.capacity_scaled && !download && !upload) return terms.base * terms.scale;
-    const double per_vm = caps.per_vm[ti].value();
-    SoaState::TierFactors& f = state.factors_[ti];
-    if (!f.valid || f.capacity_bits != std::bit_cast<std::uint64_t>(per_vm)) {
-        refresh_factors(f, ti, per_vm);
-    }
-    // PerfModelSet::job_runtime's operations, in its order.
-    double t = terms.base * (terms.capacity_scaled ? f.scale[terms.app] : terms.scale);
-    if (download) t += terms.download_mb / f.download_mbps;
-    if (upload) t += terms.upload_mb / f.upload_mbps;
-    return t;
 }
 
 bool SoaEvaluator::evaluate_candidate(SoaState& state,
@@ -195,22 +116,26 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
     }
 
     // --- Runtime reuse: bitwise per-VM comparison decides reusability per
-    // tier; jobs on capacity-shifted tiers and changed jobs re-derive
-    // through the REG kernel; the total re-sums in index order only when
-    // some runtime actually changed.
+    // tier (a tier where no runtime depends on capacity, such as objStore
+    // under the paper's models, always reuses); jobs on capacity-shifted
+    // tiers and changed jobs re-derive through the REG kernel; the total
+    // re-sums in index order only when some runtime actually changed.
     std::array<bool, cloud::kTierCount> reusable{};
     bool all_reusable = true;
-    for (StorageTier t : cloud::kAllTiers) {
-        const std::size_t ti = tier_index(t);
-        reusable[ti] = (t == StorageTier::kObjectStore && !objstore_capacity_sensitive_) ||
+    for (std::size_t ti = 0; ti < cloud::kTierCount; ++ti) {
+        reusable[ti] = !reg_.capacity_sensitive(ti) ||
                        state.caps.per_vm[ti].value() == state.cand_caps.per_vm[ti].value();
         all_reusable = all_reusable && reusable[ti];
     }
+    const auto runtime = [&](std::size_t job) {
+        const std::size_t ti = state.tier[job];
+        return reg_.runtime(job, ti, state.cand_caps.per_vm[ti].value(), state.memo_);
+    };
     bool any_runtime_changed = false;
     if (!all_reusable) {
         for (std::size_t i = 0; i < n_; ++i) {
             if (!reusable[state.tier[i]]) {
-                const double t = job_runtime(state, i, state.cand_caps);
+                const double t = runtime(i);
                 any_runtime_changed |= t != state.runtime[i];
                 state.runtime_undo.push_back(
                     {static_cast<std::uint32_t>(i), state.runtime[i]});
@@ -220,7 +145,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
     }
     for (std::size_t j : changed) {
         if (reusable[state.tier[j]]) {
-            const double t = job_runtime(state, j, state.cand_caps);
+            const double t = runtime(j);
             any_runtime_changed |= t != state.runtime[j];
             state.runtime_undo.push_back({static_cast<std::uint32_t>(j), state.runtime[j]});
             state.runtime[j] = t;

@@ -25,24 +25,16 @@
 // repeat evaluate's floating-point operations in the same order
 // (index-order accumulation, the objStore persSSD floor, provider
 // provisioning rounding) and costs go through the shared eq5_eq6_costs.
-// Runtimes are REG split at the line the model draws, with no shared memo
-// table:
-//
-//   base × scale (+ in_mb / download_rate) (+ out_mb / upload_rate)
-//
-// The Eq. 1 base, the job's staging volumes and, for models that scale
-// with the job's intermediate volume (the paper's objStore models), the
-// scale are keyed on (job, tier) alone and computed once at construction
-// through the same model calls PerfModelSet::job_runtime makes. The spline
-// scale of capacity-scaled models (per app) and the staging rates are
-// keyed on (tier, per-VM capacity): each SoaState memoizes one entry per
-// tier, refreshed when the tier's per-VM capacity changes bitwise. The
-// kernel then repeats job_runtime's floating-point operations in the same
-// order. A job whose decision did not move keeps its committed runtime
-// when its tier's per-VM capacity is bitwise unchanged, and the total
-// re-sums in index order only when some runtime changed. The tests hold
-// this core to the uncached evaluate() along full annealing trajectories
-// and to PerfModelSet::job_runtime across the spline knots.
+// Runtimes come from the shared REG split (core/reg_split.hpp), with no
+// shared memo table: its per-(job, tier) terms are built at construction
+// through the same model calls PerfModelSet::job_runtime makes, and each
+// SoaState owns the RegMemo of per-(tier, per-VM capacity) factors. A job
+// whose decision did not move keeps its committed runtime when its tier's
+// per-VM capacity is bitwise unchanged (or no runtime on that tier depends
+// on capacity), and the total re-sums in index order only when some
+// runtime changed. The tests hold this core to the uncached evaluate()
+// along full annealing trajectories and to PerfModelSet::job_runtime
+// across the spline knots.
 //
 // Feasible by construction: placement legality (operator tier pins, Eq. 7
 // reuse-group co-location) is decided once, where moves are generated,
@@ -56,19 +48,19 @@
 // Deployer/serve/lint; best_plan builds it from the best snapshot.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/plan.hpp"
+#include "core/reg_split.hpp"
 #include "core/utility.hpp"
 
 namespace cast::core {
 
 /// Per-chain flat solver state operated on by SoaEvaluator. Owns the
 /// committed plan + evaluation, the candidate scratch, the undo logs, the
-/// best-so-far snapshot and the evaluator's per-tier REG memo. Plain data;
+/// best-so-far snapshot and the chain's REG memo. Plain data;
 /// all invariants live in the evaluator.
 struct SoaState {
     // --- committed plan
@@ -117,18 +109,8 @@ struct SoaState {
 private:
     friend class SoaEvaluator;
 
-    /// REG's (tier, per-VM capacity)-keyed factors for one tier, valid
-    /// while the tier's per-VM capacity keeps the bits `capacity_bits`.
-    struct TierFactors {
-        bool valid = false;
-        std::uint64_t capacity_bits = 0;
-        /// Spline scale per app (indexed by workload::app_index), filled
-        /// for the capacity-scaled models of the workload's apps.
-        std::array<double, workload::kAllApps.size()> scale{};
-        double download_mbps = 0.0;
-        double upload_mbps = 0.0;
-    };
-    std::array<TierFactors, cloud::kTierCount> factors_{};
+    /// REG's (tier, per-VM capacity)-keyed factors for this chain.
+    RegMemo memo_;
 };
 
 /// Allocation-free incremental evaluation over SoaState. Constructed once
@@ -140,6 +122,7 @@ public:
     explicit SoaEvaluator(const PlanEvaluator& evaluator);
 
     [[nodiscard]] std::size_t size() const { return n_; }
+    [[nodiscard]] const PlanEvaluator& evaluator() const { return *aos_; }
 
     /// Seed `state` from an already-evaluated feasible plan. Reserves all
     /// vectors; nothing below allocates afterwards. Throws
@@ -182,52 +165,15 @@ public:
     [[nodiscard]] PlanEvaluation best_evaluation(const SoaState& state) const;
 
 private:
-    /// REG's (job, tier)-keyed terms: everything of
-    /// PerfModelSet::job_runtime that does not depend on capacity.
-    struct JobTierTerms {
-        /// Eq. 1 estimate (model::estimate).
-        double base = 0.0;
-        /// Runtime scale when the model keys it on the job's intermediate
-        /// volume; unused when `capacity_scaled`.
-        double scale = 0.0;
-        /// Staging volumes (MB) of the legs this placement pays; 0 for a
-        /// leg it does not pay. estimate_staging's zero-volume leg adds
-        /// +0.0, which leaves the (positive) runtime's bits as they are,
-        /// so a zero volume means "no leg" here.
-        double download_mb = 0.0;
-        double upload_mb = 0.0;
-        std::uint8_t app = 0;
-        /// False when no model is profiled for this (app, tier) pair.
-        bool modeled = false;
-        /// True when the scale is the spline at the tier's per-VM capacity.
-        bool capacity_scaled = false;
-    };
-
-    /// REG of `job` on its staged tier at the per-VM capacities of `caps`.
-    [[nodiscard]] double job_runtime(SoaState& state, std::size_t job,
-                                     const CapacityBreakdown& caps) const;
-    /// Recompute tier `ti`'s memo entry `f` at per-VM capacity `per_vm`.
-    void refresh_factors(SoaState::TierFactors& f, std::size_t ti, double per_vm) const;
-
     const PlanEvaluator* aos_;
     std::size_t n_ = 0;
     int nvm_ = 0;
-    /// True when some app's objStore model scales with provisioned capacity
-    /// (never the case for the paper's models, whose objStore runtime keys
-    /// on the conventional intermediate volume); otherwise objStore
-    /// runtimes survive any capacity shift.
-    bool objstore_capacity_sensitive_ = false;
     /// Plan-invariant per-job capacity terms as raw doubles (GB).
     std::vector<double> req_;
     std::vector<double> eph_backing_;
     std::vector<double> inter_;
-    /// REG terms per (job, tier), row-major by job.
-    std::vector<JobTierTerms> terms_;
-    /// Per tier: bit per app whose capacity-scaled model the workload
-    /// uses there, and whether any job pays a download / upload leg there.
-    std::array<std::uint32_t, cloud::kTierCount> scaled_apps_{};
-    std::array<bool, cloud::kTierCount> downloads_{};
-    std::array<bool, cloud::kTierCount> uploads_{};
+    /// REG split over the workload's jobs (the batch staging conventions).
+    RegSplit reg_;
 };
 
 }  // namespace cast::core

@@ -51,6 +51,19 @@ double staging_rate_mbps(const cloud::ClusterSpec& cluster,
     return cluster_mbps;
 }
 
+double cluster_bandwidth_mbps(const cloud::ClusterSpec& cluster,
+                              const cloud::StorageCatalog& catalog, cloud::StorageTier tier,
+                              GigaBytes tier_capacity_per_vm, bool reading) {
+    const int nvm = cluster.worker_count;
+    const auto& svc = catalog.service(tier);
+    if (tier == cloud::StorageTier::kObjectStore) {
+        return reading ? svc.cluster_read_bw(tier_capacity_per_vm, nvm).value()
+                       : svc.cluster_write_bw(tier_capacity_per_vm, nvm).value();
+    }
+    const auto perf = svc.performance(svc.provision(tier_capacity_per_vm));
+    return (reading ? perf.read_bw.value() : perf.write_bw.value()) * nvm;
+}
+
 Seconds estimate_staging(const cloud::ClusterSpec& cluster,
                          const cloud::StorageCatalog& catalog, cloud::StorageTier tier,
                          GigaBytes tier_capacity_per_vm, GigaBytes volume,

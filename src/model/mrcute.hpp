@@ -77,6 +77,16 @@ enum class StagingDirection {
                                        cloud::StorageTier tier, GigaBytes tier_capacity_per_vm,
                                        StagingDirection direction);
 
+/// Whole-cluster bandwidth (MB/s) at which `tier`, provisioned at
+/// `tier_capacity_per_vm` per VM, reads (`reading`) or writes: the object
+/// store's cluster ceiling, or the block volumes' per-VM rate times the
+/// worker count. A workflow's cross-tier hop moves at the smaller of its
+/// source's read and its sink's write bandwidth.
+[[nodiscard]] double cluster_bandwidth_mbps(const cloud::ClusterSpec& cluster,
+                                            const cloud::StorageCatalog& catalog,
+                                            cloud::StorageTier tier,
+                                            GigaBytes tier_capacity_per_vm, bool reading);
+
 /// Analytical estimate of the bulk-copy staging legs a placement needs
 /// (download before / upload after): `volume` moved between the object
 /// store and `tier` at staging_rate_mbps. A zero volume costs nothing.

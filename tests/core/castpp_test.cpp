@@ -268,7 +268,8 @@ WalkStats delta_walk(const WorkflowEvaluator& eval, std::uint64_t seed, int step
     WorkflowPlan next;
     WorkflowEvaluation curr_eval;
     WorkflowEvaluation next_eval;
-    eval.evaluate_into(curr, cache, curr_eval);
+    RegMemo memo;
+    eval.evaluate_into(curr, memo, curr_eval);
     expect_bit_equal(curr_eval, eval.evaluate(curr));
     WalkStats stats;
     bool prev_feasible = curr_eval.feasible;
@@ -285,10 +286,11 @@ WalkStats delta_walk(const WorkflowEvaluator& eval, std::uint64_t seed, int step
             d.overprovision = kFactors[rng.below(std::size(kFactors))];
         }
         const WorkflowEvaluator::Base base{curr, curr_eval};
-        eval.evaluate_into(next, cache, next_eval, &base);
+        eval.evaluate_into(next, memo, next_eval, &base);
         const WorkflowEvaluation want = eval.evaluate(next);
         SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
         expect_bit_equal(next_eval, want);
+        if (cache != nullptr) expect_bit_equal(eval.evaluate(next, cache), want);
         if (::testing::Test::HasFailure()) return stats;
 
         if (next_eval.feasible) {
@@ -359,14 +361,15 @@ TEST(WorkflowDeltaEvaluation, InfeasibleResultClearsAReusedBuffer) {
     const WorkflowPlan ok = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
     const WorkflowPlan overflow = WorkflowPlan::uniform(4, StorageTier::kEphemeralSsd, 400.0);
     WorkflowEvaluation buffer;
-    eval.evaluate_into(ok, nullptr, buffer);
+    RegMemo memo;
+    eval.evaluate_into(ok, memo, buffer);
     ASSERT_TRUE(buffer.feasible);
-    eval.evaluate_into(overflow, nullptr, buffer);
+    eval.evaluate_into(overflow, memo, buffer);
     ASSERT_FALSE(buffer.feasible);
     expect_bit_equal(buffer, eval.evaluate(overflow));
     EXPECT_TRUE(buffer.job_runtimes.empty());
     EXPECT_TRUE(buffer.transfer_times.empty());
-    eval.evaluate_into(ok, nullptr, buffer);
+    eval.evaluate_into(ok, memo, buffer);
     expect_bit_equal(buffer, eval.evaluate(ok));
 }
 

@@ -74,7 +74,8 @@ HOT_PATH_BASENAMES = ("flow_engine.hpp", "flow_engine.cpp", "phase_runner.hpp",
 # The SoA solver hot path (C011): no node-based containers per iteration.
 # eval_cache.cpp is deliberately absent — its sharded map interiors are the
 # sanctioned memoization structure.
-SOLVER_HOT_BASENAMES = ("annealing.cpp", "utility.cpp", "soa_eval.cpp")
+SOLVER_HOT_BASENAMES = ("annealing.cpp", "utility.cpp", "soa_eval.cpp", "reg_split.hpp",
+                        "reg_split.cpp")
 
 NO_TSA_BUDGET = 3
 
