@@ -14,7 +14,10 @@
 // sustained plans/sec, p50/p95/p99 end-to-end latency, and the shared
 // cache's hit rate. A final budgeted configuration sets a per-request
 // max_wall_ms with an iteration count that could not finish in time, and
-// checks p99 solve latency respects the budget within 10%.
+// checks p99 solve latency respects the budget within 10%. The p99 of one
+// small batch is its maximum, so one scheduler hiccup on a busy host would
+// decide the gate: the budgeted batch runs several times and the gate
+// reads the median of the per-batch p99s.
 //
 // Determinism is asserted, not assumed: every unbudgeted service response
 // must carry exactly the utility the cold baseline computed for the same
@@ -134,6 +137,8 @@ int main(int argc, char** argv) {
     const int request_count = args.smoke ? 12 : 60;
     const int iter_max = args.smoke ? 300 : 2000;
     const double budget_ms = args.smoke ? 30.0 : 50.0;
+    const int budget_request_count = args.smoke ? 24 : 60;
+    const int budget_samples = 5;
 
     std::cerr << "serve_throughput: planning service vs one-shot pipeline ("
               << request_count << " requests, " << (args.smoke ? "smoke" : "full")
@@ -261,26 +266,32 @@ int main(int argc, char** argv) {
     bopts.workers = std::max(1u, std::min(8u, std::thread::hardware_concurrency()));
     bopts.solver.annealing.iter_max = 2'000'000;
     bopts.default_max_wall_ms = budget_ms;
-    std::vector<double> budget_solve_ms;
+    const std::vector<serve::PlanRequest> budget_requests =
+        make_requests(templates, budget_request_count);
+    std::vector<double> budget_p99_samples;
     bool budget_flagged = true;
-    {
+    for (int sample = 0; sample < budget_samples; ++sample) {
         serve::PlannerService service(
             serve::make_snapshot(model::load_model_set_file(model_path)), bopts);
         std::vector<std::future<serve::PlanResponse>> futures;
-        for (const serve::PlanRequest& req : requests) {
+        for (const serve::PlanRequest& req : budget_requests) {
             futures.push_back(service.submit(req));
         }
+        std::vector<double> solve_ms;
         for (auto& f : futures) {
             const serve::PlanResponse resp = f.get();
-            budget_solve_ms.push_back(resp.solve_ms);
+            solve_ms.push_back(resp.solve_ms);
             budget_flagged &= resp.ok() && resp.budget_exhausted();
         }
+        budget_p99_samples.push_back(bench::percentile(solve_ms, 99.0));
     }
-    const double budget_p99 = bench::percentile(budget_solve_ms, 99.0);
+    const double budget_p99 = bench::percentile(budget_p99_samples, 50.0);
     const bool budget_respected = budget_p99 <= budget_ms * 1.10;
-    std::cerr << "budgeted (" << fmt(budget_ms, 0) << " ms): p99 solve "
-              << fmt(budget_p99, 1) << " ms, all flagged budget_exhausted: "
-              << (budget_flagged ? "yes" : "no") << "\n";
+    std::cerr << "budgeted (" << fmt(budget_ms, 0) << " ms, " << budget_samples << " x "
+              << budget_request_count << " requests): median p99 solve " << fmt(budget_p99, 1)
+              << " ms (samples";
+    for (double p99 : budget_p99_samples) std::cerr << " " << fmt(p99, 1);
+    std::cerr << "), all flagged budget_exhausted: " << (budget_flagged ? "yes" : "no") << "\n";
 
     const double service_8w_open = runs.back().plans_per_sec;
     const double speedup = baseline.plans_per_sec > 0.0
@@ -308,7 +319,10 @@ int main(int argc, char** argv) {
         .add_raw("service_runs", runs_json)
         .add("speedup_8w_open_vs_cold", speedup, 2)
         .add("bit_identical_utilities", identical)
-        .add("budget_ms", budget_ms, 1);
+        .add("budget_ms", budget_ms, 1)
+        .add("budget_samples", budget_samples)
+        .add("budget_requests_per_sample", budget_request_count);
+    // The median over samples of each budgeted batch's p99 solve time.
     if (std::isfinite(budget_p99)) json.add("budget_p99_solve_ms", budget_p99, 3);
     json.add("budget_respected_within_10pct", budget_respected)
         .add("budget_all_flagged_exhausted", budget_flagged);
@@ -334,7 +348,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     if (!budget_respected) {
-        std::cerr << "FAIL: budgeted p99 " << fmt(budget_p99, 1) << " ms exceeds "
+        std::cerr << "FAIL: budgeted median p99 " << fmt(budget_p99, 1) << " ms exceeds "
                   << fmt(budget_ms * 1.10, 1) << " ms\n";
         return 1;
     }

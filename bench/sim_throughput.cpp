@@ -7,13 +7,18 @@
 //      thread (reused thread-local arena), jobs/s;
 //   3. pooled_batch — the same batch fanned over the work-stealing pool;
 //   4. deploy_100_jobs — Deployer::deploy of a fixed 100-job plan on the
-//      paper's 400-core cluster, jobs/s.
+//      paper's 400-core cluster, jobs/s;
+//   5. profile_campaign — the offline profiling campaign (Profiler::profile
+//      on a pool of 2, paper's 400-core cluster, default options), the
+//      set-up work every planner pays before its first plan: median and
+//      interquartile range over several timed campaigns after a warm-up.
 //
 // Results are checked, not assumed: the serial and pooled batches must be
-// bit-identical (exact double equality), and the engine trace and the
-// deployed makespans must hash to the committed golden FNV-1a fingerprints
-// of the simulator, before any number is reported. host_cores is recorded
-// so pooled numbers are only compared between hosts of one core count.
+// bit-identical (exact double equality), and the engine trace, the
+// deployed makespans and the profiled model set must hash to the committed
+// golden FNV-1a fingerprints of the simulator, before any number is
+// reported. host_cores is recorded so pooled numbers are only compared
+// between hosts of one core count.
 //
 // Usage: sim_throughput [--smoke] [--threads N]
 #include <cstdint>
@@ -26,6 +31,8 @@
 #include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 #include "core/deployer.hpp"
+#include "model/profiler.hpp"
+#include "model/serialize.hpp"
 #include "sim/batch.hpp"
 #include "sim/flow_engine.hpp"
 #include "workload/facebook.hpp"
@@ -40,6 +47,8 @@ using workload::AppKind;
 constexpr std::uint64_t kEngineGoldenSmoke = 0xee089ad03468f2fdULL;
 constexpr std::uint64_t kEngineGoldenFull = 0x6d2612c0165621e3ULL;
 constexpr std::uint64_t kDeployGolden = 0x5364368150929c5cULL;
+// The profiled paper-cluster model set (ProfilerGolden in model_tests).
+constexpr std::uint64_t kModelsGolden = 0x2cf56308117ff86cULL;
 
 std::string hex(std::uint64_t v) {
     static const char* digits = "0123456789abcdef";
@@ -223,8 +232,35 @@ int main(int argc, char** argv) {
     }
     const double deploy_jobs_per_s = static_cast<double>(workload.size()) / deploy_best_s;
     std::cerr << "deploy: " << workload.size() << "-job plan in " << fmt(deploy_best_s * 1e3, 1)
-              << " ms (" << fmt(deploy_jobs_per_s, 1) << " jobs/s)\n"
-              << "determinism: batch bit-identical, engine and deploy match golden\n";
+              << " ms (" << fmt(deploy_jobs_per_s, 1) << " jobs/s)\n";
+
+    // 5. The profiling campaign: one untimed warm-up (full mode), then
+    // timed campaigns, each on a fresh pool of 2 like a starting planner.
+    const model::Profiler profiler(cloud::ClusterSpec::paper_400_core(),
+                                   cloud::StorageCatalog::google_cloud());
+    const int campaign_warmups = args.smoke ? 0 : 1;
+    const int campaign_samples = args.smoke ? 1 : 7;
+    std::vector<double> campaign_s;
+    for (int rep = 0; rep < campaign_warmups + campaign_samples; ++rep) {
+        ThreadPool two(2);
+        t0 = std::chrono::steady_clock::now();
+        const model::PerfModelSet profiled = profiler.profile(&two);
+        const double s = bench::seconds_since(t0);
+        const std::uint64_t fp = model::fingerprint(profiled);
+        if (fp != kModelsGolden) {
+            std::cerr << "FAIL: profiled model fingerprint " << hex(fp) << " != golden "
+                      << hex(kModelsGolden) << "\n";
+            return 1;
+        }
+        if (rep >= campaign_warmups) campaign_s.push_back(s);
+    }
+    const double campaign_median_s = bench::percentile(campaign_s, 50.0);
+    const double campaign_iqr_s =
+        bench::percentile(campaign_s, 75.0) - bench::percentile(campaign_s, 25.0);
+    std::cerr << "profile campaign (2 workers): median " << fmt(campaign_median_s * 1e3, 1)
+              << " ms, IQR " << fmt(campaign_iqr_s * 1e3, 1) << " ms over "
+              << campaign_samples << " campaigns\n"
+              << "determinism: batch bit-identical, engine, deploy and models match golden\n";
 
     const unsigned host_cores = std::thread::hardware_concurrency();
     bench::JsonObject engine_row;
@@ -250,6 +286,15 @@ int main(int argc, char** argv) {
         .add("jobs_per_s", deploy_jobs_per_s, 2)
         .add("fingerprint", hex(kDeployGolden));
 
+    bench::JsonObject campaign_row;
+    campaign_row.add("workers", 2)
+        .add("warmups", campaign_warmups)
+        .add("samples", campaign_samples)
+        .add("median_s", campaign_median_s, 4)
+        .add("iqr_s", campaign_iqr_s, 4)
+        .add("campaigns_per_s", 1.0 / campaign_median_s, 3)
+        .add("fingerprint", hex(kModelsGolden));
+
     bench::JsonObject json;
     json.add("bench", "sim_throughput")
         .add("mode", args.smoke ? "smoke" : "full")
@@ -259,6 +304,7 @@ int main(int argc, char** argv) {
         .add_raw("pooled_batch", pooled_row.inline_str())
         .add("parallel_speedup", parallel_speedup, 3)
         .add_raw("deploy_100_jobs", deploy_row.inline_str())
+        .add_raw("profile_campaign", campaign_row.inline_str())
         .add("deterministic_across_modes", true);
     bench::write_bench_json("BENCH_sim_throughput.json", json);
     return 0;

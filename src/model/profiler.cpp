@@ -1,5 +1,7 @@
 #include "model/profiler.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "common/annotations.hpp"
@@ -40,10 +42,8 @@ workload::JobSpec Profiler::calibration_job(AppKind app) const {
     };
 }
 
-sim::PhaseTimes Profiler::measure(AppKind app, StorageTier tier,
-                                  GigaBytes per_vm_capacity, ThreadPool* pool) const {
-    const workload::JobSpec job = calibration_job(app);
-
+sim::TierCapacities Profiler::calibration_capacities(AppKind app, StorageTier tier,
+                                                     GigaBytes per_vm_capacity) const {
     sim::TierCapacities caps;
     if (tier == StorageTier::kObjectStore) {
         // objStore jobs keep shuffle data on a persSSD volume; for
@@ -52,12 +52,28 @@ sim::PhaseTimes Profiler::measure(AppKind app, StorageTier tier,
         const GigaBytes inter_vol =
             per_vm_capacity.value() > 0.0
                 ? per_vm_capacity
-                : cloud::object_store_intermediate_volume(job.intermediate(),
+                : cloud::object_store_intermediate_volume(calibration_job(app).intermediate(),
                                                           cluster_.worker_count);
         caps.set(StorageTier::kPersistentSsd, inter_vol);
     } else {
         caps.set(tier, per_vm_capacity);
     }
+    return caps;
+}
+
+cloud::TierPerformance Profiler::simulated_performance(AppKind app, StorageTier tier,
+                                                       GigaBytes per_vm_capacity) const {
+    const StorageTier attached =
+        tier == StorageTier::kObjectStore ? StorageTier::kPersistentSsd : tier;
+    const auto& service = catalog_.service(attached);
+    const sim::TierCapacities caps = calibration_capacities(app, tier, per_vm_capacity);
+    return service.performance(service.provision(caps.of(attached)));
+}
+
+sim::PhaseTimes Profiler::measure(AppKind app, StorageTier tier,
+                                  GigaBytes per_vm_capacity, ThreadPool* pool) const {
+    const workload::JobSpec job = calibration_job(app);
+    const sim::TierCapacities caps = calibration_capacities(app, tier, per_vm_capacity);
 
     const sim::JobPlacement placement = sim::JobPlacement::on_tier(job, tier);
 
@@ -124,8 +140,30 @@ TierModel Profiler::profile_pair(AppKind app, StorageTier tier, ThreadPool* pool
             break;
     }
 
+    // Calibration points the simulator cannot tell apart share one
+    // measurement: it reads only the attached tier's read/write bandwidth,
+    // so a point whose bandwidth bits equal an earlier point's would
+    // re-run the same configurations with the same seeds (persSSD's
+    // bandwidth, for one, is flat past its ceiling).
+    struct Measured {
+        std::uint64_t read_bits;
+        std::uint64_t write_bits;
+        sim::PhaseTimes times;
+    };
+    std::vector<Measured> measured;
+    auto measure_once = [&](GigaBytes capacity) {
+        const cloud::TierPerformance perf = simulated_performance(app, tier, capacity);
+        const auto read_bits = std::bit_cast<std::uint64_t>(perf.read_bw.value());
+        const auto write_bits = std::bit_cast<std::uint64_t>(perf.write_bw.value());
+        for (const Measured& m : measured) {
+            if (m.read_bits == read_bits && m.write_bits == write_bits) return m.times;
+        }
+        measured.push_back(Measured{read_bits, write_bits, measure(app, tier, capacity, pool)});
+        return measured.back().times;
+    };
+
     // --- M̂: invert Eq. 1 on the measured per-iteration phase times.
-    const sim::PhaseTimes ref = measure(app, tier, ref_capacity, pool);
+    const sim::PhaseTimes ref = measure_once(ref_capacity);
     const int iters = profile.iterations();
     const int map_waves = wave_count(job.map_tasks, cluster_.total_map_slots());
     const int reduce_waves = wave_count(job.reduce_tasks, cluster_.total_reduce_slots());
@@ -160,12 +198,7 @@ TierModel Profiler::profile_pair(AppKind app, StorageTier tier, ThreadPool* pool
         for (double c : sweep) {
             const GigaBytes provisioned = service.provision(GigaBytes{c});
             if (!xs.empty() && provisioned.value() <= xs.back()) continue;  // dedupe rounding
-            // The sweep passes through the reference capacity (500 GB block,
-            // 375 GB ephSSD, the objStore intermediate volume); same config,
-            // same seeds, so reuse that measurement instead of re-simulating.
-            const sim::PhaseTimes at = provisioned.value() == ref_capacity.value()
-                                           ? ref
-                                           : measure(app, tier, provisioned, pool);
+            const sim::PhaseTimes at = measure_once(provisioned);
             xs.push_back(provisioned.value());
             ys.push_back(at.processing().value() / ref_runtime);
         }

@@ -167,6 +167,18 @@ public:
 
 private:
     [[nodiscard]] workload::JobSpec calibration_job(workload::AppKind app) const;
+    /// Tier capacities of a calibration run of `app` on `tier` at the given
+    /// per-VM capacity (objStore: the persSSD volume holding its shuffle
+    /// data; zero picks the conventional intermediate volume).
+    [[nodiscard]] sim::TierCapacities calibration_capacities(workload::AppKind app,
+                                                             cloud::StorageTier tier,
+                                                             GigaBytes per_vm_capacity) const;
+    /// The one capacity-dependent input the simulator reads for that run:
+    /// the read/write bandwidth of the attached block tier, provisioned the
+    /// way sim::ClusterSim provisions it.
+    [[nodiscard]] cloud::TierPerformance simulated_performance(workload::AppKind app,
+                                                               cloud::StorageTier tier,
+                                                               GigaBytes per_vm_capacity) const;
     /// Average processing phase times for the calibration job of `app` on
     /// `tier` at the given per-VM capacity. The runs_per_point repetitions
     /// are independent configurations batched over `pool`.

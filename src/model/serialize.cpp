@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/fnv1a.hpp"
+
 namespace cast::model {
 
 namespace {
@@ -175,6 +177,24 @@ PerfModelSet load_model_set_file(const std::string& path) {
     std::ifstream file(path);
     if (!file) throw ValidationError("cannot open for reading: " + path);
     return load_model_set(file);
+}
+
+std::uint64_t fingerprint(const PerfModelSet& models) {
+    Fnv1a h;
+    for (workload::AppKind app : workload::kAllApps) {
+        for (cloud::StorageTier tier : cloud::kAllTiers) {
+            const TierModel& m = models.tier_model(app, tier);
+            h.mix(m.bandwidths.map.value());
+            h.mix(m.bandwidths.shuffle.value());
+            h.mix(m.bandwidths.reduce.value());
+            h.mix(m.reference_capacity_per_vm.value());
+            h.mix(static_cast<std::uint64_t>(m.scales_with_intermediate_volume));
+            h.mix(static_cast<std::uint64_t>(m.runtime_scale.size()));
+            for (double x : m.runtime_scale.knots_x()) h.mix(x);
+            for (double y : m.runtime_scale.knots_y()) h.mix(y);
+        }
+    }
+    return h.value();
 }
 
 }  // namespace cast::model

@@ -15,6 +15,7 @@
 // Numbers are printed with max_digits10 so round-trips are bit-exact.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -35,5 +36,10 @@ void save_model_set(const PerfModelSet& models, std::ostream& os);
 /// be opened.
 void save_model_set_file(const PerfModelSet& models, const std::string& path);
 [[nodiscard]] PerfModelSet load_model_set_file(const std::string& path);
+
+/// FNV-1a over every tier model's bandwidths, reference capacity and REG
+/// spline knots, bit for bit: equal fingerprints mean the planners see the
+/// same numbers. Throws like tier_model() if a model is missing.
+[[nodiscard]] std::uint64_t fingerprint(const PerfModelSet& models);
 
 }  // namespace cast::model

@@ -340,7 +340,7 @@ class SolverReportGate(BenchGateHarness):
 
 def make_sim_report(events_per_s: float, host_cores: int = 4) -> dict:
     """A sim_throughput-shaped report: serial engine, batch and deploy rows
-    plus the pooled batch row."""
+    plus the pooled batch and profiling campaign rows."""
     return {
         "bench": "sim_throughput",
         "mode": "full",
@@ -350,6 +350,8 @@ def make_sim_report(events_per_s: float, host_cores: int = 4) -> dict:
         "serial_batch": {"jobs": 2700, "jobs_per_s": 3000.0},
         "pooled_batch": {"workers": host_cores, "jobs": 2700, "jobs_per_s": 9000.0},
         "deploy_100_jobs": {"jobs": 100, "jobs_per_s": 1500.0},
+        "profile_campaign": {"workers": 2, "samples": 7, "median_s": 0.4,
+                             "iqr_s": 0.02, "campaigns_per_s": 2.5},
     }
 
 
@@ -365,8 +367,18 @@ class SimReportGate(BenchGateHarness):
         by_name = {m["name"]: m for m in summary["metrics"]}
         self.assertEqual(by_name["engine_events.events_per_s"]["status"], "fail")
         for name in ("serial_batch.jobs_per_s", "pooled_batch.jobs_per_s",
-                     "deploy_100_jobs.jobs_per_s"):
+                     "deploy_100_jobs.jobs_per_s", "profile_campaign.campaigns_per_s"):
             self.assertEqual(by_name[name]["status"], "pass", name)
+
+    def test_slower_profile_campaign_fails_the_gate(self):
+        fresh = make_sim_report(2.0e6)
+        fresh["profile_campaign"]["campaigns_per_s"] = 1.5  # -40%
+        bench = self.fake_bench(fresh)
+        base = self.baseline(make_sim_report(2.0e6))
+        proc, summary = self.run_gate(bench, base)
+        self.assertEqual(proc.returncode, 1)
+        by_name = {m["name"]: m for m in summary["metrics"]}
+        self.assertEqual(by_name["profile_campaign.campaigns_per_s"]["status"], "fail")
 
     def test_pooled_row_skipped_across_core_counts(self):
         fresh = make_sim_report(2.0e6, host_cores=1)
@@ -377,6 +389,7 @@ class SimReportGate(BenchGateHarness):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         names = {m["name"] for m in summary["metrics"]}
         self.assertNotIn("pooled_batch.jobs_per_s", names)
+        self.assertNotIn("profile_campaign.campaigns_per_s", names)
         self.assertIn("engine_events.events_per_s", names)
         self.assertIn("deploy_100_jobs.jobs_per_s", names)
 

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/fnv1a.hpp"
 #include "common/thread_pool.hpp"
+#include "model/serialize.hpp"
 #include "sim/mapreduce.hpp"
 #include "test_support.hpp"
 
@@ -200,26 +200,6 @@ TEST(Profiler, ModelPredictsSimulatorWithin25Percent) {
     EXPECT_NEAR(predicted / measured, 1.0, 0.25);
 }
 
-/// Every tier model's bandwidths, reference capacity and REG spline
-/// samples, folded bit for bit.
-std::uint64_t models_fingerprint(const PerfModelSet& models) {
-    Fnv1a h;
-    for (AppKind app : workload::kAllApps) {
-        for (StorageTier tier : cloud::kAllTiers) {
-            const TierModel& m = models.tier_model(app, tier);
-            h.mix(m.bandwidths.map.value());
-            h.mix(m.bandwidths.shuffle.value());
-            h.mix(m.bandwidths.reduce.value());
-            h.mix(m.reference_capacity_per_vm.value());
-            h.mix(static_cast<std::uint64_t>(m.scales_with_intermediate_volume));
-            h.mix(static_cast<std::uint64_t>(m.runtime_scale.size()));
-            for (double x : m.runtime_scale.knots_x()) h.mix(x);
-            for (double y : m.runtime_scale.knots_y()) h.mix(y);
-        }
-    }
-    return h.value();
-}
-
 TEST(ProfilerGolden, PaperClusterModelsMatchGoldenAtOneAndTwoWorkers) {
     // Pinned before the flow engine was vectorized and before the profiler
     // stopped re-simulating its reference capacity: the profiled M-hat and
@@ -227,9 +207,9 @@ TEST(ProfilerGolden, PaperClusterModelsMatchGoldenAtOneAndTwoWorkers) {
     constexpr std::uint64_t kGolden = 0x2cf56308117ff86cULL;
     const Profiler profiler(cloud::ClusterSpec::paper_400_core(),
                             cloud::StorageCatalog::google_cloud());
-    EXPECT_EQ(models_fingerprint(profiler.profile()), kGolden);
+    EXPECT_EQ(fingerprint(profiler.profile()), kGolden);
     ThreadPool two(2);
-    EXPECT_EQ(models_fingerprint(profiler.profile(&two)), kGolden);
+    EXPECT_EQ(fingerprint(profiler.profile(&two)), kGolden);
 }
 
 }  // namespace

@@ -66,6 +66,16 @@ public:
         return want.size();
     }
 
+    /// reset() on both engines: the next scenario reuses their buffers
+    /// (and the engine's ladder store) from a clean clock.
+    void reset() {
+        engine_.reset();
+        reference_.reset();
+        capacities_.clear();
+        ids_.clear();
+    }
+
+    [[nodiscard]] std::size_t ladder_bytes() const { return engine_.ladder_bytes(); }
     [[nodiscard]] std::size_t active() const { return reference_.active_flow_count(); }
     [[nodiscard]] double now() const { return reference_.now().value(); }
     [[nodiscard]] const std::vector<double>& capacities() const { return capacities_; }
@@ -238,6 +248,171 @@ TEST(FlowEngineDifferential, ExtremeRatesTakeTheExactPath) {
     const ResourceId normal = twin.add_resource(100.0);
     for (int i = 0; i < 5; ++i) twin.start_flow(normal, 10.0 * (i + 1), 1e9);
     drain_to_quiescence(twin);
+}
+
+// ---------------------------------------------------------------------------
+// Water-fill regime boundaries. The engine writes a pool's rates in one of
+// three ways (provably capped, memoized fair-share ladder, cap-sorted loop);
+// these scenarios sit on the boundaries between them.
+// ---------------------------------------------------------------------------
+
+/// The engine's capped-regime margin m: a pool is provably capped when
+/// RN(n * cap_max) <= RN(C * m).
+constexpr double kCappedMargin = 1.0 - 0x1p-20;
+
+/// The largest share the loop gives n uncapped members of capacity c.
+double ladder_max_share(double capacity, std::size_t n) {
+    double remaining = capacity;
+    double left = static_cast<double>(n);
+    double max_share = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double share = remaining / left;
+        max_share = std::max(max_share, share);
+        remaining -= share;
+        left -= 1.0;
+    }
+    return max_share;
+}
+
+/// Flows with staggered demands, so members leave one or two at a time
+/// and the member count walks down through many ladders.
+void start_contended(Twin& twin, Rng& rng, ResourceId res, std::size_t n, double lowest_cap) {
+    twin.start_flow(res, rng.uniform(1.0, 50.0), lowest_cap);
+    for (std::size_t i = 1; i < n; ++i) {
+        const double cap = rng.below(2) == 0 ? 1e9 : lowest_cap * rng.uniform(1.0, 3.0);
+        twin.start_flow(res, rng.uniform(1.0, 400.0), cap);
+    }
+}
+
+TEST(FlowEngineDifferential, LowestCapAroundTheLadderMaximum) {
+    // Contended pools of 9-200 members whose lowest cap sits a few ulps
+    // below, at or above the ladder's largest share: below it the first
+    // member is capped and the loop must run; at or above it the ladder
+    // stands in for the loop.
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        Twin twin;
+        const double capacity = rng.below(3) == 0 ? 500.0 : rng.uniform(50.0, 5000.0);
+        const ResourceId res = twin.add_resource(capacity);
+        const std::size_t n = 9 + rng.below(192);
+        const double lowest =
+            ulp_step(ladder_max_share(capacity, n), static_cast<int>(rng.below(7)) - 3);
+        start_contended(twin, rng, res, n, lowest);
+        drain_to_quiescence(twin);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(FlowEngineDifferential, CapacityAroundTheCappedThreshold) {
+    // Pools whose capacity lies within a few ulps of the capped regime's
+    // threshold n * cap_max / m, or of n * cap_max itself where equal caps
+    // stop being all capped, with joins that keep the pool capped or break
+    // it: the regime switch must never show in the rates.
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        Twin twin;
+        const std::size_t n = 1 + rng.below(40);
+        const double cap_max = rng.uniform(1.0, 200.0);
+        const double all_caps = static_cast<double>(n) * cap_max;
+        const double boundary = rng.below(2) == 0 ? all_caps / kCappedMargin : all_caps;
+        const ResourceId res =
+            twin.add_resource(ulp_step(boundary, static_cast<int>(rng.below(9)) - 4));
+        const bool equal_caps = rng.below(2) == 0;
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            const double cap = equal_caps ? cap_max : cap_max * rng.uniform(0.5, 1.0);
+            twin.start_flow(res, rng.uniform(1.0, 100.0), cap);
+        }
+        twin.start_flow(res, rng.uniform(1.0, 100.0), cap_max);
+        std::size_t joins = rng.below(20);
+        std::size_t guard = 0;
+        while (twin.active() > 0) {
+            ASSERT_LT(++guard, 1000u);
+            if (joins > 0 && rng.below(2) == 0) {
+                --joins;
+                // Mostly caps that keep the pool at or below its threshold,
+                // sometimes one that lifts cap_max past it.
+                const double cap = rng.below(4) == 0 ? cap_max * rng.uniform(1.0, 2.0)
+                                                     : cap_max * rng.uniform(0.2, 1.0);
+                twin.start_flow(res, rng.uniform(1.0, 100.0), cap);
+            }
+            twin.step();
+            if (HasFailure()) return;
+        }
+    }
+}
+
+TEST(FlowEngineDifferential, CapacityEventOnACachedLadder) {
+    // A contended pool runs long enough to cache its ladders, then a cut
+    // and a restore change its capacity under them.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        Twin twin;
+        const double capacity = rng.uniform(100.0, 2000.0);
+        const ResourceId res = twin.add_resource(capacity);
+        start_contended(twin, rng, res, 20 + rng.below(100), 1e9);
+        for (int i = 0; i < 5; ++i) twin.step();
+        const double at = twin.now() + rng.uniform(0.0, 0.5);
+        twin.schedule(res, at, capacity * rng.uniform(0.1, 0.9));
+        twin.schedule(res, at + rng.uniform(0.1, 2.0), capacity);
+        drain_to_quiescence(twin);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(FlowEngineDifferential, ResetReusesLaddersAcrossCapacities) {
+    // One engine pair across several jobs: resource ids come back after
+    // reset() at a different capacity, and then at the first one again,
+    // whose ladders the engine still holds.
+    Twin twin;
+    Rng rng(2015);
+    for (const double capacity : {500.0, 1200.0, 733.0, 500.0, 1200.0}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        twin.reset();
+        twin.add_resource(kUnboundedMbps);
+        const ResourceId res = twin.add_resource(capacity);
+        start_contended(twin, rng, res, 150 + rng.below(50), 1e9);
+        for (int i = 0; i < 40; ++i) twin.start_flow(0, rng.uniform(1.0, 50.0), 10.0);
+        drain_to_quiescence(twin);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(FlowEngineDifferential, PoolsSharingOneCapacityShareLadders) {
+    // Two pools of equal capacity hold different member counts and read
+    // ladders of one capacity; a third differs by one ulp.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        Twin twin;
+        const double capacity = rng.uniform(100.0, 2000.0);
+        const ResourceId a = twin.add_resource(capacity);
+        const ResourceId b = twin.add_resource(capacity);
+        const ResourceId c = twin.add_resource(ulp_step(capacity, 1));
+        start_contended(twin, rng, a, 9 + rng.below(60), 1e9);
+        start_contended(twin, rng, b, 9 + rng.below(60), 1e9);
+        start_contended(twin, rng, c, 9 + rng.below(60), 1e9);
+        drain_to_quiescence(twin);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(FlowEngineDifferential, LadderStoreStaysWithinItsBudget) {
+    // Enough distinct capacities and member counts to spend the ladder
+    // budget: the store stops growing and the loop serves the rest.
+    Twin twin;
+    Rng rng(7);
+    for (int job = 0; job < 60; ++job) {
+        twin.reset();
+        const ResourceId res = twin.add_resource(rng.uniform(100.0, 5000.0));
+        start_contended(twin, rng, res, 100 + rng.below(100), 1e9);
+        drain_to_quiescence(twin);
+        if (HasFailure()) return;
+        EXPECT_LE(twin.ladder_bytes(), FlowEngine::kLadderBudgetBytes);
+    }
+    EXPECT_GT(twin.ladder_bytes(), FlowEngine::kLadderBudgetBytes / 2);
 }
 
 /// The slot scheduler with injected stragglers, kills and backoff delays,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -224,6 +226,31 @@ TEST(FlowEngine, AdvanceBufferIsReusedAcrossCalls) {
     ASSERT_EQ(second.size(), 1u);
     EXPECT_NE(second.front(), first_done);
     EXPECT_EQ(&first, &second);
+}
+
+TEST(MemberList, ErasingAnyMemberOfTiedCapsRemovesExactlyThatId) {
+    // Caps drawn from three values, so most members tie with others; ids
+    // arrive in increasing order as the engine assigns them.
+    const double caps[] = {5.0, 2.0, 5.0, 9.0, 2.0, 5.0, 5.0, 9.0, 2.0, 5.0, 9.0, 5.0};
+    MemberList full;
+    std::vector<std::pair<double, FlowId>> order;
+    for (FlowId id = 0; id < std::size(caps); ++id) {
+        full.insert(id, caps[id]);
+        order.emplace_back(caps[id], id);
+    }
+    std::sort(order.begin(), order.end());  // ascending (cap, id)
+    ASSERT_EQ(full.size(), order.size());
+    for (FlowId victim = 0; victim < std::size(caps); ++victim) {
+        MemberList list = full;
+        list.erase(victim, caps[victim]);
+        std::vector<std::pair<double, FlowId>> want;
+        for (const auto& m : order) {
+            if (m.second != victim) want.push_back(m);
+        }
+        std::vector<std::pair<double, FlowId>> got;
+        for (const MemberList::Member& m : list) got.emplace_back(m.cap, m.id);
+        EXPECT_EQ(got, want) << "erasing " << victim;
+    }
 }
 
 }  // namespace

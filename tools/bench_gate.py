@@ -15,8 +15,8 @@ the tempering and workflow tempering solves);
 incremental_replan reports gate the per-track `plans_per_sec` numbers
 (cold re-solve, warm-start amend, secretary baseline); sim_throughput
 reports gate the serial rows (engine events/s, serial batch and 100-job
-deploy jobs/s) always and the pooled batch jobs/s on matching core
-counts. Sections present
+deploy jobs/s) always, and the pooled batch jobs/s and the profiling
+campaign's campaigns/s (inverse median) on matching core counts. Sections present
 in only one of baseline/fresh (a freshly added bench row) are skipped,
 not failed.
 
@@ -80,11 +80,11 @@ SOLVER_POOLED = ("tempering_solve", "workflow_tempering_solve")
 # they stay comparable even when baseline and current core counts differ.
 INCREMENTAL_TRACKS = ("cold_resolve", "incremental_amend", "secretary_baseline")
 # sim_throughput rows: (section, headline field). The serial rows run on the
-# calling thread and always compare; the pooled batch compares only between
-# hosts of one core count.
+# calling thread and always compare; the pooled batch and the profiling
+# campaign (a pool of 2) compare only between hosts of one core count.
 SIM_SERIAL = (("engine_events", "events_per_s"), ("serial_batch", "jobs_per_s"),
               ("deploy_100_jobs", "jobs_per_s"))
-SIM_POOLED = (("pooled_batch", "jobs_per_s"),)
+SIM_POOLED = (("pooled_batch", "jobs_per_s"), ("profile_campaign", "campaigns_per_s"))
 
 
 def metric(name: str, status: str, **fields) -> dict:
