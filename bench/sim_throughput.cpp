@@ -5,7 +5,9 @@
 //      on 25 pools (every completion starts a replacement), events/s;
 //   2. serial_batch — a mixed batch of cluster simulations on the calling
 //      thread (reused thread-local arena), jobs/s;
-//   3. pooled_batch — the same batch fanned over the work-stealing pool;
+//   3. pooled_batch — the same batch fanned over the work-stealing pool:
+//      median and interquartile range over several timed batches after an
+//      untimed warm-up batch on the same pool;
 //   4. deploy_100_jobs — Deployer::deploy of a fixed 100-job plan on the
 //      paper's 400-core cluster, jobs/s;
 //   5. profile_campaign — the offline profiling campaign (Profiler::profile
@@ -193,21 +195,32 @@ int main(int argc, char** argv) {
     const auto serial = runner.run(configs);
     const double serial_s = bench::seconds_since(t0);
 
+    // The warm-up batch starts the pool's workers and fills their
+    // thread-local arenas; every batch must match the serial outcomes.
     ThreadPool pool;
-    t0 = std::chrono::steady_clock::now();
-    const auto pooled = runner.run(configs, &pool);
-    const double pooled_s = bench::seconds_since(t0);
-
-    if (!identical(serial, pooled)) {
-        std::cerr << "FAIL: batch outcomes differ between serial and pooled runs\n";
-        return 1;
+    const int pooled_warmups = args.smoke ? 0 : 1;
+    const int pooled_samples = args.smoke ? 1 : 7;
+    std::vector<double> pooled_s;
+    for (int rep = 0; rep < pooled_warmups + pooled_samples; ++rep) {
+        t0 = std::chrono::steady_clock::now();
+        const auto pooled = runner.run(configs, &pool);
+        const double s = bench::seconds_since(t0);
+        if (!identical(serial, pooled)) {
+            std::cerr << "FAIL: batch outcomes differ between serial and pooled runs\n";
+            return 1;
+        }
+        if (rep >= pooled_warmups) pooled_s.push_back(s);
     }
-    const double parallel_speedup = serial_s / pooled_s;
+    const double pooled_median_s = bench::percentile(pooled_s, 50.0);
+    const double pooled_iqr_s =
+        bench::percentile(pooled_s, 75.0) - bench::percentile(pooled_s, 25.0);
+    const double parallel_speedup = serial_s / pooled_median_s;
     std::cerr << "serial batch:  " << fmt(serial_s, 2) << " s (" << fmt(n / serial_s, 1)
               << " jobs/s)\n"
-              << "pooled (" << pool.worker_count() << " workers): " << fmt(pooled_s, 2)
-              << " s (" << fmt(n / pooled_s, 1) << " jobs/s, " << fmt(parallel_speedup, 2)
-              << "x)\n";
+              << "pooled (" << pool.worker_count() << " workers): median "
+              << fmt(pooled_median_s, 3) << " s, IQR " << fmt(pooled_iqr_s, 3) << " s over "
+              << pooled_samples << " batches (" << fmt(n / pooled_median_s, 1) << " jobs/s, "
+              << fmt(parallel_speedup, 2) << "x)\n";
 
     // 4. Deploy a fixed 100-job plan (models profiled on the pool first;
     // only the serial deploys are timed).
@@ -277,8 +290,11 @@ int main(int argc, char** argv) {
     bench::JsonObject pooled_row;
     pooled_row.add("workers", static_cast<unsigned long long>(pool.worker_count()))
         .add("jobs", static_cast<unsigned long long>(configs.size()))
-        .add("seconds", pooled_s, 4)
-        .add("jobs_per_s", n / pooled_s, 2);
+        .add("warmups", pooled_warmups)
+        .add("samples", pooled_samples)
+        .add("median_s", pooled_median_s, 4)
+        .add("iqr_s", pooled_iqr_s, 4)
+        .add("jobs_per_s", n / pooled_median_s, 2);
     bench::JsonObject deploy_row;
     deploy_row.add("jobs", static_cast<unsigned long long>(workload.size()))
         .add("repetitions", deploys)

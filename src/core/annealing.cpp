@@ -1,7 +1,7 @@
 #include "core/annealing.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -52,122 +52,94 @@ std::vector<MoveUnit> move_units(const PlanEvaluator& evaluator,
     return units;
 }
 
-void AnnealingSolver::propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa,
-                                           SoaState& state,
-                                           const std::vector<MoveUnit>& units,
-                                           std::vector<std::size_t>& changed) const {
-    changed.clear();
-    const double move_kind = rng.uniform();
-    if (move_kind < options_.app_move_probability) {
-        // --- Batch move: relocate one app class to one tier. A unit
-        // participates when any member runs the drawn application (units
-        // are reuse groups under a reuse-aware evaluator, and Eq. 7 forces
-        // the whole group along) and no member's pin forbids the target
-        // tier.
-        const workload::AppKind app =
-            workload::kAllApps[rng.below(workload::kAllApps.size())];
-        const cloud::StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
-        const auto ti = static_cast<std::uint8_t>(cloud::tier_index(t));
-        const std::uint32_t app_bit = 1u << workload::app_index(app);
-        const std::uint32_t tier_bit = 1u << cloud::tier_index(t);
-        for (const auto& unit : units) {
-            if ((unit.app_mask & app_bit) == 0 || (unit.allowed_tiers & tier_bit) == 0) {
-                continue;
+namespace {
+
+/// One batch replica, and the problem anneal_span runs on it: SoA moves
+/// drawn from the move units, scored on utility.
+struct SoaChain : AnnealChain {
+    const AnnealingOptions* options = nullptr;
+    const SoaEvaluator* core = nullptr;
+    const std::vector<MoveUnit>* units = nullptr;
+    SoaState state;
+    /// Changed-job scratch, reused across iterations.
+    std::vector<std::size_t> changed;
+
+    /// Generate one neighbor in place: mutate the flat state under its
+    /// undo log, listing in `changed` every decision that actually
+    /// differs. Pin- and app-membership-aware: a proposed move never
+    /// violates a `tier=` pin, and app batch moves relocate exactly the
+    /// units containing the drawn application class.
+    bool propose(Rng& rng) {
+        changed.clear();
+        const double move_kind = rng.uniform();
+        if (move_kind < options->app_move_probability) {
+            // --- Batch move: relocate one app class to one tier. A unit
+            // participates when any member runs the drawn application (units
+            // are reuse groups under a reuse-aware evaluator, and Eq. 7 forces
+            // the whole group along) and no member's pin forbids the target
+            // tier.
+            const workload::AppKind app =
+                workload::kAllApps[rng.below(workload::kAllApps.size())];
+            const cloud::StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
+            const auto ti = static_cast<std::uint8_t>(cloud::tier_index(t));
+            const std::uint32_t app_bit = 1u << workload::app_index(app);
+            const std::uint32_t tier_bit = 1u << cloud::tier_index(t);
+            for (const MoveUnit& unit : *units) {
+                if ((unit.app_mask & app_bit) == 0 || (unit.allowed_tiers & tier_bit) == 0) {
+                    continue;
+                }
+                for (std::size_t j : unit.jobs) {
+                    if (state.tier[j] == ti) continue;
+                    core->set_decision(state, j, ti, state.overprov[j]);
+                    changed.push_back(j);
+                }
+            }
+        } else {
+            // --- Single-unit move: a pin-respecting tier change, or a new
+            // over-provisioning factor.
+            const MoveUnit& unit = (*units)[rng.below(units->size())];
+            const std::size_t front = unit.jobs.front();
+            std::uint8_t next_tier = state.tier[front];
+            double next_overprov = state.overprov[front];
+            const bool want_tier_move =
+                move_kind < options->app_move_probability + options->tier_move_probability;
+            std::array<cloud::StorageTier, cloud::kTierCount> allowed{};
+            std::size_t n_allowed = 0;
+            if (want_tier_move) {
+                for (cloud::StorageTier t : cloud::kAllTiers) {
+                    if (cloud::tier_index(t) == next_tier) continue;
+                    if (unit.allowed_tiers & (1u << cloud::tier_index(t))) {
+                        allowed[n_allowed++] = t;
+                    }
+                }
+            }
+            if (want_tier_move && n_allowed > 0) {
+                next_tier =
+                    static_cast<std::uint8_t>(cloud::tier_index(allowed[rng.below(n_allowed)]));
+            } else {
+                // Fully pinned units degrade to factor moves instead of
+                // proposing a guaranteed-infeasible tier change.
+                next_overprov =
+                    options->overprov_choices[rng.below(options->overprov_choices.size())];
             }
             for (std::size_t j : unit.jobs) {
-                if (state.tier[j] == ti) continue;
-                soa.set_decision(state, j, ti, state.overprov[j]);
+                if (state.tier[j] == next_tier && state.overprov[j] == next_overprov) continue;
+                core->set_decision(state, j, next_tier, next_overprov);
                 changed.push_back(j);
             }
         }
-    } else {
-        // --- Single-unit move: a pin-respecting tier change, or a new
-        // over-provisioning factor.
-        const MoveUnit& unit = units[rng.below(units.size())];
-        const std::size_t front = unit.jobs.front();
-        std::uint8_t next_tier = state.tier[front];
-        double next_overprov = state.overprov[front];
-        const bool want_tier_move =
-            move_kind < options_.app_move_probability + options_.tier_move_probability;
-        std::array<cloud::StorageTier, cloud::kTierCount> allowed{};
-        std::size_t n_allowed = 0;
-        if (want_tier_move) {
-            for (cloud::StorageTier t : cloud::kAllTiers) {
-                if (cloud::tier_index(t) == next_tier) continue;
-                if (unit.allowed_tiers & (1u << cloud::tier_index(t))) {
-                    allowed[n_allowed++] = t;
-                }
-            }
-        }
-        if (want_tier_move && n_allowed > 0) {
-            next_tier =
-                static_cast<std::uint8_t>(cloud::tier_index(allowed[rng.below(n_allowed)]));
-        } else {
-            // Fully pinned units degrade to factor moves instead of
-            // proposing a guaranteed-infeasible tier change.
-            next_overprov =
-                options_.overprov_choices[rng.below(options_.overprov_choices.size())];
-        }
-        for (std::size_t j : unit.jobs) {
-            if (state.tier[j] == next_tier && state.overprov[j] == next_overprov) continue;
-            soa.set_decision(state, j, next_tier, next_overprov);
-            changed.push_back(j);
-        }
+        return !changed.empty();
     }
-}
-
-struct AnnealingSolver::ChainCtx {
-    SoaState soa;
-    /// Temperature on the normalized utility scale u/U_init, so the same
-    /// options work across workloads of any absolute utility.
-    double temperature = 0.0;
-    int accepted_moves = 0;
-    int infeasible_neighbors = 0;
-    /// Changed-job scratch, reused across iterations.
-    std::vector<std::size_t> changed;
+    bool evaluate() { return core->evaluate_candidate(state, changed); }
+    [[nodiscard]] double candidate_score() const { return state.cand_utility; }
+    [[nodiscard]] double current_score() const { return state.utility; }
+    [[nodiscard]] double best_score() const { return state.best_utility; }
+    void save_best() { core->save_best(state); }
+    void commit() { core->commit(state); }
+    void revert() { core->revert(state); }
 };
 
-int AnnealingSolver::run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                              const std::vector<MoveUnit>& units, const SoaEvaluator& soa,
-                              double u_scale, const SolveDeadline& deadline) const {
-    const bool bounded = !deadline.unbounded();
-    int iter = iter_begin;
-    for (; iter < iter_end; ++iter) {
-        // Budget/cancel poll once per segment. Checking at iter 0 too makes
-        // an already-expired deadline (replicas queued behind others on a
-        // small pool) return the evaluated start plan immediately.
-        if (bounded && iter % AnnealingOptions::kBudgetCheckStride == 0 &&
-            deadline.expired()) {
-            break;
-        }
-        ctx.temperature =
-            std::max(ctx.temperature * options_.cooling, options_.min_temperature);
-
-        propose_neighbor_soa(rng, soa, ctx.soa, units, ctx.changed);
-        if (ctx.changed.empty()) {
-            // A move that changes nothing re-evaluates to the current state:
-            // a zero delta, accepted without a draw.
-            ++ctx.accepted_moves;
-            continue;
-        }
-        if (!soa.evaluate_candidate(ctx.soa, ctx.changed)) {
-            ++ctx.infeasible_neighbors;
-            soa.revert(ctx.soa);
-            continue;
-        }
-        if (ctx.soa.cand_utility > ctx.soa.best_utility) soa.save_best(ctx.soa);
-        // --- Accept(.): Metropolis on the normalized utility difference.
-        const double delta = (ctx.soa.cand_utility - ctx.soa.utility) / u_scale;
-        const bool accept = delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature);
-        if (accept) {
-            soa.commit(ctx.soa);
-            ++ctx.accepted_moves;
-        } else {
-            soa.revert(ctx.soa);
-        }
-    }
-    return iter - iter_begin;
-}
+}  // namespace
 
 AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* pool,
                                        EvalCache* cache, const SoaEvaluator* soa) const {
@@ -220,36 +192,34 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     CAST_EXPECTS_MSG(&soa->evaluator() == evaluator_,
                      "the SoA core must be built over the solver's evaluator");
 
-    TemperingRun<ChainCtx> run = run_tempering<ChainCtx>(
+    TemperingRun<SoaChain> run = run_tempering<SoaChain>(
         options_, pool,
-        [&](ChainCtx& ctx, std::size_t r) {
+        [&](SoaChain& chain, std::size_t r) {
             const std::size_t s = r % starts.size();
-            soa->init(ctx.soa, starts[s], start_evals[s]);
-            ctx.changed.reserve(evaluator_->workload().size());
+            chain.options = &options_;
+            chain.core = soa;
+            chain.units = &units;
+            soa->init(chain.state, starts[s], start_evals[s]);
+            chain.changed.reserve(evaluator_->workload().size());
         },
-        [&](ChainCtx& ctx, Rng& rng, int begin, int end) {
-            return run_span(ctx, rng, begin, end, units, *soa, u_scale, deadline);
+        [&](SoaChain& chain, Rng& rng, int begin, int end) {
+            return anneal_span(chain, rng, begin, end, options_, u_scale, deadline);
         },
-        [&](const ChainCtx& ctx) { return -ctx.soa.utility / u_scale; },
-        [](ChainCtx& a, ChainCtx& b) { SoaEvaluator::swap_current(a.soa, b.soa); });
+        [&](const SoaChain& chain) { return -chain.state.utility / u_scale; },
+        [](SoaChain& a, SoaChain& b) { SoaEvaluator::swap_current(a.state, b.state); });
 
-    const std::vector<ChainCtx>& reps = run.replicas;
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < reps.size(); ++r) {
-        if (reps[r].soa.best_utility > reps[best].soa.best_utility) best = r;
-    }
+    const std::vector<SoaChain>& reps = run.replicas;
+    const std::size_t best = run.best_replica(&SoaChain::best_score);
     AnnealingResult out;
-    out.plan = soa->best_plan(reps[best].soa);
-    out.evaluation = soa->best_evaluation(reps[best].soa);
+    out.plan = soa->best_plan(reps[best].state);
+    out.evaluation = soa->best_evaluation(reps[best].state);
     out.best_chain = static_cast<int>(best);
     // Every replica's best already floors at its own start, but with fewer
     // replicas than starts (or a budget that stopped round 0 early) some
     // evaluated start may beat every replica: keep the multi-start
     // guarantee explicit.
-    std::size_t best_start = 0;
-    for (std::size_t s = 1; s < start_evals.size(); ++s) {
-        if (start_evals[s].utility > start_evals[best_start].utility) best_start = s;
-    }
+    const auto first_best = std::ranges::max_element(start_evals, {}, &PlanEvaluation::utility);
+    const auto best_start = static_cast<std::size_t>(first_best - start_evals.begin());
     if (start_evals[best_start].utility > out.evaluation.utility) {
         out.plan = starts[best_start];
         out.evaluation = start_evals[best_start];

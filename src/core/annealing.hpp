@@ -12,10 +12,11 @@
 // advance in lock-step rounds, and swap states at round barriers, so hot
 // replicas keep exploring while cold ones refine, and the trajectory is a
 // pure function of (seed, chains) at ANY worker count. A single chain is
-// a one-rung ladder. Every iteration evaluates on the flat
-// struct-of-arrays core (core/soa_eval.hpp), allocation-free and
-// bit-identical to the uncached PlanEvaluator::evaluate, which stays the
-// reference the tests hold it to.
+// a one-rung ladder. The iteration loop, anneal_span, is the one the
+// workflow deadline solver (core/castpp.hpp) runs too. Every batch
+// iteration evaluates on the flat struct-of-arrays core
+// (core/soa_eval.hpp), allocation-free and bit-identical to the uncached
+// PlanEvaluator::evaluate, which stays the reference the tests hold it to.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +38,6 @@
 namespace cast::core {
 
 class SoaEvaluator;
-struct SoaState;
 
 struct AnnealingOptions {
     int iter_max = 20000;
@@ -148,16 +148,68 @@ struct SolveDeadline {
         return d;
     }
 
+    /// False at once when neither a wall budget nor a token is armed.
     [[nodiscard]] bool expired() const {
         if (cancel != nullptr && cancel->stop_requested()) return true;
         return at.has_value() && std::chrono::steady_clock::now() >= *at;
     }
-
-    /// True when neither a wall budget nor a token is armed — the polling
-    /// branch is skipped entirely, keeping unbudgeted solves bit-for-bit on
-    /// their historical trajectories at zero cost.
-    [[nodiscard]] bool unbounded() const { return !at.has_value() && cancel == nullptr; }
 };
+
+/// Cooling state and move counters of one annealing replica. Each
+/// solver's replica derives from it and supplies the problem anneal_span
+/// runs, called directly, with higher-is-better scores:
+///
+///   bool propose(Rng&)       stage a neighbor; false when it IS the
+///                            current state (accepted without a draw);
+///   bool evaluate()          score it; false rejects it without a draw;
+///   double candidate_score(), current_score(), best_score();
+///   void save_best()         keep the staged neighbor as the best;
+///   void commit(), revert()  keep or drop the staged neighbor.
+struct AnnealChain {
+    /// Temperature on the normalized score scale, so the same options work
+    /// across problems of any absolute score.
+    double temperature = 0.0;
+    int accepted_moves = 0;
+    /// Candidates rejected without a Metropolis draw.
+    int infeasible_neighbors = 0;
+};
+
+/// The one anneal iteration loop (Algorithm 2's Cooling/Accept body):
+/// iterations [iter_begin, iter_end) of one replica, returning how many
+/// ran (fewer only when the deadline stopped it).
+template <class Chain>
+int anneal_span(Chain& chain, Rng& rng, int iter_begin, int iter_end,
+                const AnnealingOptions& options, double scale, const SolveDeadline& deadline) {
+    int iter = iter_begin;
+    for (; iter < iter_end; ++iter) {
+        // Budget/cancel poll once per segment. Checking at iter 0 too makes
+        // an already-expired deadline (replicas queued behind others on a
+        // small pool) return the evaluated start plan immediately.
+        if (iter % AnnealingOptions::kBudgetCheckStride == 0 && deadline.expired()) break;
+        chain.temperature =
+            std::max(chain.temperature * options.cooling, options.min_temperature);
+        if (!chain.propose(rng)) {
+            ++chain.accepted_moves;
+            continue;
+        }
+        if (!chain.evaluate()) {
+            ++chain.infeasible_neighbors;
+            chain.revert();
+            continue;
+        }
+        const double candidate = chain.candidate_score();
+        if (candidate > chain.best_score()) chain.save_best();
+        // --- Accept(.): Metropolis on the normalized score difference.
+        const double delta = (candidate - chain.current_score()) / scale;
+        if (delta >= 0.0 || rng.uniform() < std::exp(delta / chain.temperature)) {
+            chain.commit();
+            ++chain.accepted_moves;
+        } else {
+            chain.revert();
+        }
+    }
+    return iter - iter_begin;
+}
 
 struct AnnealingResult {
     TieringPlan plan;
@@ -225,25 +277,6 @@ public:
                                         const SoaEvaluator* soa = nullptr) const;
 
 private:
-    /// Per-replica search state: the SoA flat state, the cooling
-    /// temperature and the move counters. Defined in the .cpp (it embeds
-    /// SoaState).
-    struct ChainCtx;
-
-    /// Run iterations [iter_begin, iter_end) of one replica; returns how
-    /// many ran (fewer only when the deadline stopped it).
-    int run_span(ChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                 const std::vector<MoveUnit>& units, const SoaEvaluator& soa,
-                 double u_scale, const SolveDeadline& deadline) const;
-    /// Generate one neighbor in place: mutate the flat state under its
-    /// undo log, appending the indices of every decision that actually
-    /// differs to `changed` (cleared first). Pin- and app-membership-aware:
-    /// a proposed move never violates a `tier=` pin, and app batch moves
-    /// relocate exactly the units containing the drawn application class.
-    void propose_neighbor_soa(Rng& rng, const SoaEvaluator& soa, SoaState& state,
-                              const std::vector<MoveUnit>& units,
-                              std::vector<std::size_t>& changed) const;
-
     const PlanEvaluator* evaluator_;
     AnnealingOptions options_;
 };

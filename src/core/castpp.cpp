@@ -441,7 +441,8 @@ double WorkflowSolver::score(const WorkflowEvaluation& eval) const {
     return s;
 }
 
-struct WorkflowSolver::WfChainCtx {
+struct WorkflowSolver::WfChainCtx : AnnealChain {
+    const WorkflowSolver* solver = nullptr;
     WorkflowPlan curr;
     WorkflowEvaluation curr_eval;
     /// Move buffers: each move copy-assigns curr's decisions into `next`
@@ -453,76 +454,35 @@ struct WorkflowSolver::WfChainCtx {
     /// REG factors per (tier, per-VM capacity) for evaluate_into; stays
     /// with the replica across exchanges (its entries are plan-free).
     RegMemo memo;
-    double curr_score = 0.0;
-    double best_score = 0.0;
-    double temperature = 0.0;
+    double next_score = 0.0;
     /// DFS cursor; identical across replicas at round barriers (all run
     /// the same iteration count), so exchanges never need to swap it.
     std::size_t cursor = 0;
     WorkflowPlan best_plan;
     WorkflowEvaluation best_eval;
-};
 
-void WorkflowSolver::init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed,
-                                   EvalCache* cache) const {
-    const auto& wf = evaluator_->workflow();
-    // Multi-start across replicas: start seeds divisible by 3 start from
-    // the best canonical uniform plan; the rest rotate the starting tier
-    // (and a generous starting over-provision factor, since block-tier
-    // speed needs pooled capacity) by seed.
-    ctx.curr =
-        start_seed % 3 == 0
-            ? best_uniform_plan(cache)
-            : WorkflowPlan::uniform(
-                  wf.size(), cloud::kAllTiers[start_seed % cloud::kAllTiers.size()],
-                  options_.overprov_choices[(start_seed / 7) %
-                                            options_.overprov_choices.size()]);
-    ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
-    if (!ctx.curr_eval.feasible) {
-        ctx.curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
-        ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
-    }
-    ctx.best_plan = ctx.curr;
-    ctx.best_eval = ctx.curr_eval;
-    ctx.curr_score = score(ctx.curr_eval);
-    ctx.best_score = ctx.curr_score;
-    ctx.cursor = 0;
-}
-
-int WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                                double scale, const SolveDeadline& deadline) const {
-    const std::vector<std::size_t>& dfs = evaluator_->workflow().dfs_order();
-    const bool bounded = !deadline.unbounded();
-    int iter = iter_begin;
-    for (; iter < iter_end; ++iter) {
-        // Budget/cancel poll once per segment (incl. iter 0, so a replica
-        // dispatched after the deadline returns its evaluated start plan
-        // immediately). Best-so-far is feasible whenever any evaluated
-        // plan was — the persSSD-uniform retreat above guarantees one for
-        // every workflow the lint gate admits.
-        if (bounded && iter % AnnealingOptions::kBudgetCheckStride == 0 &&
-            deadline.expired()) {
-            break;
-        }
-        ctx.temperature =
-            std::max(ctx.temperature * options_.cooling, options_.min_temperature);
-
+    /// Always a move: a factor move to the job's own factor is still
+    /// evaluated and can still become the best (after an exchange the
+    /// current state may beat the replica's own best).
+    bool propose(Rng& rng) {
+        const AnnealingOptions& options = solver->options_;
+        const std::vector<std::size_t>& dfs = solver->evaluator_->workflow().dfs_order();
         // DFS-order traversal of the DAG for neighbor generation (§4.3).
         // With an active_jobs mask, frozen jobs are skipped in DFS order —
         // the cursor advance is deterministic, so restricted solves keep
         // the bit-identity guarantees (the ctor rejects all-zero masks).
-        std::size_t job_idx = dfs[ctx.cursor];
-        ctx.cursor = (ctx.cursor + 1) % dfs.size();
-        if (!options_.active_jobs.empty()) {
-            while (options_.active_jobs[job_idx] == 0) {
-                job_idx = dfs[ctx.cursor];
-                ctx.cursor = (ctx.cursor + 1) % dfs.size();
+        std::size_t job_idx = dfs[cursor];
+        cursor = (cursor + 1) % dfs.size();
+        if (!options.active_jobs.empty()) {
+            while (options.active_jobs[job_idx] == 0) {
+                job_idx = dfs[cursor];
+                cursor = (cursor + 1) % dfs.size();
             }
         }
 
-        ctx.next.decisions = ctx.curr.decisions;
-        PlacementDecision& d = ctx.next.decisions[job_idx];
-        if (rng.uniform() < options_.tier_move_probability) {
+        next.decisions = curr.decisions;
+        PlacementDecision& d = next.decisions[job_idx];
+        if (rng.uniform() < options.tier_move_probability) {
             StorageTier t;
             do {
                 t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
@@ -530,38 +490,50 @@ int WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int i
             d.tier = t;
         } else {
             d.overprovision =
-                options_.overprov_choices[rng.below(options_.overprov_choices.size())];
+                options.overprov_choices[rng.below(options.overprov_choices.size())];
         }
-
-        const WorkflowEvaluator::Base base{ctx.curr, ctx.curr_eval};
-        evaluator_->evaluate_into(ctx.next, ctx.memo, ctx.next_eval, &base);
-        const double neighbor_score = score(ctx.next_eval);
-        if (ctx.next_eval.feasible && neighbor_score > ctx.best_score) {
-            ctx.best_plan = ctx.next;
-            ctx.best_eval = ctx.next_eval;
-            ctx.best_score = neighbor_score;
-        }
-        const double delta = (neighbor_score - ctx.curr_score) / scale;
-        if (delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature)) {
-            std::swap(ctx.curr, ctx.next);
-            std::swap(ctx.curr_eval, ctx.next_eval);
-            ctx.curr_score = neighbor_score;
-        }
+        return true;
     }
-    return iter - iter_begin;
-}
+    /// An infeasible neighbor scores -1e18 and still goes through the
+    /// Metropolis rule, consuming its draw.
+    bool evaluate() {
+        const WorkflowEvaluator::Base base{curr, curr_eval};
+        solver->evaluator_->evaluate_into(next, memo, next_eval, &base);
+        next_score = solver->score(next_eval);
+        return true;
+    }
+    [[nodiscard]] double candidate_score() const { return next_score; }
+    [[nodiscard]] double current_score() const { return solver->score(curr_eval); }
+    [[nodiscard]] double best_score() const { return solver->score(best_eval); }
+    /// Only a feasible neighbor becomes the best.
+    void save_best() {
+        if (!next_eval.feasible) return;
+        best_plan = next;
+        best_eval = next_eval;
+    }
+    void commit() {
+        std::swap(curr, next);
+        std::swap(curr_eval, next_eval);
+    }
+    void revert() {}
+};
 
-WorkflowPlan WorkflowSolver::best_uniform_plan(EvalCache* cache) const {
+WorkflowSolveResult WorkflowSolver::uniform_sweep(EvalCache* cache) const {
     const auto& wf = evaluator_->workflow();
-    WorkflowPlan best = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
-    double best_score = score(evaluator_->evaluate(best, cache));
+    WorkflowSolveResult best;
+    best.plan = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
+    best.evaluation = evaluator_->evaluate(best.plan, cache);
+    best.best_chain = -1;
+    double best_score = score(best.evaluation);
     for (StorageTier t : cloud::kAllTiers) {
         for (double k : options_.overprov_choices) {
             WorkflowPlan candidate = WorkflowPlan::uniform(wf.size(), t, k);
-            const double s = score(evaluator_->evaluate(candidate, cache));
+            WorkflowEvaluation eval = evaluator_->evaluate(candidate, cache);
+            const double s = score(eval);
             if (s > best_score) {
                 best_score = s;
-                best = std::move(candidate);
+                best.plan = std::move(candidate);
+                best.evaluation = std::move(eval);
             }
         }
     }
@@ -575,40 +547,60 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     const lint::Report pre = workflow_lint_gate(*evaluator_);
     std::unique_ptr<EvalCache> owned;
     cache = cache_or_owned(cache, owned);
-    CAST_EXPECTS(!evaluator_->workflow().dfs_order().empty());
+    const auto& wf = evaluator_->workflow();
+    CAST_EXPECTS(!wf.dfs_order().empty());
 
-    // The uniform sweep is both the guaranteed result floor and the source
-    // of the SHARED Metropolis/exchange normalization scale — replicas must
-    // agree on the energy unit for exchange probabilities to mean anything.
-    WorkflowSolveResult fallback;
-    fallback.plan = best_uniform_plan(cache);
-    fallback.evaluation = evaluator_->evaluate(fallback.plan, cache);
-    fallback.best_chain = -1;
-    const double scale = std::max(1.0, std::fabs(score(fallback.evaluation)));
+    // The uniform sweep is the guaranteed result floor, one replica start
+    // in three, and the source of the SHARED Metropolis/exchange
+    // normalization scale — replicas must agree on the energy unit for
+    // exchange probabilities to mean anything.
+    WorkflowSolveResult fallback = uniform_sweep(cache);
+    const double fallback_score = score(fallback.evaluation);
+    const double scale = std::max(1.0, std::fabs(fallback_score));
 
     TemperingRun<WfChainCtx> run = run_tempering<WfChainCtx>(
         options_, pool,
         [&](WfChainCtx& ctx, std::size_t r) {
-            // Replica starts rotate over diverse uniform anchors by seed.
-            init_wf_chain(ctx, options_.seed + 104729 * (r + 1), cache);
+            // Multi-start across replicas: start seeds divisible by 3 start
+            // from the sweep's winner; the rest rotate the starting tier
+            // (and a generous starting over-provision factor, since
+            // block-tier speed needs pooled capacity) by seed. An
+            // infeasible start retreats to persSSD.
+            ctx.solver = this;
+            const std::uint64_t start_seed = options_.seed + 104729 * (r + 1);
+            if (start_seed % 3 == 0) {
+                ctx.curr = fallback.plan;
+                ctx.curr_eval = fallback.evaluation;
+            } else {
+                ctx.curr = WorkflowPlan::uniform(
+                    wf.size(), cloud::kAllTiers[start_seed % cloud::kAllTiers.size()],
+                    options_.overprov_choices[(start_seed / 7) %
+                                              options_.overprov_choices.size()]);
+                ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
+            }
+            if (!ctx.curr_eval.feasible) {
+                ctx.curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
+                ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
+            }
+            ctx.best_plan = ctx.curr;
+            ctx.best_eval = ctx.curr_eval;
         },
         [&](WfChainCtx& ctx, Rng& rng, int begin, int end) {
-            return run_wf_span(ctx, rng, begin, end, scale, deadline);
+            return anneal_span(ctx, rng, begin, end, options_, scale, deadline);
         },
-        [&](const WfChainCtx& ctx) { return -ctx.curr_score / scale; },
+        [&](const WfChainCtx& ctx) { return -ctx.current_score() / scale; },
         [](WfChainCtx& a, WfChainCtx& b) {
             std::swap(a.curr, b.curr);
             std::swap(a.curr_eval, b.curr_eval);
-            std::swap(a.curr_score, b.curr_score);
         });
 
+    // Best-so-far is feasible whenever any evaluated plan was — the
+    // persSSD retreat guarantees one for every workflow the lint gate
+    // admits — and never worse than the sweep.
     std::vector<WfChainCtx>& reps = run.replicas;
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < reps.size(); ++r) {
-        if (score(reps[r].best_eval) > score(reps[best].best_eval)) best = r;
-    }
+    const std::size_t best = run.best_replica(&WfChainCtx::best_score);
     WorkflowSolveResult chosen;
-    if (score(fallback.evaluation) > score(reps[best].best_eval)) {
+    if (fallback_score > reps[best].best_score()) {
         chosen = std::move(fallback);
     } else {
         chosen.plan = std::move(reps[best].best_plan);
@@ -630,10 +622,8 @@ WorkflowSolveResult WorkflowSolver::solve_greedy(EvalCache* cache) const {
     std::unique_ptr<EvalCache> owned;
     cache = cache_or_owned(cache, owned);
 
-    WorkflowSolveResult out;
-    out.plan = best_uniform_plan(cache);
-    out.evaluation = evaluator_->evaluate(out.plan, cache);
-    out.best_chain = -1;  // the uniform sweep "won" by being the only entry
+    // The uniform sweep "wins" (best_chain -1) by being the only entry.
+    WorkflowSolveResult out = uniform_sweep(cache);
     out.cache_stats = cache->stats();
     out.lint_notes = warning_notes(pre);
     return out;

@@ -268,22 +268,16 @@ private:
     /// feasibility first.
     [[nodiscard]] double score(const WorkflowEvaluation& eval) const;
 
-    /// Best-scoring uniform plan over tiers x over-provision factors (the
-    /// multi-start anchor and result floor).
-    [[nodiscard]] WorkflowPlan best_uniform_plan(EvalCache* cache = nullptr) const;
+    /// Best-scoring uniform plan over tiers x over-provision factors, with
+    /// its evaluation (best_chain -1): the multi-start anchor and result
+    /// floor, run once per solve.
+    [[nodiscard]] WorkflowSolveResult uniform_sweep(EvalCache* cache) const;
 
-    /// Per-replica search state, including the chain's REG memo; defined
+    /// Per-replica search state, including the chain's REG memo, and the
+    /// workflow problem anneal_span runs: DFS-cursor moves, delta
+    /// evaluation against the current plan, score() to maximize. Defined
     /// in the .cpp.
     struct WfChainCtx;
-    /// Seed `ctx` from the multi-start formula for `start_seed`
-    /// (uniform-sweep anchor for seeds divisible by 3, rotated uniform
-    /// plans otherwise, persSSD retreat when infeasible).
-    void init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed, EvalCache* cache) const;
-    /// Run iterations [iter_begin, iter_end) of one replica (the DFS
-    /// cursor and temperature live in ctx and carry across segments);
-    /// returns how many ran (fewer only when the deadline stopped it).
-    int run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end, double scale,
-                    const SolveDeadline& deadline) const;
 
     const WorkflowEvaluator* evaluator_;
     AnnealingOptions options_;

@@ -22,12 +22,14 @@
 //     odd pairs on odd rounds (the standard alternation, so information
 //     can traverse the whole ladder).
 //
-// The only shared mutable structure during a round is the EvalCache,
-// which is value-deterministic: a lookup returns the same runtime whether
-// it hits or misses, so racing replicas can never change each other's
-// trajectories — only the hit/miss statistics.
+// A round touches no shared mutable state: each replica scores its
+// candidates on its own state and REG memo, and reads only immutable
+// solve-wide data (the evaluator, the move units, the scale). Replica
+// init runs on the calling thread before the first round, so start-plan
+// evaluations through a shared EvalCache never race either.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -148,6 +150,13 @@ struct TemperingRun {
     /// True when the wall budget (or a cancellation) stopped some replica
     /// mid-round; the ladder stops at that round's barrier.
     bool budget_exhausted = false;
+
+    /// Index of the first replica whose `best_score(replica)` is highest.
+    template <class BestScore>
+    [[nodiscard]] std::size_t best_replica(BestScore&& best_score) const {
+        return static_cast<std::size_t>(
+            std::ranges::max_element(replicas, {}, best_score) - replicas.begin());
+    }
 };
 
 /// The one replica-exchange driver every annealer runs on; a single chain
@@ -192,8 +201,8 @@ template <class Replica, class Options, class Init, class Span, class Energy, cl
 
     for (int round = 0; round < sched.rounds(); ++round) {
         // Within a round replicas are fully independent (per-segment Rng,
-        // private state, value-deterministic shared cache), so the pool
-        // may execute them in any order on any number of workers without
+        // private state, no shared mutable structure), so the pool may
+        // execute them in any order on any number of workers without
         // changing a single draw.
         const int begin = sched.round_begin(round);
         const int end = sched.round_end(round);

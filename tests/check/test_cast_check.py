@@ -55,6 +55,7 @@ class RuleFiresExactlyWhereExpected(unittest.TestCase):
         "c009_escape_budget.cpp": [("C009", None)],
         "serve/adhoc_cerr.cpp": [("C010", 8), ("C010", 9)],
         "solver/annealing.cpp": [("C011", 12), ("C011", 13), ("C011", 14)],
+        "solver/castpp.cpp": [("C011", 11), ("C011", 12)],
     }
 
     def test_each_rule_fires_at_expected_lines(self):

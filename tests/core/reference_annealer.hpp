@@ -1,12 +1,15 @@
-// Reference annealer: the test oracle for AnnealingSolver::solve.
+// Reference annealers: the test oracles for AnnealingSolver::solve and
+// WorkflowSolver::solve.
 //
 // Algorithm 2 written for clarity rather than speed. Every move copies the
-// TieringPlan, re-evaluates the copy from scratch through the uncached
-// PlanEvaluator::evaluate, and applies the Metropolis rule. It runs on the
-// same ladder driver as production (run_tempering in core/tempering.hpp)
-// and makes the same RNG draws per iteration, so a seeded solve must agree
-// with the SoA engine bit for bit: plan, every evaluation field, move
-// counters and TemperingStats. It has no wall budget and no cache.
+// plan, re-evaluates the copy from scratch through the uncached reference
+// evaluator (PlanEvaluator::evaluate, WorkflowEvaluator::evaluate with no
+// base), and applies the Metropolis rule. Each runs on the same ladder
+// driver as production (run_tempering in core/tempering.hpp) with its own
+// iteration loop, not the production anneal_span, and makes the same RNG
+// draws per iteration, so a seeded solve must agree with production bit
+// for bit: plan, every evaluation field, counters and TemperingStats. They
+// have no wall budget, no lint gate and no cache.
 #pragma once
 
 #include <array>
@@ -19,6 +22,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/annealing.hpp"
+#include "core/castpp.hpp"
 #include "core/tempering.hpp"
 #include "core/utility.hpp"
 
@@ -209,6 +213,181 @@ private:
 
     const PlanEvaluator* evaluator_;
     AnnealingOptions options_;
+};
+
+/// The oracle for WorkflowSolver::solve: CAST++'s deadline mode (§4.3,
+/// Eq. 8-10) annealed over tiers and over-provision factors in DFS order.
+class ReferenceWorkflowAnnealer {
+public:
+    ReferenceWorkflowAnnealer(const WorkflowEvaluator& evaluator, AnnealingOptions options,
+                              double deadline_safety = 1.0)
+        : evaluator_(&evaluator), options_(std::move(options)), safety_(deadline_safety) {
+        const workload::Workflow& wf = evaluator.workflow();
+        options_.validate(wf.size());
+        CAST_EXPECTS(options_.max_wall_ms == 0.0 && options_.cancel == nullptr);
+        // The solver's factor menu: the options' factors plus three around
+        // the per-VM capacity where persSSD saturates its bandwidth ceiling.
+        double total_req = 0.0;
+        const WorkflowPlan probe =
+            WorkflowPlan::uniform(wf.size(), cloud::StorageTier::kPersistentSsd);
+        for (std::size_t i = 0; i < wf.size(); ++i) {
+            total_req += evaluator.job_requirement(probe, i).value();
+        }
+        if (total_req > 0.0) {
+            const double saturating =
+                550.0 * evaluator.models().cluster().worker_count / total_req;
+            if (saturating > 1.0) {
+                options_.overprov_choices.push_back(std::max(1.0, saturating / 2.0));
+                options_.overprov_choices.push_back(saturating);
+                options_.overprov_choices.push_back(saturating * 1.5);
+            }
+        }
+    }
+
+    /// -cost when the (safety-scaled) deadline holds, penalized by the
+    /// overtime otherwise; -1e18 for an infeasible plan.
+    [[nodiscard]] double score(const WorkflowEvaluation& eval) const {
+        if (!eval.feasible) return -1e18;
+        double s = -eval.total_cost().value();
+        const Seconds target{evaluator_->workflow().deadline().value() * safety_};
+        if (eval.total_runtime > target) {
+            s -= 1e3 * (1.0 + (eval.total_runtime - target).minutes());
+        }
+        return s;
+    }
+
+    struct Result {
+        WorkflowSolveResult solve;
+        /// Infeasible neighbors scored (and sent through Metropolis).
+        int infeasible_neighbors = 0;
+    };
+
+    /// The production solve's contract: the uniform sweep is the result
+    /// floor and the scale; replica starts rotate by seed over the sweep's
+    /// winner and uniform plans, retreating to persSSD when infeasible.
+    [[nodiscard]] Result solve(ThreadPool* pool = nullptr) const {
+        const workload::Workflow& wf = evaluator_->workflow();
+        const WorkflowPlan pers_ssd =
+            WorkflowPlan::uniform(wf.size(), cloud::StorageTier::kPersistentSsd);
+        WorkflowPlan sweep = pers_ssd;
+        double sweep_score = score(evaluator_->evaluate(sweep));
+        for (const cloud::StorageTier t : cloud::kAllTiers) {
+            for (const double k : options_.overprov_choices) {
+                WorkflowPlan candidate = WorkflowPlan::uniform(wf.size(), t, k);
+                const double s = score(evaluator_->evaluate(candidate));
+                if (s > sweep_score) {
+                    sweep_score = s;
+                    sweep = std::move(candidate);
+                }
+            }
+        }
+        const WorkflowEvaluation sweep_eval = evaluator_->evaluate(sweep);
+        const double scale = std::max(1.0, std::fabs(sweep_score));
+
+        TemperingRun<Replica> run = run_tempering<Replica>(
+            options_, pool,
+            [&](Replica& rep, std::size_t r) {
+                const std::uint64_t seed = options_.seed + 104729 * (r + 1);
+                const std::vector<double>& ks = options_.overprov_choices;
+                const cloud::StorageTier tier = cloud::kAllTiers[seed % cloud::kTierCount];
+                rep.curr = seed % 3 == 0 ? sweep
+                                         : WorkflowPlan::uniform(wf.size(), tier,
+                                                                 ks[(seed / 7) % ks.size()]);
+                rep.curr_eval = evaluator_->evaluate(rep.curr);
+                if (!rep.curr_eval.feasible) {
+                    rep.curr = pers_ssd;
+                    rep.curr_eval = evaluator_->evaluate(rep.curr);
+                }
+                rep.best = rep.curr;
+                rep.best_eval = rep.curr_eval;
+            },
+            [&](Replica& rep, Rng& rng, int begin, int end) {
+                for (int iter = begin; iter < end; ++iter) step(rep, rng, scale);
+                return end - begin;
+            },
+            [&](const Replica& rep) { return -score(rep.curr_eval) / scale; },
+            [](Replica& a, Replica& b) {
+                std::swap(a.curr, b.curr);
+                std::swap(a.curr_eval, b.curr_eval);
+            });
+
+        std::size_t best = 0;
+        for (std::size_t r = 1; r < run.replicas.size(); ++r) {
+            const double s = score(run.replicas[r].best_eval);
+            if (s > score(run.replicas[best].best_eval)) best = r;
+        }
+        Result out;
+        WorkflowSolveResult& solved = out.solve;
+        if (sweep_score > score(run.replicas[best].best_eval)) {
+            solved.plan = sweep;
+            solved.evaluation = sweep_eval;
+            solved.best_chain = -1;
+        } else {
+            solved.plan = run.replicas[best].best;
+            solved.evaluation = run.replicas[best].best_eval;
+            solved.best_chain = static_cast<int>(best);
+        }
+        for (std::size_t r = 0; r < run.replicas.size(); ++r) {
+            solved.iterations += run.stats.replica_iterations[r];
+            out.infeasible_neighbors += run.replicas[r].infeasible_neighbors;
+        }
+        solved.tempering = std::move(run.stats);
+        return out;
+    }
+
+private:
+    struct Replica {
+        WorkflowPlan curr;
+        WorkflowEvaluation curr_eval;
+        WorkflowPlan best;
+        WorkflowEvaluation best_eval;
+        double temperature = 0.0;
+        /// DFS position of the next move.
+        std::size_t cursor = 0;
+        int infeasible_neighbors = 0;
+    };
+
+    /// One iteration: cool, move the next active job in DFS order to a
+    /// different tier or a drawn factor, evaluate from scratch, track the
+    /// best feasible neighbor, Metropolis accept (an infeasible neighbor
+    /// scores -1e18 and still consumes the draw).
+    void step(Replica& rep, Rng& rng, double scale) const {
+        rep.temperature =
+            std::max(rep.temperature * options_.cooling, options_.min_temperature);
+        const std::vector<std::size_t>& dfs = evaluator_->workflow().dfs_order();
+        std::size_t job = dfs[rep.cursor];
+        rep.cursor = (rep.cursor + 1) % dfs.size();
+        while (!options_.active_jobs.empty() && options_.active_jobs[job] == 0) {
+            job = dfs[rep.cursor];
+            rep.cursor = (rep.cursor + 1) % dfs.size();
+        }
+        WorkflowPlan neighbor = rep.curr;
+        PlacementDecision& d = neighbor.decisions[job];
+        if (rng.uniform() < options_.tier_move_probability) {
+            cloud::StorageTier t = d.tier;
+            while (t == d.tier) t = cloud::kAllTiers[rng.below(cloud::kTierCount)];
+            d.tier = t;
+        } else {
+            d.overprovision =
+                options_.overprov_choices[rng.below(options_.overprov_choices.size())];
+        }
+        WorkflowEvaluation neighbor_eval = evaluator_->evaluate(neighbor);
+        if (!neighbor_eval.feasible) ++rep.infeasible_neighbors;
+        const double neighbor_score = score(neighbor_eval);
+        if (neighbor_eval.feasible && neighbor_score > score(rep.best_eval)) {
+            rep.best = neighbor;
+            rep.best_eval = neighbor_eval;
+        }
+        const double delta = (neighbor_score - score(rep.curr_eval)) / scale;
+        if (delta >= 0.0 || rng.uniform() < std::exp(delta / rep.temperature)) {
+            rep.curr = std::move(neighbor);
+            rep.curr_eval = std::move(neighbor_eval);
+        }
+    }
+
+    const WorkflowEvaluator* evaluator_;
+    AnnealingOptions options_;
+    double safety_;
 };
 
 }  // namespace cast::core::reference

@@ -1,4 +1,4 @@
-// Differential test: the production AnnealingSolver (SoA state, memoized
+// Differential tests: the production AnnealingSolver (SoA state, memoized
 // incremental evaluation) against the reference annealer (TieringPlan
 // copies, uncached full evaluation) on seeded hostile workloads — tier
 // pins (on reuse-group members too), reuse groups under group moves,
@@ -7,7 +7,10 @@
 // agree bit for bit. The reference re-checks pins and Eq. 7 on every
 // neighbor while production never does, so any illegal proposal would
 // show up as a mismatch; a property test walks the shared proposer
-// directly and holds every proposal to the shared lint checks.
+// directly and holds every proposal to the shared lint checks. The
+// production WorkflowSolver (delta evaluation on the REG split) is held
+// the same way to the reference workflow annealer (plan copies, uncached
+// full evaluation) on seeded workflows.
 #include "core/reference_annealer.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@
 #include "core/eval_cache.hpp"
 #include "lint/checks.hpp"
 #include "test_support.hpp"
+#include "workload/facebook.hpp"
+#include "workload/workflow.hpp"
 
 namespace cast::core {
 namespace {
@@ -256,6 +261,147 @@ TEST(ReferenceAnnealer, EveryProposalKeepsPinsAndReuseGroups) {
     EXPECT_GT(moves, steps / 2);
     EXPECT_GT(masked_steps, 1000);
     EXPECT_GT(pinned_group_steps, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Workflow deadline solver.
+// ---------------------------------------------------------------------------
+
+/// One seeded workflow case: a Fig. 9 or search-log workflow, sometimes
+/// with tier pins (the workflow proposer is pin-blind, so moves off a pin
+/// are infeasible) and a tight or loose deadline, and solver options.
+struct WorkflowCase {
+    workload::Workflow workflow;
+    AnnealingOptions options;
+    double deadline_safety = 1.0;
+};
+
+WorkflowCase make_workflow_case(std::uint64_t seed, int chains) {
+    Rng rng(seed);
+    workload::Workflow base = workload::make_search_log_workflow();
+    if (rng.uniform() < 0.7) {
+        const std::vector<workload::Workflow> fig9 =
+            workload::synthesize_deadline_workflows(1 + rng.below(40));
+        base = fig9[rng.below(fig9.size())];
+    }
+    std::vector<workload::JobSpec> jobs = base.jobs();
+    if (rng.uniform() < 0.3) {
+        const std::size_t pins = 1 + rng.below(2);
+        for (std::size_t p = 0; p < pins; ++p) {
+            const std::size_t j = rng.below(jobs.size());
+            jobs[j].pinned_tier = cloud::kAllTiers[rng.below(cloud::kTierCount)];
+        }
+    }
+    // The small test cluster misses the 400-core Fig. 9 deadlines anyway;
+    // tight ones deepen the overtime penalty, loose ones are met.
+    double deadline = base.deadline().value();
+    const double d = rng.uniform();
+    if (d < 0.3) {
+        deadline *= 0.05 + 0.3 * rng.uniform();
+    } else if (d < 0.6) {
+        deadline *= 1e3;
+    }
+    WorkflowCase c{workload::Workflow(base.name(), std::move(jobs), base.edges(),
+                                      Seconds{deadline}),
+                   AnnealingOptions{}, rng.uniform() < 0.3 ? 0.9 : 1.0};
+
+    AnnealingOptions& o = c.options;
+    o.chains = chains;
+    o.seed = seed * 17 + 3;
+    o.iter_max = 40 + static_cast<int>(rng.below(360));
+    o.exchange_stride = std::array{1, 8, 32, 256}[rng.below(4)];
+    o.tier_move_probability = 0.2 + 0.8 * rng.uniform();
+    // Factors past every tier's per-VM limit overflow it.
+    const double menu = rng.uniform();
+    if (menu < 0.4) {
+        o.overprov_choices = {1.0, 2.0, 8.0, 40.0, 400.0};
+    } else if (menu < 0.7) {
+        // A one-factor menu (before the solver's saturating factors) makes
+        // factor moves re-propose the current factor often. Such a move is
+        // still evaluated and can record a current state that an exchange
+        // made better than the replica's own best.
+        o.overprov_choices = {1.0};
+    }
+    if (rng.uniform() < 0.3) {
+        o.active_jobs.assign(c.workflow.size(), 0);
+        for (auto& a : o.active_jobs) a = rng.uniform() < 0.4 ? 1 : 0;
+        o.active_jobs[rng.below(c.workflow.size())] = 1;
+    }
+    return c;
+}
+
+void expect_same_workflow_evaluation(const WorkflowEvaluation& a, const WorkflowEvaluation& b) {
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.infeasibility, b.infeasibility);
+    EXPECT_EQ(a.total_runtime.value(), b.total_runtime.value());
+    EXPECT_EQ(a.vm_cost.value(), b.vm_cost.value());
+    EXPECT_EQ(a.storage_cost.value(), b.storage_cost.value());
+    EXPECT_EQ(a.meets_deadline, b.meets_deadline);
+    for (std::size_t t = 0; t < cloud::kTierCount; ++t) {
+        EXPECT_EQ(a.capacities.aggregate[t].value(), b.capacities.aggregate[t].value());
+        EXPECT_EQ(a.capacities.per_vm[t].value(), b.capacities.per_vm[t].value());
+    }
+    ASSERT_EQ(a.job_runtimes.size(), b.job_runtimes.size());
+    for (std::size_t i = 0; i < a.job_runtimes.size(); ++i) {
+        EXPECT_EQ(a.job_runtimes[i].value(), b.job_runtimes[i].value()) << "job " << i;
+    }
+    ASSERT_EQ(a.transfer_times.size(), b.transfer_times.size());
+    for (std::size_t k = 0; k < a.transfer_times.size(); ++k) {
+        EXPECT_EQ(a.transfer_times[k].value(), b.transfer_times[k].value()) << "edge " << k;
+    }
+}
+
+TEST(ReferenceAnnealer, WorkflowSolveMatchesOracleBitForBit) {
+    ThreadPool pool(2);
+    int cases = 0;
+    int infeasible_neighbors = 0;
+    int exchanges = 0;
+    int met = 0;
+    int missed = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        const int chains = 1 + static_cast<int>(seed % 8);
+        const WorkflowCase c = make_workflow_case(seed, chains);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", chains " + std::to_string(chains) +
+                     ", " + c.workflow.name());
+        ++cases;
+        const WorkflowEvaluator evaluator(testing::small_models(), c.workflow);
+        EvalCache cache;
+        const WorkflowSolveResult prod =
+            WorkflowSolver(evaluator, c.options, c.deadline_safety)
+                .solve(seed % 2 == 0 ? &pool : nullptr, &cache);
+        const reference::ReferenceWorkflowAnnealer::Result ref =
+            reference::ReferenceWorkflowAnnealer(evaluator, c.options, c.deadline_safety)
+                .solve();
+
+        ASSERT_EQ(prod.plan.decisions.size(), ref.solve.plan.decisions.size());
+        for (std::size_t i = 0; i < prod.plan.decisions.size(); ++i) {
+            EXPECT_EQ(prod.plan.decisions[i].tier, ref.solve.plan.decisions[i].tier)
+                << "job " << i;
+            EXPECT_EQ(prod.plan.decisions[i].overprovision,
+                      ref.solve.plan.decisions[i].overprovision)
+                << "job " << i;
+        }
+        expect_same_workflow_evaluation(prod.evaluation, ref.solve.evaluation);
+        // The returned evaluation is the reference evaluation of the plan.
+        expect_same_workflow_evaluation(prod.evaluation, evaluator.evaluate(prod.plan));
+        EXPECT_EQ(prod.iterations, ref.solve.iterations);
+        EXPECT_EQ(prod.best_chain, ref.solve.best_chain);
+        EXPECT_FALSE(prod.budget_exhausted);
+        EXPECT_EQ(prod.tempering.replicas, chains);
+        EXPECT_EQ(prod.tempering.rounds, ref.solve.tempering.rounds);
+        EXPECT_EQ(prod.tempering.exchange_attempts, ref.solve.tempering.exchange_attempts);
+        EXPECT_EQ(prod.tempering.exchange_accepts, ref.solve.tempering.exchange_accepts);
+        EXPECT_EQ(prod.tempering.replica_iterations, ref.solve.tempering.replica_iterations);
+        infeasible_neighbors += ref.infeasible_neighbors;
+        exchanges += static_cast<int>(ref.solve.tempering.total_accepts());
+        (prod.evaluation.meets_deadline ? met : missed) += 1;
+    }
+    // The generator must actually produce hostile cases.
+    EXPECT_EQ(cases, 400);
+    EXPECT_GT(infeasible_neighbors, 0);
+    EXPECT_GT(exchanges, 0);
+    EXPECT_GT(met, 0);
+    EXPECT_GT(missed, 0);
 }
 
 }  // namespace

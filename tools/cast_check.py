@@ -38,10 +38,11 @@ Rules (stable IDs, mirrored in DESIGN.md):
         telemetry belongs in obs::MetricsRegistry / obs::TraceRing)
   C011  node-based containers (std::map / std::unordered_map / std::set /
         std::unordered_set / std::multimap / std::multiset) in the solver
-        hot-path files (annealing.cpp, utility.cpp, soa_eval.cpp — the
-        SoA discipline from PR 9: per-iteration state lives in flat
-        arrays; the sharded memo table in eval_cache.cpp is the one
-        sanctioned exception and is scoped out by file)
+        hot-path files (annealing.{hpp,cpp}, castpp.cpp, utility.cpp,
+        soa_eval.cpp, reg_split.{hpp,cpp} — the SoA discipline:
+        per-iteration state lives in flat arrays; the sharded memo table
+        in eval_cache.cpp is the one sanctioned exception and is scoped
+        out by file)
 
 Implementation is a libclang/regex hybrid: when python bindings for
 libclang are importable they refine C006 (true declaration parsing);
@@ -74,8 +75,9 @@ HOT_PATH_BASENAMES = ("flow_engine.hpp", "flow_engine.cpp", "phase_runner.hpp",
 # The SoA solver hot path (C011): no node-based containers per iteration.
 # eval_cache.cpp is deliberately absent — its sharded map interiors are the
 # sanctioned memoization structure.
-SOLVER_HOT_BASENAMES = ("annealing.cpp", "utility.cpp", "soa_eval.cpp", "reg_split.hpp",
-                        "reg_split.cpp")
+# annealing.hpp holds the shared anneal loop; castpp.cpp the workflow problem.
+SOLVER_HOT_BASENAMES = ("annealing.hpp", "annealing.cpp", "castpp.cpp", "utility.cpp",
+                        "soa_eval.cpp", "reg_split.hpp", "reg_split.cpp")
 
 NO_TSA_BUDGET = 3
 
