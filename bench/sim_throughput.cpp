@@ -4,7 +4,9 @@
 //   1. engine_events — an isolated FlowEngine keeping ~200 flows active
 //      on 25 pools (every completion starts a replacement), events/s;
 //   2. serial_batch — a mixed batch of cluster simulations on the calling
-//      thread (reused thread-local arena), jobs/s;
+//      thread (reused thread-local arena), jobs/s: median and
+//      interquartile range over several timed batches after an untimed
+//      warm-up batch;
 //   3. pooled_batch — the same batch fanned over the work-stealing pool:
 //      median and interquartile range over several timed batches after an
 //      untimed warm-up batch on the same pool;
@@ -188,21 +190,36 @@ int main(int argc, char** argv) {
     std::cerr << "sim_throughput: " << configs.size() << " configs"
               << (args.smoke ? " (smoke)" : "") << "\n";
 
-    // Warm-up: fault in code paths and page in the catalog before timing.
-    (void)runner.run({configs.front()});
-
-    auto t0 = std::chrono::steady_clock::now();
-    const auto serial = runner.run(configs);
-    const double serial_s = bench::seconds_since(t0);
+    // The warm-up batch faults in code paths, pages in the catalog and
+    // fills the thread-local arena; every batch must match the first.
+    const int batch_warmups = args.smoke ? 0 : 1;
+    const int batch_samples = args.smoke ? 1 : 7;
+    std::vector<sim::BatchOutcome> serial;
+    std::vector<double> serial_samples_s;
+    for (int rep = 0; rep < batch_warmups + batch_samples; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        auto outcomes = runner.run(configs);
+        const double s = bench::seconds_since(t0);
+        if (rep == 0) {
+            serial = std::move(outcomes);
+        } else if (!identical(serial, outcomes)) {
+            std::cerr << "FAIL: batch outcomes differ between serial runs\n";
+            return 1;
+        }
+        if (rep >= batch_warmups) serial_samples_s.push_back(s);
+    }
+    const double serial_s = bench::percentile(serial_samples_s, 50.0);
+    const double serial_iqr_s = bench::percentile(serial_samples_s, 75.0) -
+                                bench::percentile(serial_samples_s, 25.0);
 
     // The warm-up batch starts the pool's workers and fills their
     // thread-local arenas; every batch must match the serial outcomes.
     ThreadPool pool;
-    const int pooled_warmups = args.smoke ? 0 : 1;
-    const int pooled_samples = args.smoke ? 1 : 7;
+    const int pooled_warmups = batch_warmups;
+    const int pooled_samples = batch_samples;
     std::vector<double> pooled_s;
     for (int rep = 0; rep < pooled_warmups + pooled_samples; ++rep) {
-        t0 = std::chrono::steady_clock::now();
+        const auto t0 = std::chrono::steady_clock::now();
         const auto pooled = runner.run(configs, &pool);
         const double s = bench::seconds_since(t0);
         if (!identical(serial, pooled)) {
@@ -215,8 +232,9 @@ int main(int argc, char** argv) {
     const double pooled_iqr_s =
         bench::percentile(pooled_s, 75.0) - bench::percentile(pooled_s, 25.0);
     const double parallel_speedup = serial_s / pooled_median_s;
-    std::cerr << "serial batch:  " << fmt(serial_s, 2) << " s (" << fmt(n / serial_s, 1)
-              << " jobs/s)\n"
+    std::cerr << "serial batch:  median " << fmt(serial_s, 3) << " s, IQR "
+              << fmt(serial_iqr_s, 3) << " s over " << batch_samples << " batches ("
+              << fmt(n / serial_s, 1) << " jobs/s)\n"
               << "pooled (" << pool.worker_count() << " workers): median "
               << fmt(pooled_median_s, 3) << " s, IQR " << fmt(pooled_iqr_s, 3) << " s over "
               << pooled_samples << " batches (" << fmt(n / pooled_median_s, 1) << " jobs/s, "
@@ -232,7 +250,7 @@ int main(int argc, char** argv) {
     const core::Deployer deployer;
     double deploy_best_s = 0.0;
     for (int rep = 0; rep < deploys; ++rep) {
-        t0 = std::chrono::steady_clock::now();
+        const auto t0 = std::chrono::steady_clock::now();
         const core::WorkloadDeployment dep = deployer.deploy(evaluator, plan);
         const double s = bench::seconds_since(t0);
         const std::uint64_t fp = makespans_fingerprint(dep);
@@ -256,7 +274,7 @@ int main(int argc, char** argv) {
     std::vector<double> campaign_s;
     for (int rep = 0; rep < campaign_warmups + campaign_samples; ++rep) {
         ThreadPool two(2);
-        t0 = std::chrono::steady_clock::now();
+        const auto t0 = std::chrono::steady_clock::now();
         const model::PerfModelSet profiled = profiler.profile(&two);
         const double s = bench::seconds_since(t0);
         const std::uint64_t fp = model::fingerprint(profiled);
@@ -285,7 +303,10 @@ int main(int argc, char** argv) {
         .add("fingerprint", hex(engine_best.fingerprint));
     bench::JsonObject serial_row;
     serial_row.add("jobs", static_cast<unsigned long long>(configs.size()))
-        .add("seconds", serial_s, 4)
+        .add("warmups", batch_warmups)
+        .add("samples", batch_samples)
+        .add("median_s", serial_s, 4)
+        .add("iqr_s", serial_iqr_s, 4)
         .add("jobs_per_s", n / serial_s, 2);
     bench::JsonObject pooled_row;
     pooled_row.add("workers", static_cast<unsigned long long>(pool.worker_count()))

@@ -11,9 +11,12 @@
 //                                deadline workflows at default
 //                                AnnealingOptions on the pool
 //
-// Every returned plan is re-evaluated with the uncached reference
-// evaluator (PlanEvaluator::evaluate / WorkflowEvaluator::evaluate), and
-// the reported evaluation must equal it exactly; a mismatch exits 1.
+// Every row runs one untimed warm-up, then times several samples of the
+// same deterministic solve (7 in full mode) and reports their median and
+// interquartile range; iters_per_sec is the iteration count over the
+// median time. Every returned plan is re-evaluated with the uncached
+// reference evaluator (PlanEvaluator::evaluate / WorkflowEvaluator::evaluate),
+// and the reported evaluation must equal it exactly; a mismatch exits 1.
 // Output: a JSON document written to BENCH_solver_throughput.json in the
 // working directory and echoed to stdout — iterations/sec per row and the
 // memo-table hit rates. Each batch solve gets a fresh EvalCache, which only
@@ -44,11 +47,44 @@ struct ChainTiming {
     double seconds = 0.0;
     bool matches_reference = false;
     core::EvalCacheStats cache;
+};
 
-    [[nodiscard]] double iters_per_sec() const {
-        return seconds > 0.0 ? iterations / seconds : 0.0;
+/// Median and interquartile range of a row's timed samples.
+struct Samples {
+    int warmups = 0;
+    std::vector<double> seconds;
+
+    [[nodiscard]] double median() const { return bench::percentile(seconds, 50.0); }
+    [[nodiscard]] double iqr() const {
+        return bench::percentile(seconds, 75.0) - bench::percentile(seconds, 25.0);
+    }
+    /// `iterations` per second at the median sample time.
+    [[nodiscard]] double rate(int iterations) const {
+        const double m = median();
+        return m > 0.0 ? iterations / m : 0.0;
+    }
+    /// The row's timing fields.
+    void add_to(bench::JsonObject& row, int iterations) const {
+        row.add("warmups", warmups)
+            .add("samples", static_cast<int>(seconds.size()))
+            .add("median_s", median(), 4)
+            .add("iqr_s", iqr(), 4)
+            .add("iters_per_sec", rate(iterations), 1);
     }
 };
+
+/// Run `once` for `warmups` untimed and `samples` timed repetitions;
+/// `once` returns its own elapsed seconds.
+template <class Fn>
+Samples sample(int warmups, int samples, Fn&& once) {
+    Samples out;
+    out.warmups = warmups;
+    for (int rep = 0; rep < warmups + samples; ++rep) {
+        const double s = once();
+        if (rep >= warmups) out.seconds.push_back(s);
+    }
+    return out;
+}
 
 /// True when `reported` equals the uncached reference evaluation of `plan`
 /// in every scalar field.
@@ -134,45 +170,52 @@ int main(int argc, char** argv) {
     const core::TieringPlan init =
         core::TieringPlan::uniform(workload.size(), StorageTier::kPersistentSsd);
 
-    // --- Single chain on the calling thread. Warm-up pass (page in
-    // splines, size the allocator), then best-of-5 timed runs in full
-    // mode: the trajectory is deterministic, so every repeat produces the
-    // same plan and (with a fresh cache each repeat) the same hit/miss
-    // counts — only the wall clock varies, and keeping the fastest repeat
-    // strips scheduler noise.
+    // The trajectories are deterministic, so every sample of a row
+    // produces the same plan and (with a fresh cache each) the same hit
+    // and miss counts; only the wall clock varies.
+    const int warmups = args.smoke ? 0 : 1;
+    const int samples = args.smoke ? 1 : 7;
+
+    // --- Single chain on the calling thread.
     core::AnnealingOptions chain_opts;
     chain_opts.iter_max = chain_iters;
     chain_opts.chains = 1;
     chain_opts.seed = 99;
     const core::AnnealingSolver chain_solver(evaluator, chain_opts);
-    const int repeats = args.smoke ? 1 : 5;
-    (void)time_chain(evaluator, chain_solver, init);
     ChainTiming chain;
-    for (int rep = 0; rep < repeats; ++rep) {
-        const ChainTiming t = time_chain(evaluator, chain_solver, init);
-        if (chain.iterations == 0 || t.seconds < chain.seconds) chain = t;
-    }
-    std::cerr << "single chain: " << fmt(chain.iters_per_sec(), 0) << " it/s, hit rate "
+    bool chain_matches = true;
+    const Samples chain_samples = sample(warmups, samples, [&] {
+        chain = time_chain(evaluator, chain_solver, init);
+        chain_matches = chain_matches && chain.matches_reference;
+        return chain.seconds;
+    });
+    std::cerr << "single chain: " << fmt(chain_samples.rate(chain.iterations), 0)
+              << " it/s (median of " << samples << ", IQR "
+              << fmt(chain_samples.iqr() * 1e3, 2) << " ms), hit rate "
               << fmt(chain.cache.hit_rate(), 3)
-              << (chain.matches_reference ? ""
-                                          : "  [WARNING: differs from reference evaluate()!]")
+              << (chain_matches ? "" : "  [WARNING: differs from reference evaluate()!]")
               << "\n";
 
-    // --- Tempered solve: 6 replicas on the pool sharing one cache.
+    // --- Tempered solve: 6 replicas on the pool, a fresh cache each.
     core::AnnealingOptions temper_opts;
     temper_opts.iter_max = solve_iters;
     temper_opts.chains = 6;
     temper_opts.seed = 7;
     const core::AnnealingSolver temper_solver(evaluator, temper_opts);
-    core::EvalCache temper_cache;
-    const auto temper_start = std::chrono::steady_clock::now();
-    const core::AnnealingResult temper_result =
-        temper_solver.solve(init, &pool, &temper_cache);
-    const double temper_seconds = bench::seconds_since(temper_start);
-    const bool temper_matches =
-        matches_reference(evaluator, temper_result.plan, temper_result.evaluation);
-    std::cerr << "tempering solve: " << temper_result.iterations << " iterations in "
-              << fmt(temper_seconds, 2) << " s, "
+    core::AnnealingResult temper_result;
+    bool temper_matches = true;
+    const Samples temper_samples = sample(warmups, samples, [&] {
+        core::EvalCache temper_cache;
+        const auto start = std::chrono::steady_clock::now();
+        temper_result = temper_solver.solve(init, &pool, &temper_cache);
+        const double seconds = bench::seconds_since(start);
+        temper_matches = temper_matches && matches_reference(evaluator, temper_result.plan,
+                                                             temper_result.evaluation);
+        return seconds;
+    });
+    std::cerr << "tempering solve: " << temper_result.iterations << " iterations, median "
+              << fmt(temper_samples.median() * 1e3, 2) << " ms (IQR "
+              << fmt(temper_samples.iqr() * 1e3, 2) << " ms), "
               << static_cast<unsigned long long>(temper_result.tempering.total_accepts())
               << "/"
               << static_cast<unsigned long long>(temper_result.tempering.total_attempts())
@@ -181,42 +224,37 @@ int main(int argc, char** argv) {
               << "\n";
 
     // --- Workflow solves: the Fig. 9 deadline workflows at default options
-    // (smoke mode shortens the chains), fastest of `repeats` passes.
+    // (smoke mode shortens the chains), one pass over all five per sample.
     core::AnnealingOptions wf_opts;
     if (args.smoke) wf_opts.iter_max = 600;
     const std::vector<workload::Workflow> workflows =
         workload::synthesize_deadline_workflows(11);
     WorkflowTiming wf_timing;
     bool wf_matches = true;
-    for (int rep = 0; rep < repeats; ++rep) {
-        const WorkflowTiming t = time_workflows(models, workflows, wf_opts, pool);
-        wf_matches = wf_matches && t.matches_reference;
-        if (wf_timing.iterations == 0 || t.seconds < wf_timing.seconds) wf_timing = t;
-    }
-    const double wf_iters_per_sec =
-        wf_timing.seconds > 0.0 ? wf_timing.iterations / wf_timing.seconds : 0.0;
-    std::cerr << "workflow tempering solves: " << wf_timing.iterations << " iterations in "
-              << fmt(wf_timing.seconds, 3) << " s (" << fmt(wf_iters_per_sec, 0)
-              << " it/s), " << wf_timing.deadlines_met << "/" << workflows.size()
-              << " deadlines met"
+    const Samples wf_samples = sample(warmups, samples, [&] {
+        wf_timing = time_workflows(models, workflows, wf_opts, pool);
+        wf_matches = wf_matches && wf_timing.matches_reference;
+        return wf_timing.seconds;
+    });
+    std::cerr << "workflow tempering solves: " << wf_timing.iterations
+              << " iterations, median " << fmt(wf_samples.median(), 3) << " s ("
+              << fmt(wf_samples.rate(wf_timing.iterations), 0) << " it/s), "
+              << wf_timing.deadlines_met << "/" << workflows.size() << " deadlines met"
               << (wf_matches ? "" : "  [WARNING: differs from reference evaluate()!]")
               << "\n";
 
     bench::JsonObject single_chain;
-    single_chain.add("iterations", chain.iterations)
-        .add("seconds", chain.seconds, 4)
-        .add("iters_per_sec", chain.iters_per_sec(), 1)
-        .add("cache_hits", static_cast<unsigned long long>(chain.cache.hits))
+    single_chain.add("iterations", chain.iterations);
+    chain_samples.add_to(single_chain, chain.iterations);
+    single_chain.add("cache_hits", static_cast<unsigned long long>(chain.cache.hits))
         .add("cache_misses", static_cast<unsigned long long>(chain.cache.misses))
         .add("cache_hit_rate", chain.cache.hit_rate(), 4)
-        .add("matches_reference", chain.matches_reference);
+        .add("matches_reference", chain_matches);
 
     bench::JsonObject tempering;
-    tempering.add("chains", temper_opts.chains)
-        .add("iterations", temper_result.iterations)
-        .add("seconds", temper_seconds, 4)
-        .add("iters_per_sec", temper_result.iterations / temper_seconds, 1)
-        .add("best_chain", temper_result.best_chain)
+    tempering.add("chains", temper_opts.chains).add("iterations", temper_result.iterations);
+    temper_samples.add_to(tempering, temper_result.iterations);
+    tempering.add("best_chain", temper_result.best_chain)
         .add("rounds", temper_result.tempering.rounds)
         .add("exchanges_attempted",
              static_cast<unsigned long long>(temper_result.tempering.total_attempts()))
@@ -229,10 +267,9 @@ int main(int argc, char** argv) {
     bench::JsonObject workflow_row;
     workflow_row.add("workflows", static_cast<int>(workflows.size()))
         .add("chains", wf_opts.chains)
-        .add("iterations", wf_timing.iterations)
-        .add("seconds", wf_timing.seconds, 4)
-        .add("iters_per_sec", wf_iters_per_sec, 1)
-        .add("deadlines_met", wf_timing.deadlines_met)
+        .add("iterations", wf_timing.iterations);
+    wf_samples.add_to(workflow_row, wf_timing.iterations);
+    workflow_row.add("deadlines_met", wf_timing.deadlines_met)
         .add("matches_reference", wf_matches);
 
     bench::JsonObject json;
@@ -247,7 +284,7 @@ int main(int argc, char** argv) {
         .add_raw("workflow_tempering_solve", workflow_row.inline_str());
     bench::write_bench_json("BENCH_solver_throughput.json", json);
 
-    if (!chain.matches_reference || !temper_matches) {
+    if (!chain_matches || !temper_matches) {
         std::cerr << "FAIL: a batch solve's evaluation differs from the reference\n";
         return 1;
     }

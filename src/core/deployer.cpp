@@ -278,7 +278,8 @@ WorkflowDeployment Deployer::deploy_workflow(const WorkflowEvaluator& evaluator,
     // Bill via the shared Eq. 5-6 formula (eq5_eq6_costs): a deployed run
     // and its plan's model must cost identically for the same makespan and
     // capacities, or reports comparing them would show phantom drift.
-    const auto [vm, store] = eq5_eq6_costs(evaluator.models(), total, dep.capacities);
+    const auto [vm, store] =
+        eq5_eq6_costs(CostRates(evaluator.models()), total, dep.capacities);
     dep.vm_cost = vm;
     dep.storage_cost = store;
     dep.met_deadline = total <= wf.deadline();

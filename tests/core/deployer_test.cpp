@@ -127,14 +127,15 @@ TEST(Deployer, WorkflowCostsUseSameFormulaAsEvaluator) {
     WorkflowPlan plan = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
     plan.decisions[wf.index_of(3)] = {StorageTier::kEphemeralSsd, 1.0};
     const auto dep = Deployer().deploy_workflow(eval, plan);
-    const auto [vm, store] = eq5_eq6_costs(eval.models(), dep.total_runtime, dep.capacities);
+    const auto [vm, store] =
+        eq5_eq6_costs(CostRates(eval.models()), dep.total_runtime, dep.capacities);
     EXPECT_EQ(dep.vm_cost.value(), vm.value());
     EXPECT_EQ(dep.storage_cost.value(), store.value());
 
     // And the evaluator's own modeled costs come from the same formula.
     const auto modeled = eval.evaluate(plan);
     const auto [mvm, mstore] =
-        eq5_eq6_costs(eval.models(), modeled.total_runtime, modeled.capacities);
+        eq5_eq6_costs(CostRates(eval.models()), modeled.total_runtime, modeled.capacities);
     EXPECT_EQ(modeled.vm_cost.value(), mvm.value());
     EXPECT_EQ(modeled.storage_cost.value(), mstore.value());
 }
