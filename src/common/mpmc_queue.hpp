@@ -3,12 +3,13 @@
 // The planning service's admission layer: producers (request submitters)
 // try_push and are told immediately when the queue is full — backpressure
 // is an explicit reject, never an unbounded buffer — while consumers (the
-// service's serve loops) each pop one item at a time, highest priority
-// first, FIFO within a priority level. close() wakes every waiter; items
-// already admitted are still handed out after close so no accepted
-// request is ever dropped.
+// service's request tasks) each try_pop one item, highest priority first,
+// FIFO within a priority level. Nothing blocks: the service submits one
+// pool task per admitted item, so a consumer always finds one waiting.
+// Items already admitted are still handed out after close() so no
+// accepted request is ever dropped.
 //
-// Deliberately mutex+cv rather than a lock-free ring: operations are a few
+// Deliberately a mutex rather than a lock-free ring: operations are a few
 // pointer moves under a lock that is held for nanoseconds, while the work
 // items they carry are multi-millisecond solves — the queue is never the
 // bottleneck, and the simple implementation is trivially correct under
@@ -47,37 +48,33 @@ public:
     /// failed move-attempt — when the queue is full or closed; the caller
     /// owns the reject path.
     [[nodiscard]] bool try_push(T item, std::size_t priority = 1) CAST_EXCLUDES(mutex_) {
-        {
-            LockGuard lock(mutex_);
-            if (closed_ || size_ >= capacity_) return false;
-            const std::size_t level = priority < levels_.size() ? priority
-                                                                : levels_.size() - 1;
-            levels_[level].push_back(std::move(item));
-            ++size_;
-        }
-        cv_.notify_one();
+        LockGuard lock(mutex_);
+        if (closed_ || size_ >= capacity_) return false;
+        const std::size_t level = priority < levels_.size() ? priority : levels_.size() - 1;
+        levels_[level].push_back(std::move(item));
+        ++size_;
         return true;
     }
 
-    /// Pop the single highest-priority item. Blocks until an item arrives
-    /// or the queue is closed AND drained (then returns nullopt).
-    [[nodiscard]] std::optional<T> pop() CAST_EXCLUDES(mutex_) {
-        UniqueLock lock(mutex_);
-        // Plain while-loop wait (not the predicate overload): the guarded
-        // reads stay in this scope, where the analysis can prove the lock.
-        while (size_ == 0 && !closed_) cv_.wait(lock);
-        if (size_ == 0) return std::nullopt;
-        return pop_one_locked();
+    /// Pop the single highest-priority item, or nullopt when the queue is
+    /// empty. Never blocks; works the same before and after close().
+    [[nodiscard]] std::optional<T> try_pop() CAST_EXCLUDES(mutex_) {
+        LockGuard lock(mutex_);
+        for (auto& level : levels_) {
+            if (level.empty()) continue;
+            T item = std::move(level.front());
+            level.pop_front();
+            --size_;
+            return item;
+        }
+        return std::nullopt;
     }
 
-    /// Refuse new items and wake every blocked consumer. Items admitted
-    /// before close() remain poppable (graceful drain).
+    /// Refuse new items. Items admitted before close() remain poppable
+    /// (graceful drain).
     void close() CAST_EXCLUDES(mutex_) {
-        {
-            LockGuard lock(mutex_);
-            closed_ = true;
-        }
-        cv_.notify_all();
+        LockGuard lock(mutex_);
+        closed_ = true;
     }
 
     [[nodiscard]] std::size_t size() const CAST_EXCLUDES(mutex_) {
@@ -93,20 +90,7 @@ public:
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
 private:
-    /// Precondition: mutex held (compiler-checked), size_ > 0.
-    [[nodiscard]] T pop_one_locked() CAST_REQUIRES(mutex_) {
-        for (auto& level : levels_) {
-            if (level.empty()) continue;
-            T item = std::move(level.front());
-            level.pop_front();
-            --size_;
-            return item;
-        }
-        throw InvariantError("BoundedPriorityQueue: size/level bookkeeping diverged");
-    }
-
     mutable Mutex mutex_;
-    CondVar cv_;
     std::vector<std::deque<T>> levels_ CAST_GUARDED_BY(mutex_);
     std::size_t capacity_;
     std::size_t size_ CAST_GUARDED_BY(mutex_) = 0;

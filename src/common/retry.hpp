@@ -2,7 +2,7 @@
 //
 // The simulator already has a seeded RetryPolicy (sim/faults.hpp) for
 // *modeled* objStore request errors; this header is the real-time
-// counterpart the serve loops use to survive *actual* failures: a solve
+// counterpart the request tasks use to survive *actual* failures: a solve
 // attempt that throws (an injected serve-layer fault, a poisoned request)
 // is retried a bounded number of times with capped exponential backoff,
 // and a CircuitBreaker remembers consecutive failures so a request

@@ -7,16 +7,27 @@
 //     counter — no per-index heap task, no shared-queue traffic on the hot
 //     path. The grain size is explicit (default: ~4 chunks per worker).
 //   * Nested submission is safe: a thread blocked in parallel_for first
-//     drains its own chunks inline and then helps execute other pool tasks
-//     while it waits, so a worker calling parallel_for (annealing chains
-//     profiling inside cluster planning, batch sims inside calibration)
-//     can never deadlock the pool.
+//     drains its own chunks inline and then helps execute other
+//     parallel_for runner tasks while it waits, so a worker calling
+//     parallel_for (annealing chains profiling inside cluster planning,
+//     batch sims inside calibration) can never deadlock the pool. It never
+//     starts a submit()ed task there: a long task (a whole planning
+//     request) must not run nested inside another one's barrier wait, and
+//     parallel_for never needs a submitted task to finish. Idle workers
+//     take submitted tasks before runner tasks, so under load each worker
+//     starts its own task rather than splitting another one's chunks.
 //   * Exceptions thrown by parallel_for bodies are aggregated: one failure
 //     rethrows as-is, several are collected into a ParallelForError.
 //   * CAST_THREADS overrides the default worker count (reproducible CI);
 //     CAST_AFFINITY=1 (or the pin_threads constructor flag) pins worker i
 //     to core i on Linux so replica scratch stays cache-resident across
 //     tempering rounds (no-op elsewhere).
+//   * Unpinned workers still start spread out on Linux: each moves onto
+//     its own allowed CPU, away from the creating thread's, and then takes
+//     its whole mask back. The kernel rarely migrates lightly loaded
+//     threads, so without this a pool created on a quiet host can keep
+//     every worker on its creator's CPU, where parallel_for's chunks
+//     time-share one core instead of overlapping.
 // The pool is created once and joined in the destructor (RAII, no detached
 // threads). parallel_for degrades to inline execution whenever the
 // effective parallelism is 1 — a 1-worker pool, a single index, or an
@@ -26,6 +37,7 @@
 // no-op work.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -90,6 +102,8 @@ public:
         for (std::size_t i = 0; i < workers; ++i) {
             queues_.push_back(std::make_unique<WorkerQueue>());
         }
+        // Written before any worker starts, read-only afterwards.
+        if (!pin_threads) start_cpus_ = spread_cpus(workers);
         threads_.reserve(workers);
         for (std::size_t i = 0; i < workers; ++i) {
             threads_.emplace_back([this, i] { worker_loop(i); });
@@ -122,20 +136,22 @@ public:
     [[nodiscard]] bool on_worker_thread() const { return current_worker(this) >= 0; }
 
     /// Submit a callable; returns a future for its result. Safe to call from
-    /// worker threads (the task goes to the caller's own deque).
+    /// worker threads (the task goes to the caller's own deque). Only idle
+    /// workers start submitted tasks, never a thread waiting in
+    /// parallel_for.
     template <typename F>
     auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
         using R = std::invoke_result_t<F>;
         auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
         std::future<R> fut = task->get_future();
-        push_task([task]() mutable { (*task)(); });
+        push_task([task]() mutable { (*task)(); }, TaskKind::kSubmitted);
         return fut;
     }
 
     /// Run body(i) for i in [0, n), distributing chunks of `grain`
     /// consecutive indices across workers, and wait for completion. The
-    /// calling thread participates (and helps drain unrelated pool tasks
-    /// while waiting, making nested parallel_for safe). grain == 0 picks
+    /// calling thread participates (and helps run other parallel_for
+    /// chunks while waiting, making nested parallel_for safe). grain == 0 picks
     /// ~4 chunks per worker. All body exceptions are collected: a single
     /// one is rethrown as-is, several become a ParallelForError.
     template <typename Body>
@@ -188,13 +204,14 @@ public:
         // which the wait below outlasts.
         const std::size_t nchunks = (n + grain - 1) / grain;
         const std::size_t runners = std::min(worker_count(), nchunks - 1);
-        for (std::size_t w = 0; w < runners; ++w) push_task(run_chunks);
+        for (std::size_t w = 0; w < runners; ++w) push_task(run_chunks, TaskKind::kRunner);
         run_chunks();
-        // Help execute unrelated pool tasks while waiting: if this thread is
+        // Help run other runner tasks while waiting: if this thread is
         // itself a worker inside an outer parallel_for, the chunks it is
-        // blocked on may be queued behind other runners.
+        // blocked on may be queued behind other runners. Submitted tasks
+        // are left to idle workers (see the header comment).
         while (state->done.load(std::memory_order_acquire) < n) {
-            if (!try_run_one_task()) std::this_thread::yield();
+            if (!try_run_one_task(/*runners_only=*/true)) std::this_thread::yield();
         }
 
         std::vector<std::exception_ptr> errors;
@@ -243,9 +260,14 @@ public:
 private:
     using Task = std::function<void()>;
 
+    /// submit()ed tasks vs parallel_for's chunk runners. Each has its own
+    /// deque per worker; idle workers look in the enum's order.
+    enum class TaskKind : std::size_t { kSubmitted = 0, kRunner = 1 };
+    static constexpr std::size_t kTaskKinds = 2;
+
     struct WorkerQueue {
         Mutex mutex;
-        std::deque<Task> deque CAST_GUARDED_BY(mutex);
+        std::deque<Task> deques[kTaskKinds] CAST_GUARDED_BY(mutex);
     };
 
     /// Index of the calling thread in `pool`, or -1 for external threads.
@@ -266,7 +288,7 @@ private:
         return worker_slot(pool);
     }
 
-    void push_task(Task task) {
+    void push_task(Task task, TaskKind kind) {
         CAST_EXPECTS_MSG(!stopping_.load(std::memory_order_relaxed),
                          "submit on a stopping pool");
         const int self = current_worker(this);
@@ -278,7 +300,7 @@ private:
         {
             WorkerQueue& wq = *queues_[q];
             LockGuard lock(wq.mutex);
-            wq.deque.push_back(std::move(task));
+            wq.deques[static_cast<std::size_t>(kind)].push_back(std::move(task));
         }
         pending_.fetch_add(1, std::memory_order_release);
         {
@@ -289,27 +311,34 @@ private:
         cv_.notify_one();
     }
 
-    /// Pop from own deque (back) or steal from another (front). Returns
-    /// false when every deque is empty.
-    [[nodiscard]] bool try_pop_task(Task& out) {
+    /// Pop a task — a submitted one first, across every worker, then a
+    /// runner; only a runner when `runners_only` — from the own deque
+    /// (back) or by stealing from another (front). Returns false when none
+    /// is queued.
+    [[nodiscard]] bool try_pop_task(Task& out, bool runners_only) {
         const int self = current_worker(this);
         const std::size_t start =
             self >= 0 ? static_cast<std::size_t>(self)
                       : next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-        for (std::size_t k = 0; k < queues_.size(); ++k) {
-            const std::size_t q = (start + k) % queues_.size();
-            WorkerQueue& wq = *queues_[q];
-            LockGuard lock(wq.mutex);
-            if (wq.deque.empty()) continue;
-            if (k == 0 && self >= 0) {
-                out = std::move(wq.deque.back());
-                wq.deque.pop_back();
-            } else {
-                out = std::move(wq.deque.front());
-                wq.deque.pop_front();
+        const auto first = static_cast<std::size_t>(runners_only ? TaskKind::kRunner
+                                                                 : TaskKind::kSubmitted);
+        for (std::size_t kind = first; kind < kTaskKinds; ++kind) {
+            for (std::size_t k = 0; k < queues_.size(); ++k) {
+                const std::size_t q = (start + k) % queues_.size();
+                WorkerQueue& wq = *queues_[q];
+                LockGuard lock(wq.mutex);
+                std::deque<Task>& deque = wq.deques[kind];
+                if (deque.empty()) continue;
+                if (k == 0 && self >= 0) {
+                    out = std::move(deque.back());
+                    deque.pop_back();
+                } else {
+                    out = std::move(deque.front());
+                    deque.pop_front();
+                }
+                pending_.fetch_sub(1, std::memory_order_relaxed);
+                return true;
             }
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
         }
         return false;
     }
@@ -335,17 +364,63 @@ private:
 #endif
     }
 
-    [[nodiscard]] bool try_run_one_task() {
+    /// One start CPU per worker: the allowed CPUs in order, beginning
+    /// after the calling thread's. Empty when there is nothing to spread
+    /// over (one allowed CPU, or not Linux).
+    [[nodiscard]] static std::vector<int> spread_cpus(std::size_t workers) {
+        std::vector<int> starts;
+#ifdef __linux__
+        cpu_set_t allowed;
+        CPU_ZERO(&allowed);
+        if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return starts;
+        std::vector<int> cpus;
+        for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+            if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+        }
+        if (cpus.size() < 2) return starts;
+        const auto self = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+        const std::size_t first =
+            self == cpus.end() ? 0 : static_cast<std::size_t>(self - cpus.begin()) + 1;
+        for (std::size_t i = 0; i < workers; ++i) {
+            starts.push_back(cpus[(first + i) % cpus.size()]);
+        }
+#else
+        (void)workers;
+#endif
+        return starts;
+    }
+
+    /// Migrate the calling thread onto `cpu`, then give it its whole mask
+    /// back: it stays there until the kernel's load balancer moves it.
+    /// Best effort: a refused call leaves the thread where it was.
+    static void start_on(int cpu) {
+#ifdef __linux__
+        cpu_set_t allowed;
+        CPU_ZERO(&allowed);
+        if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+            (void)sched_setaffinity(0, sizeof(allowed), &allowed);
+        }
+#else
+        (void)cpu;
+#endif
+    }
+
+    [[nodiscard]] bool try_run_one_task(bool runners_only) {
         Task task;
-        if (!try_pop_task(task)) return false;
+        if (!try_pop_task(task, runners_only)) return false;
         task();
         return true;
     }
 
     void worker_loop(std::size_t index) {
         worker_slot(this) = static_cast<int>(index);
+        if (index < start_cpus_.size()) start_on(start_cpus_[index]);
         for (;;) {
-            if (try_run_one_task()) continue;
+            if (try_run_one_task(/*runners_only=*/false)) continue;
             UniqueLock lock(sleep_mutex_);
             while (!stopping_.load(std::memory_order_relaxed) &&
                    pending_.load(std::memory_order_acquire) == 0) {
@@ -366,6 +441,8 @@ private:
     std::atomic<bool> stopping_{false};
     std::atomic<std::size_t> pending_{0};
     std::atomic<std::size_t> next_queue_{0};
+    /// Start CPU per worker (see spread_cpus); empty when pinned.
+    std::vector<int> start_cpus_;
     std::vector<std::thread> threads_;
     bool pinned_ = false;
 };

@@ -4,17 +4,47 @@
 
 namespace cast::core {
 
-double GreedySolver::single_job_utility(const workload::JobSpec& job, cloud::StorageTier tier,
-                                        double k, EvalCache* cache) const {
-    // Algorithm 1 computes Utility(j, f) from Eq. 1 and Eq. 2 for the job
-    // in isolation: a one-job workload evaluated under the same model.
+namespace {
+
+/// Algorithm 1 computes Utility(j, f) from Eq. 1 and Eq. 2 for the job in
+/// isolation: a one-job workload evaluated under the same model.
+PlanEvaluator solo_evaluator(const PlanEvaluator& full, const workload::JobSpec& job) {
     workload::JobSpec solo = job;
     solo.reuse_group = std::nullopt;  // isolation: reuse is invisible to greedy
-    PlanEvaluator solo_eval(evaluator_->models(), workload::Workload({solo}),
-                            evaluator_->options());
-    TieringPlan plan(std::vector<PlacementDecision>{PlacementDecision{tier, k}});
-    const PlanEvaluation eval = solo_eval.evaluate(plan, cache);
+    return PlanEvaluator(full.models(), workload::Workload({solo}), full.options());
+}
+
+double solo_utility(const PlanEvaluator& solo, cloud::StorageTier tier, double k,
+                    EvalCache* cache) {
+    const TieringPlan plan(std::vector<PlacementDecision>{PlacementDecision{tier, k}});
+    const PlanEvaluation eval = solo.evaluate(plan, cache);
     return eval.feasible ? eval.utility : 0.0;
+}
+
+}  // namespace
+
+double GreedySolver::single_job_utility(const workload::JobSpec& job, cloud::StorageTier tier,
+                                        double k, EvalCache* cache) const {
+    return solo_utility(solo_evaluator(*evaluator_, job), tier, k, cache);
+}
+
+PlacementDecision GreedySolver::best_single_job_placement(
+    const workload::JobSpec& job, std::span<const cloud::StorageTier> tiers,
+    std::span<const double> ks, EvalCache* cache) const {
+    CAST_EXPECTS(!tiers.empty() && !ks.empty());
+    const PlanEvaluator solo = solo_evaluator(*evaluator_, job);
+    PlacementDecision best{tiers.front(), ks.front()};
+    double best_utility = -1.0;
+    for (const cloud::StorageTier tier : tiers) {
+        for (const double k : ks) {
+            const double u = solo_utility(solo, tier, k, cache);
+            if (u > best_utility) {
+                best_utility = u;
+                best = PlacementDecision{tier, k};
+            }
+        }
+    }
+    return best;
 }
 
 TieringPlan GreedySolver::solve(const GreedyOptions& options, EvalCache* cache) const {
@@ -26,30 +56,14 @@ TieringPlan GreedySolver::solve(const GreedyOptions& options, EvalCache* cache) 
     lint_ctx.reuse_aware = evaluator_->options().reuse_aware;
     lint::enforce(lint::lint_workload(evaluator_->workload(), lint_ctx));
 
+    static constexpr double kExactFit[] = {1.0};
+    const std::span<const double> ks =
+        options.over_provision ? std::span<const double>(options.overprov_choices) : kExactFit;
     const auto& jobs = evaluator_->workload().jobs();
     std::vector<PlacementDecision> decisions;
     decisions.reserve(jobs.size());
     for (const auto& job : jobs) {
-        PlacementDecision best{cloud::kAllTiers.front(), 1.0};
-        double best_utility = -1.0;
-        for (cloud::StorageTier tier : cloud::kAllTiers) {
-            if (options.over_provision) {
-                for (double k : options.overprov_choices) {
-                    const double u = single_job_utility(job, tier, k, cache);
-                    if (u > best_utility) {
-                        best_utility = u;
-                        best = PlacementDecision{tier, k};
-                    }
-                }
-            } else {
-                const double u = single_job_utility(job, tier, 1.0, cache);
-                if (u > best_utility) {
-                    best_utility = u;
-                    best = PlacementDecision{tier, 1.0};
-                }
-            }
-        }
-        decisions.push_back(best);
+        decisions.push_back(best_single_job_placement(job, cloud::kAllTiers, ks, cache));
     }
     return TieringPlan(std::move(decisions));
 }

@@ -11,6 +11,7 @@
 // the gap.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -41,6 +42,13 @@ public:
     [[nodiscard]] double single_job_utility(const workload::JobSpec& job,
                                             cloud::StorageTier tier, double k,
                                             EvalCache* cache = nullptr) const;
+
+    /// Algorithm 1's per-job sweep: the (tier, k) over `tiers` x `ks`
+    /// (tiers outer, first maximum wins) with the highest single-job
+    /// utility. Builds the one-job evaluator once for the whole sweep.
+    [[nodiscard]] PlacementDecision best_single_job_placement(
+        const workload::JobSpec& job, std::span<const cloud::StorageTier> tiers,
+        std::span<const double> ks, EvalCache* cache = nullptr) const;
 
 private:
     const PlanEvaluator* evaluator_;

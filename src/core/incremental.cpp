@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/eval_cache.hpp"
@@ -53,23 +54,15 @@ PlacementDecision IncrementalSolver::seed_arrival(const PlanEvaluator& evaluator
             if (wl.job(j).reuse_group == job.reuse_group) return partial.decision(j);
         }
     }
-    const GreedySolver greedy(evaluator);
-    static const std::vector<double> kExactFit{1.0};
-    const std::vector<double>& ks =
-        options_.greedy_init.over_provision ? options_.greedy_init.overprov_choices : kExactFit;
-    double best_utility = -1.0;
-    PlacementDecision best{cloud::StorageTier::kPersistentSsd, 1.0};
-    for (const cloud::StorageTier tier : cloud::kAllTiers) {
-        if (job.pinned_tier && *job.pinned_tier != tier) continue;
-        for (const double k : ks) {
-            const double u = greedy.single_job_utility(job, tier, k, cache);
-            if (u > best_utility) {
-                best_utility = u;
-                best = PlacementDecision{tier, k};
-            }
-        }
-    }
-    return best;
+    static constexpr double kExactFit[] = {1.0};
+    const std::span<const double> ks =
+        options_.greedy_init.over_provision
+            ? std::span<const double>(options_.greedy_init.overprov_choices)
+            : kExactFit;
+    const std::span<const cloud::StorageTier> tiers =
+        job.pinned_tier ? std::span<const cloud::StorageTier>(&*job.pinned_tier, 1)
+                        : std::span<const cloud::StorageTier>(cloud::kAllTiers);
+    return GreedySolver(evaluator).best_single_job_placement(job, tiers, ks, cache);
 }
 
 std::vector<std::size_t> IncrementalSolver::affected_neighborhood(

@@ -23,7 +23,7 @@
 //                           the circuit breaker's;
 //   * swap storms         — bursts of snapshot swaps; driven by the bench/
 //                           test harness via storm parameters here, since
-//                           swaps originate outside the serve loops;
+//                           swaps originate outside the request tasks;
 //   * request floods      — open-loop arrival bursts, likewise a driver-
 //                           side parameter (flood_factor scales offered
 //                           load relative to service capacity).
@@ -111,7 +111,7 @@ struct ServeFaultStats {
     }
 };
 
-/// Sampled plan for one solve attempt, consumed by the serve loop solving it.
+/// Sampled plan for one solve attempt, consumed by the request task solving it.
 struct AttemptFault {
     double stall_ms = 0.0;     ///< sleep this long before the attempt
     bool throw_exception = false;  ///< the attempt fails with SimulationError

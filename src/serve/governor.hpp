@@ -118,7 +118,7 @@ struct GovernorOptions {
 
 /// Watches queue depth, in-flight count and the solve-latency EWMA; answers
 /// "what ladder level does this request get" and "can this deadline still
-/// be met". Shared by every serve loop — the EWMA is the only mutable state
+/// be met". Shared by every request task — the EWMA is the only mutable state
 /// and is mutex-guarded.
 class OverloadGovernor {
 public:

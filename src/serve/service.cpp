@@ -177,24 +177,21 @@ PlannerService::PlannerService(SnapshotPtr snapshot, ServiceOptions options)
       swap_breaker_(options_.governor.swap_breaker) {
     CAST_EXPECTS_MSG(snapshot_ != nullptr, "PlannerService needs a snapshot");
     CAST_EXPECTS(options_.default_max_wall_ms >= 0.0);
-    // Instruments and gauges must exist before a serve loop can run a
-    // single request; inst_ is immutable from here on.
+    // Instruments and gauges must exist before a request task can run;
+    // inst_ is immutable from here on.
     if (options_.obs.metrics) {
         inst_ = std::make_unique<Instruments>(metrics_);
         register_gauges();
     }
-    // One loop per pool thread, each holding its thread until shutdown.
-    for (std::size_t w = 0; w < pool_.worker_count(); ++w) {
-        loops_.push_back(pool_.submit([this] { serve_loop(); }));
-    }
 }
 
 PlannerService::~PlannerService() {
-    // Close admission; the loops drain whatever is already queued (fast
-    // when cancel_inflight() latched the token) and return once it is
-    // closed and empty. Waiting here keeps every member alive for them.
+    // Close admission; the tasks already submitted serve whatever is
+    // queued (fast when cancel_inflight() latched the token). Waiting for
+    // the last of them keeps every member alive for them.
     queue_.close();
-    for (auto& loop : loops_) loop.get();
+    UniqueLock lock(tasks_mutex_);
+    while (open_tasks_ > 0) tasks_idle_.wait(lock);
 }
 
 void PlannerService::register_gauges() {
@@ -308,8 +305,8 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
     const std::uint64_t id = pending->request.id;
     const RequestKind kind = pending->request.kind;
     const auto level = static_cast<std::size_t>(pending->request.priority);
-    // The future must be taken before the push: once admitted, a serve
-    // loop owns the Pending and may fulfill it at any moment.
+    // The future must be taken before the push: once admitted, a request
+    // task owns the Pending and may fulfill it at any moment.
     std::future<PlanResponse> fut = pending->promise.get_future();
     if (options_.coalesce_identical || governor_.enabled()) {
         pending->key = dedup_key(pending->request);
@@ -330,7 +327,17 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
         }
         pending->group = group = it;
     }
-    if (queue_.try_push(std::move(pending), level)) return fut;
+    if (queue_.try_push(std::move(pending), level)) {
+        // One task per admitted request. It serves whichever request is
+        // first in priority order when it runs, so tasks starting out of
+        // submit order cannot reorder the queue.
+        {
+            LockGuard lock(tasks_mutex_);
+            ++open_tasks_;
+        }
+        pool_.submit([this] { serve_next(); });
+        return fut;
+    }
 
     rejected_.fetch_add(1, std::memory_order_relaxed);
     if (inst_) inst_->rejected.add();
@@ -442,10 +449,16 @@ ServiceStats PlannerService::stats() const {
     return s;
 }
 
-void PlannerService::serve_loop() noexcept {
-    while (std::optional<std::unique_ptr<Pending>> popped = queue_.pop()) {
-        serve_one(std::move(*popped));
-    }
+void PlannerService::serve_next() noexcept {
+    // Every admitted request submits one task and only tasks pop, so a
+    // task always finds a request waiting (close() drops none).
+    std::optional<std::unique_ptr<Pending>> popped = queue_.try_pop();
+    CAST_ENSURES_MSG(popped.has_value(), "a request task found the queue empty");
+    serve_one(std::move(*popped));
+    // Notify under the lock: once the count reads zero the destructor may
+    // destroy the condition variable as soon as it can take the mutex.
+    LockGuard lock(tasks_mutex_);
+    if (--open_tasks_ == 0) tasks_idle_.notify_all();
 }
 
 void PlannerService::fulfill(Pending& pending, PlanResponse&& resp) {
@@ -640,7 +653,7 @@ PlanResponse PlannerService::solve_request(const PlanRequest& request,
             }
             resp = request.kind == RequestKind::kAmend
                        ? amend_direct(request, snap, level)
-                       : solve_direct(snap, request, options_, &cancel_, level);
+                       : solve_direct(snap, request, options_, &cancel_, level, &pool_);
             if (resp.ok() && request.kind == RequestKind::kBatch && resp.batch &&
                 !request.plan_handle.empty()) {
                 store_plan(request.plan_handle, *request.workload, resp.batch->plan,
@@ -777,8 +790,8 @@ PlanResponse PlannerService::amend_direct(const PlanRequest& request, const Snap
     // batch/workflow request — proceed in parallel.
     LockGuard lock(entry->mu);
     const core::IncrementalSolver solver(snap.models(), opts, policy, entry->reuse_aware);
-    core::AmendResult amended = solver.amend(entry->workload, entry->plan, *request.delta,
-                                             /*pool=*/nullptr, &snap.cache());
+    core::AmendResult amended =
+        solver.amend(entry->workload, entry->plan, *request.delta, &pool_, &snap.cache());
     amend_requests_.fetch_add(1, std::memory_order_relaxed);
     if (amended.escalated_cold) amend_escalations_.fetch_add(1, std::memory_order_relaxed);
     if (amended.greedy_only) amend_greedy_.fetch_add(1, std::memory_order_relaxed);
@@ -803,7 +816,8 @@ PlanResponse PlannerService::amend_direct(const PlanRequest& request, const Snap
 
 PlanResponse PlannerService::solve_direct(const Snapshot& snapshot, const PlanRequest& request,
                                           const ServiceOptions& options,
-                                          const CancelToken* cancel, DegradationLevel level) {
+                                          const CancelToken* cancel, DegradationLevel level,
+                                          ThreadPool* pool) {
     CAST_EXPECTS_MSG(level != DegradationLevel::kShed,
                      "kShed is a rejection, not a solver mode");
     CAST_EXPECTS_MSG(request.kind != RequestKind::kAmend,
@@ -823,10 +837,10 @@ PlanResponse PlannerService::solve_direct(const Snapshot& snapshot, const PlanRe
                                                 request.reuse_aware, &cache);
         } else if (request.reuse_aware) {
             resp.batch = core::plan_cast_plus_plus(snapshot.models(), *request.workload,
-                                                   opts, nullptr, &cache);
+                                                   opts, pool, &cache);
         } else {
             resp.batch =
-                core::plan_cast(snapshot.models(), *request.workload, opts, nullptr, &cache);
+                core::plan_cast(snapshot.models(), *request.workload, opts, pool, &cache);
         }
     } else {
         CAST_EXPECTS_MSG(request.workflow.has_value(), "workflow request carries no workflow");
@@ -834,7 +848,7 @@ PlanResponse PlannerService::solve_direct(const Snapshot& snapshot, const PlanRe
         const core::WorkflowSolver solver(evaluator, opts.annealing,
                                           options.workflow_deadline_safety);
         resp.workflow = level == DegradationLevel::kGreedy ? solver.solve_greedy(&cache)
-                                                           : solver.solve(nullptr, &cache);
+                                                           : solver.solve(pool, &cache);
     }
     resp.status = ResponseStatus::kOk;
     return resp;

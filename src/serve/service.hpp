@@ -6,8 +6,11 @@
 //
 //   * requests are admitted through a bounded priority queue (reject on
 //     overflow = explicit backpressure, never unbounded memory),
-//   * `workers` serve loops on the service's ThreadPool each pop one
-//     request at a time, so a request starts on the next free worker,
+//   * each admitted request becomes one task on the service's `workers`-
+//     thread ThreadPool; the task pops the highest-priority queued request
+//     when it runs, so a request starts on the next free worker,
+//   * solves run their tempering replicas on the same pool, so a worker
+//     with no request of its own helps a busy one's replicas,
 //   * a request identical to one queued or solving on the same snapshot
 //     epoch attaches to it at admission (popular-template replay solves
 //     once, everyone gets the bits),
@@ -20,11 +23,11 @@
 //
 // Determinism: the service calls the exact same plan_cast /
 // plan_cast_plus_plus / WorkflowSolver::solve facades a direct caller
-// would, with pool=nullptr inside the worker (chains sequential per
-// request). Since solvers are deterministic and the cache is
-// bit-transparent, a response is bit-identical to the direct solve of the
-// same request, regardless of worker count, queue order, cache warmth, or
-// a snapshot swap racing other requests.
+// would, handing them its pool. Replica exchange makes the same draws at
+// any worker count, solvers are deterministic and the cache is
+// bit-transparent, so a response is bit-identical to the serial direct
+// solve of the same request, regardless of worker count, queue order,
+// cache warmth, or a snapshot swap racing other requests.
 #pragma once
 
 #include <atomic>
@@ -155,7 +158,8 @@ struct ObservabilityOptions {
 };
 
 struct ServiceOptions {
-    /// Serve loops, one per pool thread: at most this many solves at once.
+    /// Pool threads: at most this many solves at once, and the replicas
+    /// one solve may run side by side.
     std::size_t workers = ThreadPool::default_workers();
     /// Admission-queue bound; try_push beyond it rejects (backpressure).
     std::size_t queue_capacity = 256;
@@ -232,8 +236,9 @@ public:
     PlannerService(const PlannerService&) = delete;
     PlannerService& operator=(const PlannerService&) = delete;
 
-    /// Closes admission, lets the serve loops drain queued work (fast when
-    /// cancel_inflight() was called), and joins the pool.
+    /// Closes admission, waits until every admitted request's task has
+    /// served it (fast when cancel_inflight() was called), and joins the
+    /// pool.
     ~PlannerService();
 
     /// Enqueue a request. Always returns a future: on admission it resolves
@@ -283,17 +288,19 @@ public:
     }
     [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_; }
 
-    /// Solve `request` directly against `snapshot` with no queue, no pool
-    /// and no shared cache side effects beyond the snapshot's own — the
-    /// serial baseline path, also used by the golden tests as the ground
-    /// truth the service must match bit-for-bit. `level` selects the
-    /// degradation ladder rung to solve at (kFull = the PR 5 behavior;
-    /// kShed never reaches a solver and is rejected here). Amend requests
-    /// are rejected too: they need the service's plan store.
+    /// Solve `request` directly against `snapshot` with no queue and no
+    /// shared cache side effects beyond the snapshot's own. Without a
+    /// `pool` the replicas run one after another — the serial baseline
+    /// path, also used by the golden tests as the ground truth the service
+    /// must match bit-for-bit; the service passes its own pool, which
+    /// changes no bit. `level` selects the degradation ladder rung to
+    /// solve at (kFull = the PR 5 behavior; kShed never reaches a solver
+    /// and is rejected here). Amend requests are rejected too: they need
+    /// the service's plan store.
     [[nodiscard]] static PlanResponse solve_direct(
         const Snapshot& snapshot, const PlanRequest& request,
         const ServiceOptions& options, const CancelToken* cancel = nullptr,
-        DegradationLevel level = DegradationLevel::kFull);
+        DegradationLevel level = DegradationLevel::kFull, ThreadPool* pool = nullptr);
 
 private:
     struct Pending;
@@ -313,10 +320,12 @@ private:
         std::optional<Inflight::iterator> group;
     };
 
-    /// One per worker: pop and serve requests until the queue is closed
-    /// and drained. noexcept: a fault escaping serve_one is a bug that must
-    /// end the process, not silently retire a worker.
-    void serve_loop() noexcept;
+    /// The pool task submitted for each admitted request: pop the
+    /// highest-priority queued request (not necessarily the one that
+    /// submitted this task) and serve it. noexcept: a fault escaping
+    /// serve_one is a bug that must end the process, not vanish into an
+    /// unread future.
+    void serve_next() noexcept;
     /// Capture the snapshot, ask the governor, shed or solve, and fulfill
     /// this request and every request attached to it.
     void serve_one(std::unique_ptr<Pending> pending);
@@ -360,7 +369,7 @@ private:
     struct Instruments;
     /// Register the serve.* pull gauges (queue depth, in-flight, EWMA,
     /// cache stats, breaker states) against live service state. Called
-    /// once from the constructor, before the serve loops start.
+    /// once from the constructor, before any request is admitted.
     void register_gauges();
     /// Breaker aggregates for the pull gauges.
     [[nodiscard]] double open_breaker_count() const CAST_EXCLUDES(breaker_mutex_);
@@ -447,8 +456,12 @@ private:
     std::chrono::steady_clock::time_point last_swap_ CAST_GUARDED_BY(snapshot_mutex_){};
     bool any_swap_ CAST_GUARDED_BY(snapshot_mutex_) = false;
 
-    /// The serve loops: started last, waited on before any member dies.
-    std::vector<std::future<void>> loops_;
+    /// Request tasks submitted and not yet finished. The destructor waits
+    /// for zero before any member dies: a task touches most of them, and
+    /// the pool refuses work once it is stopping. A leaf.
+    Mutex tasks_mutex_;
+    CondVar tasks_idle_;
+    std::size_t open_tasks_ CAST_GUARDED_BY(tasks_mutex_) = 0;
 };
 
 }  // namespace cast::serve

@@ -10,6 +10,23 @@
 namespace cast {
 namespace {
 
+/// Consumer loop for the concurrency tests: try_pop until the queue is
+/// closed and drained. Reading closed() before the pop makes an empty pop
+/// after it final: nothing can be admitted once the queue is closed.
+template <typename OnItem>
+void drain_until_closed(BoundedPriorityQueue<int>& q, OnItem&& on_item) {
+    for (;;) {
+        const bool closed = q.closed();
+        if (const auto v = q.try_pop()) {
+            on_item(*v);
+        } else if (closed) {
+            return;
+        } else {
+            std::this_thread::yield();
+        }
+    }
+}
+
 TEST(BoundedPriorityQueue, PopsHighestPriorityFirstFifoWithinLevel) {
     BoundedPriorityQueue<int> q(8, 3);
     ASSERT_TRUE(q.try_push(10, 1));
@@ -18,19 +35,19 @@ TEST(BoundedPriorityQueue, PopsHighestPriorityFirstFifoWithinLevel) {
     ASSERT_TRUE(q.try_push(11, 1));
     ASSERT_TRUE(q.try_push(2, 0));
 
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), 10);
-    EXPECT_EQ(q.pop(), 11);
-    EXPECT_EQ(q.pop(), 20);
+    EXPECT_EQ(q.try_pop(), 1);
+    EXPECT_EQ(q.try_pop(), 2);
+    EXPECT_EQ(q.try_pop(), 10);
+    EXPECT_EQ(q.try_pop(), 11);
+    EXPECT_EQ(q.try_pop(), 20);
 }
 
 TEST(BoundedPriorityQueue, OutOfRangePriorityClampsToLowestLevel) {
     BoundedPriorityQueue<int> q(4, 2);
     ASSERT_TRUE(q.try_push(99, 57));  // clamped to level 1
     ASSERT_TRUE(q.try_push(1, 0));
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 99);
+    EXPECT_EQ(q.try_pop(), 1);
+    EXPECT_EQ(q.try_pop(), 99);
 }
 
 TEST(BoundedPriorityQueue, RejectsWhenFullAndAdmitsAfterDrain) {
@@ -40,7 +57,7 @@ TEST(BoundedPriorityQueue, RejectsWhenFullAndAdmitsAfterDrain) {
     EXPECT_FALSE(q.try_push(3));
     EXPECT_EQ(q.size(), 2u);
 
-    EXPECT_EQ(q.pop(), 1);
+    EXPECT_EQ(q.try_pop(), 1);
     EXPECT_TRUE(q.try_push(4));
 }
 
@@ -52,22 +69,30 @@ TEST(BoundedPriorityQueue, CloseRejectsNewItemsButDrainsAdmittedOnes) {
     EXPECT_TRUE(q.closed());
     EXPECT_FALSE(q.try_push(3));
 
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), std::nullopt);  // closed + drained: no block
+    EXPECT_EQ(q.try_pop(), 1);
+    EXPECT_EQ(q.try_pop(), 2);
+    EXPECT_EQ(q.try_pop(), std::nullopt);  // closed + drained
+}
+
+TEST(BoundedPriorityQueue, TryPopOnEmptyQueueReturnsAtOnce) {
+    BoundedPriorityQueue<int> q(2);
+    EXPECT_EQ(q.try_pop(), std::nullopt);
+    ASSERT_TRUE(q.try_push(5));
+    EXPECT_EQ(q.try_pop(), 5);
+    EXPECT_EQ(q.try_pop(), std::nullopt);
 }
 
 TEST(BoundedPriorityQueue, MoveOnlyItemsFlowThrough) {
     BoundedPriorityQueue<std::unique_ptr<int>> q(2);
     ASSERT_TRUE(q.try_push(std::make_unique<int>(7)));
-    auto item = q.pop();
+    auto item = q.try_pop();
     ASSERT_TRUE(item.has_value());
     EXPECT_EQ(**item, 7);
 }
 
 // Concurrency contract under TSan: many producers race try_push against
-// consumers draining with pop; every admitted item comes out exactly once
-// and close() releases every blocked consumer.
+// consumers draining with try_pop; every admitted item comes out exactly
+// once and every consumer stops once the queue is closed and drained.
 TEST(BoundedPriorityQueue, ConcurrentProducersAndConsumersLoseNothing) {
     constexpr int kProducers = 4;
     constexpr int kConsumers = 3;
@@ -82,10 +107,10 @@ TEST(BoundedPriorityQueue, ConcurrentProducersAndConsumersLoseNothing) {
     consumers.reserve(kConsumers);
     for (int c = 0; c < kConsumers; ++c) {
         consumers.emplace_back([&] {
-            while (const auto v = q.pop()) {
-                popped_sum.fetch_add(*v, std::memory_order_relaxed);
+            drain_until_closed(q, [&](int v) {
+                popped_sum.fetch_add(v, std::memory_order_relaxed);
                 popped_count.fetch_add(1, std::memory_order_relaxed);
-            }
+            });
         });
     }
 
@@ -114,7 +139,7 @@ TEST(BoundedPriorityQueue, ConcurrentProducersAndConsumersLoseNothing) {
 }
 
 // Shutdown race: close() fires while producers are mid-try_push and
-// consumers are mid-pop. The contract under this race is exact —
+// consumers are mid-try_pop. The contract under this race is exact —
 // every try_push that returned true is drained exactly once, every
 // try_push after close returns false, and no thread hangs. Run many short
 // rounds so TSan sees lots of distinct interleavings of close vs push/pop.
@@ -135,10 +160,10 @@ TEST(BoundedPriorityQueue, CloseRacingPushAndPopLosesNoAdmittedItem) {
         consumers.reserve(kConsumers);
         for (int c = 0; c < kConsumers; ++c) {
             consumers.emplace_back([&] {
-                while (const auto v = q.pop()) {
-                    drained_sum.fetch_add(*v, std::memory_order_relaxed);
+                drain_until_closed(q, [&](int v) {
+                    drained_sum.fetch_add(v, std::memory_order_relaxed);
                     drained_count.fetch_add(1, std::memory_order_relaxed);
-                }
+                });
             });
         }
 
@@ -173,65 +198,6 @@ TEST(BoundedPriorityQueue, CloseRacingPushAndPopLosesNoAdmittedItem) {
         EXPECT_EQ(drained_sum.load(), admitted_sum.load()) << "round " << round;
         EXPECT_EQ(q.size(), 0u) << "round " << round;
     }
-}
-
-// Regression for the annotated wait loop (predicate lambda -> explicit
-// `while (...) cv_.wait(lock)` so thread-safety analysis sees the guarded
-// reads under the lock): consumers blocked on an EMPTY queue must wake on
-// a plain push, not only on close(). A broken loop either misses the wake
-// (hang) or re-reads state unlocked (TSan report in the TSan lane).
-TEST(BoundedPriorityQueue, BlockedConsumersWakeOnPushNotOnlyOnClose) {
-    constexpr int kItems = 200;
-    BoundedPriorityQueue<int> q(8, 2);
-    std::atomic<long long> drained_sum{0};
-    std::atomic<int> drained_count{0};
-
-    std::vector<std::thread> consumers;
-    consumers.reserve(3);
-    for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&] {
-            while (const auto v = q.pop()) {
-                drained_sum.fetch_add(*v, std::memory_order_relaxed);
-                drained_count.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-
-    // Push in dribbles with yields in between so consumers repeatedly drain
-    // the queue dry and re-block in the wait loop before the next item.
-    long long pushed_sum = 0;
-    for (int i = 1; i <= kItems; ++i) {
-        while (!q.try_push(i, static_cast<std::size_t>(i % 2))) {
-            std::this_thread::yield();
-        }
-        pushed_sum += i;
-        if (i % 7 == 0) std::this_thread::yield();
-    }
-    q.close();
-    for (auto& t : consumers) t.join();
-
-    EXPECT_EQ(drained_count.load(), kItems);
-    EXPECT_EQ(drained_sum.load(), pushed_sum);
-}
-
-// close() must release consumers blocked on an *empty* queue — the
-// wait-predicate race the serve loops' shutdown depends on.
-TEST(BoundedPriorityQueue, CloseReleasesConsumersBlockedOnEmptyQueue) {
-    BoundedPriorityQueue<int> q(4);
-    std::atomic<int> released{0};
-
-    std::vector<std::thread> consumers;
-    consumers.reserve(3);
-    for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&] {
-            EXPECT_EQ(q.pop(), std::nullopt);
-            released.fetch_add(1, std::memory_order_relaxed);
-        });
-    }
-
-    q.close();
-    for (auto& t : consumers) t.join();
-    EXPECT_EQ(released.load(), 3);
 }
 
 }  // namespace

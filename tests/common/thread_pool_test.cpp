@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -183,6 +184,87 @@ TEST(ThreadPool, SleepingWorkersWakeOnLaterSubmissionBursts) {
     }
     EXPECT_EQ(done.load(), kBursts * kTasksPerBurst);
 }
+
+// The barrier-wait contract: a worker waiting in parallel_for helps with
+// other parallel_for chunks but never starts a submit()ed task (a whole
+// planning request must not run nested inside another one's exchange
+// barrier). Fully determined by two latches, whatever the timing:
+//   * the waiting worker W runs one outer chunk, which blocks until the
+//     other worker has taken the second outer chunk, and then submits S to
+//     W's own deque — the first place W's wait loop looks;
+//   * the second outer chunk runs a nested parallel_for whose first chunk
+//     blocks until its second has run, and only W is free to take that
+//     second chunk's runner — from its wait loop, with S queued beside it.
+TEST(ThreadPool, ParallelForWaitRunsRunnersButNeverSubmittedTasks) {
+    ThreadPool pool(2);
+    std::latch other_chunk_started(1);
+    std::latch inner_second_ran(1);
+    std::thread::id waiter;
+    std::thread::id inner_second_thread;
+    std::atomic<bool> waiting{false};
+    std::atomic<bool> submitted_ran_in_wait{false};
+    std::future<void> submitted;
+
+    auto outer = pool.submit([&] {
+        waiter = std::this_thread::get_id();
+        waiting = true;
+        pool.parallel_for(
+            2,
+            [&](std::size_t) {
+                if (std::this_thread::get_id() == waiter) {
+                    other_chunk_started.wait();
+                    submitted = pool.submit([&] {
+                        submitted_ran_in_wait =
+                            waiting && std::this_thread::get_id() == waiter;
+                    });
+                    return;
+                }
+                other_chunk_started.count_down();
+                const std::thread::id self = std::this_thread::get_id();
+                pool.parallel_for(
+                    2,
+                    [&](std::size_t) {
+                        if (std::this_thread::get_id() == self) {
+                            inner_second_ran.wait();
+                            return;
+                        }
+                        inner_second_thread = std::this_thread::get_id();
+                        inner_second_ran.count_down();
+                    },
+                    /*grain=*/1);
+            },
+            /*grain=*/1);
+        waiting = false;
+    });
+    outer.get();
+    submitted.get();
+    EXPECT_EQ(inner_second_thread, waiter) << "the waiting worker ran no runner task";
+    EXPECT_FALSE(submitted_ran_in_wait) << "a submitted task ran inside a parallel_for wait";
+}
+
+#ifdef __linux__
+// Workers start spread over the allowed CPUs, but each must get the whole
+// affinity mask back: a worker left bound to one CPU would stay there.
+// Two submitted tasks that wait for each other run on both workers.
+TEST(ThreadPool, SpreadWorkersKeepTheWholeAffinityMask) {
+    cpu_set_t expected;
+    CPU_ZERO(&expected);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(expected), &expected), 0);
+    ThreadPool pool(2, /*pin_threads=*/false);
+    std::latch both_running(2);
+    auto mask_matches = [&] {
+        both_running.arrive_and_wait();
+        cpu_set_t mine;
+        CPU_ZERO(&mine);
+        return sched_getaffinity(0, sizeof(mine), &mine) == 0 && CPU_EQUAL(&mine, &expected);
+    };
+    auto first = pool.submit(mask_matches);
+    auto second = pool.submit(mask_matches);
+    EXPECT_TRUE(first.get());
+    EXPECT_TRUE(second.get());
+    EXPECT_FALSE(pool.pinned());
+}
+#endif
 
 }  // namespace
 }  // namespace cast

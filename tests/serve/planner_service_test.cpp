@@ -372,7 +372,7 @@ TEST(PlannerService, CoalescingSharesBitsAcrossIdenticalRequests) {
     EXPECT_GT(stats.coalesced, 0u);
 }
 
-/// Block until the serve loops have popped `n` requests in total.
+/// Block until the request tasks have popped `n` requests in total.
 void wait_until_popped(const PlannerService& service, std::uint64_t n) {
     while (service.stats().batches < n) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -489,6 +489,63 @@ TEST(PlannerService, IdenticalRequestAfterSwapSolvesOnTheNewEpoch) {
     EXPECT_EQ(after_resp.snapshot_epoch, new_epoch);
     EXPECT_FALSE(after_resp.coalesced);
     EXPECT_EQ(service.stats().coalesced, 0u);
+}
+
+// Request tasks keep the queue's order: whichever task runs pops the
+// highest-priority queued request. With the one worker held by a
+// wall-bound request, requests queued low, normal, high (in that order)
+// complete high, normal, low.
+TEST(PlannerService, QueuedRequestsCompleteInPriorityOrder) {
+    ServiceOptions opts = wall_bound_options(1);
+    opts.obs.trace_capacity = 8;
+    PlannerService service(fresh_snapshot(), opts);
+    auto blocker = service.submit(wall_bound_request(1, workload_a(), 200.0));
+    wait_until_popped(service, 1);
+
+    std::vector<std::future<PlanResponse>> futures;
+    const Priority order[] = {Priority::kLow, Priority::kNormal, Priority::kHigh};
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        PlanRequest request = wall_bound_request(2 + i, workload_b(), 5.0);
+        request.seed = 20 + i;  // distinct requests: nothing coalesces
+        request.priority = order[i];
+        futures.push_back(service.submit(std::move(request)));
+    }
+    ASSERT_TRUE(blocker.get().ok());
+    for (auto& future : futures) ASSERT_TRUE(future.get().ok());
+
+    // One worker fulfils one request at a time, so the spans' push order is
+    // the completion order.
+    std::vector<std::uint64_t> completed;
+    for (const obs::TraceSpan& span : service.trace_spans()) completed.push_back(span.id);
+    EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 4, 3, 2}));
+}
+
+// Shutdown fulfils everything: destroying a service with requests solving
+// and more queued behind them leaves no future unresolved, whether or not
+// cancel_inflight() cut the solves short first.
+TEST(PlannerService, DestructionFulfilsQueuedAndInflightRequests) {
+    for (const bool cancel : {false, true}) {
+        SCOPED_TRACE(cancel ? "cancel_inflight" : "drain");
+        std::vector<std::future<PlanResponse>> futures;
+        {
+            ServiceOptions opts = wall_bound_options(2);
+            opts.coalesce_identical = false;
+            PlannerService service(fresh_snapshot(), opts);
+            // Cancelled solves get budgets they could never finish alone.
+            const double wall_ms = cancel ? 60'000.0 : 40.0;
+            for (std::uint64_t i = 1; i <= 6; ++i) {
+                futures.push_back(service.submit(wall_bound_request(i, workload_a(), wall_ms)));
+            }
+            wait_until_popped(service, 1);
+            if (cancel) service.cancel_inflight();
+        }
+        for (auto& future : futures) {
+            ASSERT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+            const PlanResponse resp = future.get();
+            ASSERT_TRUE(resp.ok()) << resp.error;
+            EXPECT_TRUE(resp.budget_exhausted());
+        }
+    }
 }
 
 }  // namespace

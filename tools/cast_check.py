@@ -30,7 +30,7 @@ Rules (stable IDs, mirrored in DESIGN.md):
         [[nodiscard]] (a dropped failure result is a silent bug)
   C007  CAST_NO_TSA escape without a same-line justification comment
   C008  std::thread construction outside the thread pool (no ad-hoc
-        threads; the planner service runs its serve loops as pool tasks)
+        threads; the planner service runs each request as a pool task)
   C009  more than 3 CAST_NO_TSA escapes repo-wide (budget; keep escapes
         an audited exception)
   C010  std::cerr / fprintf(stderr, ...) in the serve layer outside
