@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     // The (intensity x config) grid cells are independent deployments;
     // fan them over the pool, each writing its preallocated Point by index
     // so the JSON curves come out in the same order as the serial sweep.
-    // The shared PlanEvaluators are thread-safe (sharded EvalCache).
+    // The shared PlanEvaluators are thread-safe (locked EvalCache).
     std::vector<std::vector<Point>> workload_curves(
         configs.size(), std::vector<Point>(kIntensities.size()));
     pool.parallel_for(

@@ -121,7 +121,6 @@ struct SweepPoint {
             .add("breaker_fastfail", stats.breaker_fastfail)
             .add("breaker_trips", stats.breaker_trips)
             .add("snapshot_swaps", stats.snapshot_swaps)
-            .add("swap_clears_suppressed", stats.swap_clears_suppressed)
             .add("injected_stalls", faults.stalls)
             .add("injected_stall_ms", faults.stall_ms, 1)
             .add("injected_exceptions", faults.injected_exceptions)

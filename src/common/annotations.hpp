@@ -2,7 +2,7 @@
 // and annotated lock types for the whole runtime.
 //
 // Every concurrent component (the MPMC priority queue, the work-stealing
-// ThreadPool, CircuitBreaker, the sharded EvalCache, PlannerService and the
+// ThreadPool, CircuitBreaker, the EvalCache, PlannerService and the
 // OverloadGovernor) declares its lock discipline through these macros:
 // which mutex guards which field (CAST_GUARDED_BY), which private methods
 // may only run with a lock held (CAST_REQUIRES), and which public methods

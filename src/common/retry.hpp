@@ -79,8 +79,8 @@ struct CircuitBreakerOptions {
     /// Wall-clock cooldown before the half-open trial.
     double open_ms = 250.0;
     /// When > 0, the cooldown is counted in refused allow() calls instead
-    /// of wall time — the deterministic mode unit tests and the swap-storm
-    /// guard use (no clock reads, exactly reproducible transitions).
+    /// of wall time — the deterministic mode unit tests use (no clock
+    /// reads, exactly reproducible transitions).
     int open_ops = 0;
 
     void validate() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -160,8 +159,8 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     // The memo table serves the start-plan evaluations only: replicas
     // score candidates through the SoA core's own REG kernel, which needs
     // no table.
-    std::unique_ptr<EvalCache> owned;
-    cache = cache_or_owned(cache, owned);
+    EvalCache local_cache;
+    if (cache == nullptr) cache = &local_cache;
 
     // Multi-start: rotate replicas across the supplied initial plan and
     // every feasible uniform plan (uniform plans satisfy Eq. 7

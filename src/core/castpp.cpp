@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "lint/analyzer.hpp"
 #include "lint/checks.hpp"
@@ -546,8 +545,8 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     // whole solve answers to one budget.
     const SolveDeadline deadline = SolveDeadline::from(options_);
     const lint::Report pre = workflow_lint_gate(*evaluator_);
-    std::unique_ptr<EvalCache> owned;
-    cache = cache_or_owned(cache, owned);
+    EvalCache local_cache;
+    if (cache == nullptr) cache = &local_cache;
     const auto& wf = evaluator_->workflow();
     CAST_EXPECTS(!wf.dfs_order().empty());
 
@@ -620,8 +619,8 @@ WorkflowSolveResult WorkflowSolver::solve_greedy(EvalCache* cache) const {
     // Same lint gate as solve(), including the L009 demotion: the degraded
     // path stays best-effort on deadlines no full solve could meet either.
     const lint::Report pre = workflow_lint_gate(*evaluator_);
-    std::unique_ptr<EvalCache> owned;
-    cache = cache_or_owned(cache, owned);
+    EvalCache local_cache;
+    if (cache == nullptr) cache = &local_cache;
 
     // The uniform sweep "wins" (best_chain -1) by being the only entry.
     WorkflowSolveResult out = uniform_sweep(cache);

@@ -1,17 +1,10 @@
 #include "core/eval_cache.hpp"
 
-#include <array>
 #include <bit>
 
 namespace cast::core {
 
 namespace {
-
-[[nodiscard]] constexpr std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-}
 
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) {
     // SplitMix64 finalizer: cheap, well-distributed bit mixing.
@@ -20,15 +13,7 @@ namespace {
     return z ^ (z >> 31);
 }
 
-/// Source of globally unique cache generations; see L1Entry.
-std::atomic<std::uint64_t> g_generation{0};
-
 }  // namespace
-
-EvalCache::EvalCache(std::size_t shards)
-    : shards_(std::make_unique<Shard[]>(round_up_pow2(std::max<std::size_t>(1, shards)))),
-      shard_mask_(round_up_pow2(std::max<std::size_t>(1, shards)) - 1),
-      generation_(g_generation.fetch_add(1, std::memory_order_relaxed) + 1) {}
 
 std::size_t EvalCache::KeyHash::operator()(const Key& k) const {
     std::uint64_t h = mix64(k.input_bits ^ 0x9e3779b97f4a7c15ULL);
@@ -64,81 +49,32 @@ Seconds EvalCache::job_runtime(const model::PerfModelSet& models,
         .legs = static_cast<std::uint32_t>(legs.download_input ? 1 : 0) |
                 static_cast<std::uint32_t>(legs.upload_output ? 2 : 0),
     };
-    const std::size_t h = KeyHash{}(key);
-
-    // Thread-local L1 probe: no lock, no atomic write beyond the stats
-    // counter. Valid only when the slot was filled by this cache in its
-    // current generation.
-    constexpr std::size_t kL1Slots = 2048;  // power of two, ~128 KB/thread
-    static thread_local std::array<L1Entry, kL1Slots> l1{};
-    const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-    L1Entry& slot = l1[h & (kL1Slots - 1)];
-    if (slot.owner == this && slot.generation == gen && slot.key == key) {
-        l1_hits_.fetch_add(1, std::memory_order_relaxed);
-        return Seconds{slot.value};
-    }
-
-    Shard& shard = shards_[h & shard_mask_];
     {
-        LockGuard lock(shard.mutex);
-        const auto it = shard.map.find(key);
-        if (it != shard.map.end()) {
-            shared_hits_.fetch_add(1, std::memory_order_relaxed);
-            slot = L1Entry{this, gen, key, it->second};
+        LockGuard lock(mutex_);
+        const auto it = map_.find(key);
+        if (it != map_.end()) {
+            ++stats_.hits;
             return Seconds{it->second};
         }
+        ++stats_.misses;
     }
     // Compute outside the lock: the value is a pure function of the key, so
     // a concurrent duplicate computation stores the same bits.
     const Seconds t = models.job_runtime(job, tier, per_vm_capacity, legs);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    {
-        LockGuard lock(shard.mutex);
-        shard.map.emplace(key, t.value());
-    }
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    slot = L1Entry{this, gen, key, t.value()};
+    LockGuard lock(mutex_);
+    map_.emplace(key, t.value());
+    ++stats_.inserts;
     return t;
 }
 
 EvalCacheStats EvalCache::stats() const {
-    EvalCacheStats s;
-    s.l1_hits = l1_hits_.load(std::memory_order_relaxed);
-    s.shared_hits = shared_hits_.load(std::memory_order_relaxed);
-    s.hits = s.l1_hits + s.shared_hits;
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.inserts = inserts_.load(std::memory_order_relaxed);
-    s.generation_bumps = generation_bumps_.load(std::memory_order_relaxed);
-    return s;
+    LockGuard lock(mutex_);
+    return stats_;
 }
 
 std::size_t EvalCache::size() const {
-    std::size_t n = 0;
-    for (std::size_t s = 0; s <= shard_mask_; ++s) {
-        Shard& shard = shards_[s];
-        LockGuard lock(shard.mutex);
-        n += shard.map.size();
-    }
-    return n;
-}
-
-void EvalCache::clear() {
-    for (std::size_t s = 0; s <= shard_mask_; ++s) {
-        Shard& shard = shards_[s];
-        LockGuard lock(shard.mutex);
-        shard.map.clear();
-    }
-    // A fresh generation invalidates every thread's L1 slots at once.
-    generation_.store(g_generation.fetch_add(1, std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-    l1_hits_.store(0, std::memory_order_relaxed);
-    shared_hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    inserts_.store(0, std::memory_order_relaxed);
-    // The bump counter deliberately survives the reset: it records how many
-    // times this cache's generation changed (the serve layer's epoch
-    // invalidations), which is exactly the history clear() would erase.
-    generation_bumps_.fetch_add(1, std::memory_order_relaxed);
+    LockGuard lock(mutex_);
+    return map_.size();
 }
 
 }  // namespace cast::core

@@ -24,26 +24,16 @@
 // is capacity-independent there, and the canonical key keeps hit rates
 // high while objStore aggregates drift.
 //
-// Thread safety. The table is sharded by key hash; each shard has its own
-// mutex, so concurrent solves sharing one cache (the serve layer's
-// snapshot-scoped table) contend only on colliding shards. Each shard's map carries a
-// CAST_GUARDED_BY contract, so the Clang thread-safety lane proves every
-// map access holds its shard mutex. Values are deterministic
-// functions of their key, so duplicated computation under a race is
-// benign: both threads store the same bits.
-//
-// L1 front. Each thread additionally keeps a small lock-free direct-mapped
-// array in front of the shared table: greedy sweeps and repeated start-plan
-// evaluations re-read the same hot keys, and a thread-local probe (one
-// index, one key compare) costs a fraction of a mutex acquisition. Entries are tagged with
-// the owning cache and a globally unique generation, so a cleared or
-// destroyed cache can never serve stale values — not even to a new cache
-// constructed at the same address.
+// Thread safety. One mutex guards the map and the counters; the map
+// carries a CAST_GUARDED_BY contract, so the Clang thread-safety lane
+// proves every access holds it. A miss computes outside the lock: values
+// are deterministic functions of their key, so duplicated computation
+// under a race is benign (both threads store the same bits). A cache
+// lives as long as its owner — one solve, or one serve snapshot — and is
+// never cleared.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "common/annotations.hpp"
@@ -56,20 +46,11 @@
 namespace cast::core {
 
 struct EvalCacheStats {
-    /// Total hits (L1 front + shared table); kept as a field so existing
-    /// consumers read one number.
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    /// Hits served by the thread-local direct-mapped front (no lock).
-    std::uint64_t l1_hits = 0;
-    /// Hits served by the sharded shared table (one shard mutex).
-    std::uint64_t shared_hits = 0;
-    /// Entries stored into the shared table. Can exceed the table size
-    /// when racing threads compute one key twice (benign: same bits).
+    /// Entries stored into the table. Can exceed the table size when
+    /// racing threads compute one key twice (benign: same bits).
     std::uint64_t inserts = 0;
-    /// Times clear() re-generationed the cache (snapshot swaps, epoch
-    /// invalidation) over this cache's lifetime. Survives clear() itself.
-    std::uint64_t generation_bumps = 0;
 
     [[nodiscard]] std::uint64_t lookups() const { return hits + misses; }
     [[nodiscard]] double hit_rate() const {
@@ -80,8 +61,7 @@ struct EvalCacheStats {
 
 class EvalCache {
 public:
-    /// `shards` is rounded up to a power of two.
-    explicit EvalCache(std::size_t shards = 16);
+    EvalCache() = default;
 
     EvalCache(const EvalCache&) = delete;
     EvalCache& operator=(const EvalCache&) = delete;
@@ -96,10 +76,8 @@ public:
 
     [[nodiscard]] EvalCacheStats stats() const;
 
-    /// Total number of memoized entries across all shards.
+    /// Number of memoized entries.
     [[nodiscard]] std::size_t size() const;
-
-    void clear();
 
 private:
     struct Key {
@@ -118,38 +96,9 @@ private:
         [[nodiscard]] std::size_t operator()(const Key& k) const;
     };
 
-    struct Shard {
-        Mutex mutex;
-        std::unordered_map<Key, double, KeyHash> map CAST_GUARDED_BY(mutex);
-    };
-
-    /// One slot of the thread-local direct-mapped L1. A slot is valid for
-    /// this cache only when (owner, generation) both match; generations are
-    /// drawn from a process-global counter, so no two logical cache
-    /// lifetimes ever share one.
-    struct L1Entry {
-        const EvalCache* owner = nullptr;
-        std::uint64_t generation = 0;
-        Key key{};
-        double value = 0.0;
-    };
-
-    std::unique_ptr<Shard[]> shards_;
-    std::size_t shard_mask_;
-    std::atomic<std::uint64_t> generation_;
-    std::atomic<std::uint64_t> l1_hits_{0};
-    std::atomic<std::uint64_t> shared_hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> inserts_{0};
-    std::atomic<std::uint64_t> generation_bumps_{0};
+    mutable Mutex mutex_;
+    std::unordered_map<Key, double, KeyHash> map_ CAST_GUARDED_BY(mutex_);
+    EvalCacheStats stats_ CAST_GUARDED_BY(mutex_);
 };
-
-/// `cache` when the caller supplied one, otherwise a fresh table owned by
-/// `owned` for the length of one solve.
-inline EvalCache* cache_or_owned(EvalCache* cache, std::unique_ptr<EvalCache>& owned) {
-    if (cache != nullptr) return cache;
-    owned = std::make_unique<EvalCache>();
-    return owned.get();
-}
 
 }  // namespace cast::core

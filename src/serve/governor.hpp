@@ -80,15 +80,6 @@ struct GovernorOptions {
     /// instead of re-burning a worker every time it reappears.
     CircuitBreakerOptions breaker{.failure_threshold = 3, .open_ms = 250.0, .open_ops = 0};
 
-    /// Swap-storm guard: two swaps closer together than this window count
-    /// as a storm sample for the swap breaker; while that breaker is open,
-    /// the outgoing snapshot's explicit cache clear is suppressed
-    /// (refcounting still reclaims it — the clear is an eager-invalidation
-    /// optimization, and the cache is a pure memo either way).
-    double swap_storm_window_ms = 5.0;
-    CircuitBreakerOptions swap_breaker{.failure_threshold = 3, .open_ms = 50.0,
-                                       .open_ops = 0};
-
     void validate() const {
         CAST_EXPECTS_MSG(latency_target_ms > 0.0, "latency target must be positive");
         CAST_EXPECTS_MSG(ewma_alpha > 0.0 && ewma_alpha <= 1.0,
@@ -102,11 +93,8 @@ struct GovernorOptions {
                          "iteration trim factor must be in (0, 1]");
         CAST_EXPECTS_MSG(trim_wall_factor > 0.0 && trim_wall_factor <= 1.0,
                          "wall trim factor must be in (0, 1]");
-        CAST_EXPECTS_MSG(swap_storm_window_ms >= 0.0,
-                         "storm window must be non-negative");
         retry.validate();
         breaker.validate();
-        swap_breaker.validate();
     }
 
     /// Shrink solver budgets for a ladder level. kFull/kGreedy are no-ops

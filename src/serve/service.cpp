@@ -72,7 +72,6 @@ struct PlannerService::Instruments {
     obs::Counter& retries;
     obs::Counter& breaker_fastfail;
     obs::Counter& swaps;
-    obs::Counter& swap_clears_suppressed;
     /// End-to-end latency (queue wait + solve) by request priority.
     obs::Histogram& latency_high;
     obs::Histogram& latency_normal;
@@ -109,7 +108,6 @@ struct PlannerService::Instruments {
           retries(reg.counter("serve.retry.attempts")),
           breaker_fastfail(reg.counter("serve.breaker.fastfail")),
           swaps(reg.counter("serve.snapshot.swaps")),
-          swap_clears_suppressed(reg.counter("serve.snapshot.clears_suppressed")),
           latency_high(reg.histogram("serve.latency_ms.high")),
           latency_normal(reg.histogram("serve.latency_ms.normal")),
           latency_low(reg.histogram("serve.latency_ms.low")),
@@ -173,8 +171,7 @@ PlannerService::PlannerService(SnapshotPtr snapshot, ServiceOptions options)
       pool_(options_.workers),
       governor_(options_.governor, std::max<std::size_t>(std::size_t{1}, options_.workers),
                 options_.queue_capacity),
-      injector_(options_.faults),
-      swap_breaker_(options_.governor.swap_breaker) {
+      injector_(options_.faults) {
     CAST_EXPECTS_MSG(snapshot_ != nullptr, "PlannerService needs a snapshot");
     CAST_EXPECTS(options_.default_max_wall_ms >= 0.0);
     // Instruments and gauges must exist before a request task can run;
@@ -214,9 +211,6 @@ void PlannerService::register_gauges() {
     });
     metrics_.gauge_fn("serve.cache.hit_rate",
                       [this] { return snapshot()->cache().stats().hit_rate(); });
-    metrics_.gauge_fn("serve.cache.generation_bumps", [this] {
-        return static_cast<double>(snapshot()->cache().stats().generation_bumps);
-    });
     metrics_.gauge_fn("serve.cache.inserts", [this] {
         return static_cast<double>(snapshot()->cache().stats().inserts);
     });
@@ -227,7 +221,7 @@ void PlannerService::register_gauges() {
 double PlannerService::open_breaker_count() const {
     // Holding breaker_mutex_ while reading each breaker's own lock follows
     // the established order (stats() reads trips() the same way).
-    double open = swap_breaker_.state() == BreakerState::kOpen ? 1.0 : 0.0;
+    double open = 0.0;
     LockGuard lock(breaker_mutex_);
     for (const auto& [key, breaker] : breakers_) {
         if (breaker->state() == BreakerState::kOpen) open += 1.0;
@@ -237,7 +231,7 @@ double PlannerService::open_breaker_count() const {
 
 double PlannerService::total_breaker_trips() const {
     LockGuard lock(breaker_mutex_);
-    std::uint64_t trips = evicted_breaker_trips_ + swap_breaker_.trips();
+    std::uint64_t trips = evicted_breaker_trips_;
     for (const auto& [key, breaker] : breakers_) trips += breaker->trips();
     return static_cast<double>(trips);
 }
@@ -369,45 +363,16 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
 
 void PlannerService::swap_snapshot(SnapshotPtr next) {
     CAST_EXPECTS_MSG(next != nullptr, "cannot swap in a null snapshot");
+    // Solves that captured the old snapshot keep it (and its cache) alive
+    // until they finish; the last holder frees both. When that is this
+    // call, `old` frees them after the lock is released.
     SnapshotPtr old;
-    bool storm_sample = false;
     {
         LockGuard lock(snapshot_mutex_);
         old = std::exchange(snapshot_, std::move(next));
-        if (governor_.enabled()) {
-            const auto now = std::chrono::steady_clock::now();
-            storm_sample = any_swap_ && ms_between(last_swap_, now) <
-                                            options_.governor.swap_storm_window_ms;
-            last_swap_ = now;
-            any_swap_ = true;
-        }
     }
     swaps_.fetch_add(1, std::memory_order_relaxed);
     if (inst_) inst_->swaps.add();
-
-    // Swap-storm guard: back-to-back swaps each clearing the outgoing cache
-    // serialize every in-flight solve against a cold memo table. The clear
-    // is an eager-invalidation optimization only — refcounting reclaims the
-    // snapshot regardless, and the cache is a pure memo (same bits derive
-    // either way) — so while the breaker says "storm", skip it.
-    if (governor_.enabled()) {
-        if (!swap_breaker_.allow()) {
-            swap_clears_suppressed_.fetch_add(1, std::memory_order_relaxed);
-            if (inst_) inst_->swap_clears_suppressed.add();
-            return;
-        }
-        if (storm_sample) {
-            swap_breaker_.record_failure();
-        } else {
-            swap_breaker_.record_success();
-        }
-    }
-
-    // Solves that captured the old snapshot may still be running;
-    // clearing bumps the cache generation, so their thread-local L1 slots
-    // are invalidated and values re-derive from the model set — the same
-    // bits either way, since the cache is a pure memo.
-    old->cache().clear();
 }
 
 SnapshotPtr PlannerService::snapshot() const {
@@ -436,10 +401,9 @@ ServiceStats PlannerService::stats() const {
     s.amend_greedy = amend_greedy_.load(std::memory_order_relaxed);
     s.solve_retries = solve_retries_.load(std::memory_order_relaxed);
     s.breaker_fastfail = breaker_fastfail_.load(std::memory_order_relaxed);
-    s.swap_clears_suppressed = swap_clears_suppressed_.load(std::memory_order_relaxed);
     {
         LockGuard lock(breaker_mutex_);
-        s.breaker_trips = evicted_breaker_trips_ + swap_breaker_.trips();
+        s.breaker_trips = evicted_breaker_trips_;
         for (const auto& [key, breaker] : breakers_) s.breaker_trips += breaker->trips();
     }
     s.ewma_solve_ms = governor_.ewma_solve_ms();

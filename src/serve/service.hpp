@@ -211,7 +211,6 @@ struct ServiceStats {
     std::uint64_t solve_retries = 0;      ///< extra attempts after an exception
     std::uint64_t breaker_fastfail = 0;   ///< requests refused by an open breaker
     std::uint64_t breaker_trips = 0;      ///< breaker open transitions (all breakers)
-    std::uint64_t swap_clears_suppressed = 0;  ///< storm-guarded cache clears skipped
     double ewma_solve_ms = 0.0;        ///< governor's latency estimate
     /// False until the EWMA has absorbed its first solve sample: a 0.0
     /// estimate right after startup or a pure shed burst is "no evidence",
@@ -416,7 +415,6 @@ private:
     std::atomic<std::uint64_t> amend_greedy_{0};
     std::atomic<std::uint64_t> solve_retries_{0};
     std::atomic<std::uint64_t> breaker_fastfail_{0};
-    std::atomic<std::uint64_t> swap_clears_suppressed_{0};
     /// Requests popped or attached whose response is not yet fulfilled;
     /// feeds the governor's backlog estimate together with queue depth.
     std::atomic<std::size_t> in_flight_{0};
@@ -448,13 +446,6 @@ private:
         CAST_GUARDED_BY(breaker_mutex_);
     /// Trips carried over from evicted breakers so stats stay monotonic.
     std::uint64_t evicted_breaker_trips_ CAST_GUARDED_BY(breaker_mutex_) = 0;
-    /// Swap-storm guard state. The breaker is internally synchronized (it
-    /// sits below every service mutex in the lock hierarchy); the storm
-    /// detector's timestamps share the snapshot mutex because they are only
-    /// touched inside swap_snapshot's swap critical section.
-    CircuitBreaker swap_breaker_;
-    std::chrono::steady_clock::time_point last_swap_ CAST_GUARDED_BY(snapshot_mutex_){};
-    bool any_swap_ CAST_GUARDED_BY(snapshot_mutex_) = false;
 
     /// Request tasks submitted and not yet finished. The destructor waits
     /// for zero before any member dies: a task touches most of them, and

@@ -16,13 +16,12 @@
 // every in-flight request holds the snapshot it captured when popped, so a
 // swap can never pull models out from under a running solve. Each snapshot
 // carries a process-globally unique epoch; PlannerService::swap_snapshot
-// installs the next epoch and clear()s the outgoing snapshot's cache,
-// which bumps its generation and invalidates every thread's L1 slots at
-// once (EvalCache's generation contract). The only mutable member is the
-// cache, which is internally synchronized (its shard maps carry
-// CAST_GUARDED_BY contracts checked by the Clang thread-safety lane);
-// everything else is immutable after construction, so the snapshot itself
-// needs no mutex and no annotations.
+// installs the next epoch and drops the service's reference to the old
+// one, whose cache is freed with it once the last request holding it
+// finishes. The only mutable member is the cache, which is internally
+// synchronized (its map carries a CAST_GUARDED_BY contract checked by the
+// Clang thread-safety lane); everything else is immutable after
+// construction, so the snapshot itself needs no mutex and no annotations.
 #pragma once
 
 #include <array>

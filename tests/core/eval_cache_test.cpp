@@ -93,18 +93,6 @@ TEST(EvalCache, ObjectStoreCapacityCanonicalized) {
     EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(EvalCache, ClearResetsEntriesAndStats) {
-    const auto& models = testing::small_models();
-    EvalCache cache;
-    (void)cache.job_runtime(models, mk_job(1, AppKind::kJoin, 50.0),
-                            StorageTier::kPersistentSsd, GigaBytes{64.0},
-                            model::StagingLegs{false, false});
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().lookups(), 0u);
-    EXPECT_EQ(cache.stats().hit_rate(), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Golden equivalence: the SoA candidate evaluation (incremental, REG split)
 // == the uncached full evaluation, bit for bit, across a long randomized

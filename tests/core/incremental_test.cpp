@@ -360,7 +360,7 @@ TEST_F(IncrementalTest, PinnedArrivalSeedsOnItsPin) {
 // Arrival storm: concurrent amend streams sharing ONE EvalCache must be
 // bit-identical to serial streams with private caches (the cache is pure
 // memoization). Run under TSan this is also the data-race hammer for the
-// cache's shard locking on the amend path.
+// cache's locking on the amend path.
 TEST_F(IncrementalTest, ArrivalStormSharedCacheMatchesSerial) {
     constexpr int kLanes = 4;
     constexpr int kSteps = 3;

@@ -380,7 +380,6 @@ TEST(GovernedPlannerService, IdleGovernorAndZeroFaultsChangeNoBits) {
     EXPECT_EQ(stats.solve_retries, 0u);
     EXPECT_EQ(stats.breaker_fastfail, 0u);
     EXPECT_EQ(stats.breaker_trips, 0u);
-    EXPECT_EQ(stats.swap_clears_suppressed, 0u);
     EXPECT_GT(stats.ewma_solve_ms, 0.0);  // the governor was watching
     EXPECT_FALSE(stats.faults.any());
 }
@@ -516,33 +515,6 @@ TEST(GovernedPlannerService, OverloadShedsAreCountedAsRejections) {
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.governor_shed, 1u);
     EXPECT_EQ(stats.completed + stats.rejected, stats.submitted);
-}
-
-// Swap-storm guard: back-to-back swaps trip the swap breaker and later
-// swaps skip the eager cache clear (counted), while solves keep working.
-TEST(GovernedPlannerService, SwapStormSuppressesEagerCacheClears) {
-    ServiceOptions opts = governed_idle_options(1);
-    opts.governor.swap_storm_window_ms = 1e9;  // every consecutive swap = storm
-    opts.governor.swap_breaker =
-        CircuitBreakerOptions{.failure_threshold = 2, .open_ms = 0.0,
-                              .open_ops = 1'000'000};
-
-    PlannerService service(fresh_snapshot(), opts);
-    // Swap 1: no prior swap, success. Swaps 2-3: storm samples -> trip at 2
-    // consecutive. Swaps 4-5: breaker open -> clears suppressed.
-    for (int i = 0; i < 5; ++i) service.swap_snapshot(fresh_snapshot());
-
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.snapshot_swaps, 5u);
-    EXPECT_EQ(stats.breaker_trips, 1u);
-    EXPECT_EQ(stats.swap_clears_suppressed, 2u);
-
-    // The cache is a pure memo: a suppressed clear never changes bits.
-    const PlanResponse resp = service.submit(batch_request(1, 7)).get();
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    const PlanResponse want = PlannerService::solve_direct(
-        *service.snapshot(), batch_request(1, 7), fast_options(1));
-    expect_bit_identical(resp, want);
 }
 
 // Satellite: the cancel token firing mid-batch (TSan lane). A concurrent

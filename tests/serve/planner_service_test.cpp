@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -331,6 +332,39 @@ TEST(PlannerService, SnapshotSwapHammerUnderConcurrentSubmitters) {
     EXPECT_EQ(stats.snapshot_swaps, static_cast<std::uint64_t>(kSwaps));
     EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kSubmitters * kPerSubmitter));
     EXPECT_EQ(stats.errors, 0u);
+}
+
+// A swap drops the service's reference to the outgoing snapshot; the
+// snapshot and its cache are freed with their last holder, and solves on
+// either side of the swap keep their direct-solve bits.
+TEST(PlannerService, SwapReleasesOutgoingSnapshot) {
+    // One worker runs request tasks one after another, so the second
+    // response proves the first request's task, and its snapshot
+    // reference, are gone.
+    const ServiceOptions opts = fast_options(1);
+    SnapshotPtr first = fresh_snapshot();
+    const std::weak_ptr<const Snapshot> watch = first;
+    PlannerService service(first, opts);
+
+    PlanRequest request;
+    request.id = 1;
+    request.workload = workload_a();
+    request.seed = 7;
+    const PlanResponse before = service.submit(request).get();
+    ASSERT_TRUE(before.ok()) << before.error;
+    EXPECT_EQ(before.snapshot_epoch, first->epoch());
+    expect_bit_identical(before, PlannerService::solve_direct(*first, request, opts));
+
+    const SnapshotPtr second = fresh_snapshot();
+    service.swap_snapshot(second);
+    first.reset();
+
+    request.id = 2;
+    const PlanResponse after = service.submit(request).get();
+    ASSERT_TRUE(after.ok()) << after.error;
+    EXPECT_EQ(after.snapshot_epoch, second->epoch());
+    expect_bit_identical(after, PlannerService::solve_direct(*second, request, opts));
+    EXPECT_TRUE(watch.expired());
 }
 
 // Coalesced duplicates must carry exactly the representative's bits, and a

@@ -40,9 +40,9 @@ Rules (stable IDs, mirrored in DESIGN.md):
         std::unordered_set / std::multimap / std::multiset) in the solver
         hot-path files (annealing.{hpp,cpp}, castpp.cpp, utility.cpp,
         soa_eval.cpp, reg_split.{hpp,cpp} — the SoA discipline:
-        per-iteration state lives in flat arrays; the sharded memo table
-        in eval_cache.cpp is the one sanctioned exception and is scoped
-        out by file)
+        per-iteration state lives in flat arrays; the memo table in
+        eval_cache.cpp is the one sanctioned exception and is scoped out
+        by file)
 
 Implementation is a libclang/regex hybrid: when python bindings for
 libclang are importable they refine C006 (true declaration parsing);
@@ -73,8 +73,8 @@ THREAD_ALLOWED = ("common/thread_pool.hpp",)
 HOT_PATH_BASENAMES = ("flow_engine.hpp", "flow_engine.cpp", "phase_runner.hpp",
                       "mapreduce.cpp")
 # The SoA solver hot path (C011): no node-based containers per iteration.
-# eval_cache.cpp is deliberately absent — its sharded map interiors are the
-# sanctioned memoization structure.
+# eval_cache.cpp is deliberately absent — its map is the sanctioned
+# memoization structure.
 # annealing.hpp holds the shared anneal loop; castpp.cpp the workflow problem.
 SOLVER_HOT_BASENAMES = ("annealing.hpp", "annealing.cpp", "castpp.cpp", "utility.cpp",
                         "soa_eval.cpp", "reg_split.hpp", "reg_split.cpp")
@@ -256,7 +256,7 @@ def check_file(root: Path, path: Path) -> tuple[list[dict], int]:
                 "containers wreck the SoA cache density the inner loop "
                 "depends on (PR 9)",
                 "use flat vectors/arrays indexed by job or tier; memoization "
-                "belongs in the sharded EvalCache (eval_cache.cpp)"))
+                "belongs in the EvalCache (eval_cache.cpp)"))
         if not thread_ok and C008_RE.search(line):
             found.append(finding(
                 "C008", rel, idx,

@@ -139,9 +139,8 @@ std::string unaccepted_argument(const Args& args, const Accepted& accepted) {
 }
 
 /// Memo-table summary: how much of the evaluation work the cache absorbed.
-/// For batch plans that is greedy sweeps, start plans and full
-/// evaluations only (the SoA core scores annealing candidates without
-/// it); workflow candidates still go through it.
+/// That is greedy sweeps, start plans, uniform sweeps and full evaluations
+/// only: both annealers score candidates through the REG split without it.
 void print_cache_stats(const core::EvalCacheStats& cache, std::ostream& os) {
     const std::uint64_t lookups = cache.hits + cache.misses;
     os << "cache:  " << cache.hits << "/" << lookups << " hits";
@@ -151,8 +150,7 @@ void print_cache_stats(const core::EvalCacheStats& cache, std::ostream& os) {
                           1)
            << "%)";
     }
-    os << ", L1 " << cache.l1_hits << ", shared " << cache.shared_hits << ", inserts "
-       << cache.inserts << ", generation bumps " << cache.generation_bumps << "\n";
+    os << ", inserts " << cache.inserts << "\n";
 }
 
 /// Search-effort and memo-table summary shared by plan/workflow output:
