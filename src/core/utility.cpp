@@ -1,8 +1,10 @@
 #include "core/utility.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "core/eval_cache.hpp"
+#include "core/fixed_sum.hpp"
 #include "lint/checks.hpp"
 
 namespace cast::core {
@@ -57,22 +59,32 @@ bool PlanEvaluator::pays_input_download(std::size_t job_idx) const {
 
 CapacityBreakdown PlanEvaluator::capacities(const TieringPlan& plan) const {
     CAST_EXPECTS_MSG(plan.size() == workload_.size(), "plan/workload size mismatch");
-    CapacityBreakdown caps;
+    // Eq. 3 aggregates as exact fixed-point sums (core/fixed_sum.hpp): the
+    // same bits in any order, so the SoA core can adjust them by ±term.
+    std::array<FixedSum, cloud::kTierCount> sums;
     GigaBytes max_object_store_inter{0.0};
     bool any_on_object_store = false;
     const auto& ds = plan.decisions();
     for (std::size_t i = 0; i < workload_.size(); ++i) {
         const auto& d = ds[i];
-        const GigaBytes ci{req_[i].value() * d.overprovision};
-        caps.aggregate[tier_index(d.tier)] += ci;
+        sums[tier_index(d.tier)].add(req_[i].value() * d.overprovision);
         if (d.tier == StorageTier::kEphemeralSsd) {
             // Backing store: the input comes from, and the output returns
             // to, objStore (charged there).
-            caps.aggregate[tier_index(StorageTier::kObjectStore)] += eph_backing_[i];
+            sums[tier_index(StorageTier::kObjectStore)].add(eph_backing_[i].value());
         } else if (d.tier == StorageTier::kObjectStore) {
             any_on_object_store = true;
             if (inter_[i] > max_object_store_inter) max_object_store_inter = inter_[i];
         }
+    }
+    CapacityBreakdown caps;
+    for (StorageTier t : cloud::kAllTiers) {
+        const FixedSum& sum = sums[tier_index(t)];
+        if (!sum.in_range()) {
+            throw ValidationError("the plan's " + std::string(cloud::tier_name(t)) +
+                                  " aggregate is beyond the exact fixed-point range");
+        }
+        caps.aggregate[tier_index(t)] = GigaBytes{sum.value()};
     }
     provision_capacities(models_->catalog(), models_->cluster().worker_count,
                          any_on_object_store ? std::optional(max_object_store_inter)
@@ -191,14 +203,19 @@ PlanEvaluation PlanEvaluator::evaluate(const TieringPlan& plan, EvalCache* cache
     }
 
     // Eq. 4: serial makespan out of per-job REG estimates at the plan's
-    // per-VM capacities, summed in index order.
-    Seconds total{0.0};
+    // per-VM capacities, as an exact fixed-point sum.
+    FixedSum units;
     eval.job_runtimes.reserve(workload_.size());
     for (std::size_t i = 0; i < workload_.size(); ++i) {
         const Seconds t = job_runtime_for(plan, i, eval.capacities, cache);
         eval.job_runtimes.push_back(t);
-        total += t;
+        units.add(t.value());
     }
+    if (!units.in_range()) {
+        eval.infeasibility = "the plan's total runtime is beyond the exact fixed-point range";
+        return eval;
+    }
+    const Seconds total{units.value()};
     eval.total_runtime = total;
     const auto [vm, store] = costs_for(total, eval.capacities);
     eval.vm_cost = vm;

@@ -98,12 +98,16 @@ public:
     [[nodiscard]] bool pays_input_download(std::size_t job_idx) const;
 
     /// Provisioned capacities (incl. objStore backing for ephSSD jobs and
-    /// the persSSD intermediate reservation for objStore jobs). Throws
-    /// cloud ValidationError via the catalog when a per-VM capacity exceeds
-    /// provider limits.
+    /// the persSSD intermediate reservation for objStore jobs). Each tier's
+    /// aggregate is an exact fixed-point sum of its terms
+    /// (core/fixed_sum.hpp). Throws ValidationError when an aggregate is
+    /// beyond the sum's exact range, or (via the catalog) when a per-VM
+    /// capacity exceeds provider limits.
     [[nodiscard]] CapacityBreakdown capacities(const TieringPlan& plan) const;
 
-    /// Full Eq. 2-6 evaluation. Never throws on infeasible plans: returns
+    /// Full Eq. 2-6 evaluation. The Eq. 4 total is the exact fixed-point
+    /// sum of the per-job runtimes; a total beyond its range makes the plan
+    /// infeasible. Never throws on infeasible plans: returns
     /// feasible=false with utility 0 so annealing can reject them. When a
     /// cache is supplied, per-job REG runtimes are memoized through it
     /// (bit-identical to the uncached path — REG is deterministic). The

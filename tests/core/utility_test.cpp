@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/fixed_sum.hpp"
 #include "test_support.hpp"
 
 namespace cast::core {
@@ -52,9 +53,17 @@ TEST(PlanEvaluator, FeasibleUniformPlan) {
 TEST(PlanEvaluator, RuntimeIsSumOfJobRuntimes) {
     PlanEvaluator eval(testing::small_models(), small_workload());
     const auto e = eval.evaluate(TieringPlan::uniform(3, StorageTier::kPersistentHdd));
+    // Eq. 4 is the exact fixed-point sum of the runtimes: each is quantized
+    // to 2^-20 s, so the total sits within half a unit per job of their
+    // floating-point sum.
+    FixedSum units;
     double sum = 0.0;
-    for (const auto& t : e.job_runtimes) sum += t.value();
-    EXPECT_NEAR(e.total_runtime.value(), sum, 1e-9);
+    for (const auto& t : e.job_runtimes) {
+        units.add(t.value());
+        sum += t.value();
+    }
+    EXPECT_EQ(e.total_runtime.value(), units.value());
+    EXPECT_NEAR(e.total_runtime.value(), sum, 3 * kFixedUnit / 2);
 }
 
 TEST(PlanEvaluator, CapacityMeetsEq3) {
