@@ -2,10 +2,12 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
 
+#include "core/fixed_sum.hpp"
 #include "lint/checks.hpp"
 #include "model/mrcute.hpp"
 
@@ -505,10 +507,12 @@ void run_l017(const LintInput& in, std::vector<Finding>& out) {
     }
     if (in.decisions->size() != in.jobs->size()) return;  // L012 territory
     const int nvm = in.models->cluster().worker_count;
-    // Mirror PlanEvaluator::capacities' aggregation (without the rounding):
-    // reuse-group followers provision only their intermediate + output.
+    // PlanEvaluator::capacities' Eq. 3 aggregates through the same exact
+    // fixed-point sums, so lint and the evaluator read the same aggregate
+    // at a per-VM cap (without the provider's rounding): reuse-group
+    // followers provision only their intermediate + output.
     std::set<int> group_input_counted;
-    std::array<double, cloud::kTierCount> aggregate{};
+    std::array<core::FixedSum, cloud::kTierCount> aggregate{};
     for (std::size_t i = 0; i < in.jobs->size(); ++i) {
         const auto& job = (*in.jobs)[i];
         const auto& d = (*in.decisions)[i];
@@ -519,10 +523,13 @@ void run_l017(const LintInput& in, std::vector<Finding>& out) {
             !group_input_counted.insert(*job.reuse_group).second) {
             req = job.intermediate() + job.output();
         }
-        aggregate[tier_index(d.tier)] += req.value() * d.overprovision;
+        aggregate[tier_index(d.tier)].add(req.value() * d.overprovision);
     }
     for (StorageTier tier : cloud::kAllTiers) {
-        const double agg = aggregate[tier_index(tier)];
+        const core::FixedSum& sum = aggregate[tier_index(tier)];
+        // A sum beyond the exact range is infeasible at any cap.
+        const double agg =
+            sum.in_range() ? sum.value() : std::numeric_limits<double>::infinity();
         if (agg <= 0.0) continue;
         const auto max = in.catalog->service(tier).max_capacity_per_vm();
         if (!max) continue;

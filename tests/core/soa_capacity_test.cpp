@@ -16,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/fixed_sum.hpp"
 #include "core/annealing.hpp"
 #include "core/utility.hpp"
 #include "test_support.hpp"
@@ -600,6 +602,319 @@ TEST(SoaCapacityWalk, StackedDecisionsEvaluateLikeTheNetMove) {
     expect_candidate(state, feasible, ref, "stacked");
     soa.commit(state);
     expect_committed(eval, state, "stacked, committed");
+}
+
+// --- Fixed-point sums (core/fixed_sum.hpp) ---------------------------------
+
+TEST(FixedSum, QuantizesOnceAndSumsInAnyOrder) {
+    EXPECT_EQ(fixed_units(0.0), 0);
+    EXPECT_EQ(fixed_units(1.0), std::int64_t{1} << 20);
+    // Ties round to even.
+    EXPECT_EQ(fixed_units(0.5 * kFixedUnit), 0);
+    EXPECT_EQ(fixed_units(1.5 * kFixedUnit), 2);
+    EXPECT_EQ(fixed_units(2.5 * kFixedUnit), 2);
+    EXPECT_EQ(fixed_units(std::nextafter(0.5 * kFixedUnit, 1.0)), 1);
+    // The edge of the exact range: 2^33 - 2^-20 is the last in-range term.
+    EXPECT_EQ(fixed_units(0x1p33 - kFixedUnit), kFixedLimit - 1);
+    EXPECT_EQ(fixed_units(0x1p33), kFixedLimit);
+    EXPECT_EQ(fixed_units(std::nextafter(0x1p33, 1e300)), kFixedLimit);
+    EXPECT_EQ(fixed_units(1e300), kFixedLimit);
+    EXPECT_EQ(fixed_units(std::numeric_limits<double>::infinity()), kFixedLimit);
+    EXPECT_EQ(fixed_units(std::numeric_limits<double>::quiet_NaN()), kFixedLimit);
+    EXPECT_EQ(fixed_units(-kFixedUnit), kFixedLimit);
+
+    const std::vector<double> terms = {3000.0, 0x1p-39, 1e-30, 123.456, 0x1p32, 7.25};
+    FixedSum forward;
+    FixedSum backward;
+    for (const double t : terms) forward.add(t);
+    for (auto it = terms.rbegin(); it != terms.rend(); ++it) backward.add(*it);
+    EXPECT_TRUE(forward == backward);
+    ASSERT_TRUE(forward.in_range());
+    // Adding and removing a term restores the sum exactly.
+    FixedSum moved = forward;
+    moved.add_units(fixed_units(0.1));
+    moved.sub_units(fixed_units(0.1));
+    EXPECT_TRUE(moved == forward);
+
+    FixedSum edge;
+    edge.add(0x1p33 - kFixedUnit);
+    EXPECT_TRUE(edge.in_range());
+    EXPECT_EQ(edge.value(), 0x1p33 - kFixedUnit);
+    edge.add(kFixedUnit);
+    EXPECT_FALSE(edge.in_range());
+}
+
+/// A factor k >= 1 with fixed_units(RN(req · k)) == units, searched around
+/// units / req; nullopt when none is near.
+std::optional<double> factor_for_units(double req, std::int64_t units) {
+    double k = static_cast<double>(units) * kFixedUnit / req;
+    for (int step = 0; step < 64; ++step) {
+        const std::int64_t got = fixed_units(req * k);
+        if (k >= 1.0 && got == units) return k;
+        k = got < units ? std::nextafter(k, 1e300) : std::nextafter(k, 0.0);
+    }
+    return std::nullopt;
+}
+
+/// A sum at the edge of the exact range, and just beyond it, on objStore
+/// (no provider limit) and on the custom catalog's limitless persHDD: the
+/// last in-range sum is feasible in both the SoA core and the reference,
+/// the first one out of range (two in-range terms, or one term at or past
+/// 2^33 GB) is infeasible in both.
+TEST(SoaCapacityWalk, SumsAtTheEdgeOfTheExactRangeAgreeWithEvaluate) {
+    const std::vector<workload::JobSpec> jobs = {mk_job(1, AppKind::kSort, 100.0),
+                                                 mk_job(2, AppKind::kJoin, 80.0),
+                                                 mk_job(3, AppKind::kGrep, 50.0)};
+    for (const StorageTier tier : {StorageTier::kObjectStore, StorageTier::kPersistentHdd}) {
+        SCOPED_TRACE(std::string(cloud::tier_name(tier)));
+        const model::PerfModelSet& models = tier == StorageTier::kObjectStore
+                                                ? testing::small_models()
+                                                : custom_catalog_models();
+        const PlanEvaluator eval(models, workload::Workload(jobs));
+        const TieringPlan start =
+            TieringPlan::uniform(jobs.size(), StorageTier::kPersistentSsd);
+        const PlanEvaluation pe = eval.evaluate(start);
+        ASSERT_TRUE(pe.feasible);
+        const SoaEvaluator soa(eval);
+        SoaState state;
+        soa.init(state, start, pe);
+        const auto ti = static_cast<std::uint8_t>(tier_index(tier));
+        const double req_a = eval.job_requirement(0).value();
+        const double req_b = eval.job_requirement(1).value();
+
+        // Job 0 takes most of the range, job 1 the rest up to `total`.
+        const double k_a = (0x1p33 - 0x1p13) / req_a;
+        const std::int64_t a = fixed_units(req_a * k_a);
+        ASSERT_LT(a, kFixedLimit);
+        const auto stage = [&](std::int64_t total) -> std::optional<bool> {
+            const auto k_b = factor_for_units(req_b, total - a);
+            if (!k_b) return std::nullopt;
+            soa.set_decision(state, 0, ti, k_a);
+            soa.set_decision(state, 1, ti, *k_b);
+            const std::size_t changed[] = {0, 1};
+            const PlanEvaluation ref = eval.evaluate(plan_of(state));
+            const bool feasible = soa.evaluate_candidate(state, changed);
+            expect_candidate(state, feasible, ref, "edge " + std::to_string(total));
+            soa.revert(state);
+            expect_committed(eval, state, "edge, reverted");
+            return feasible;
+        };
+        EXPECT_EQ(stage(kFixedLimit - 1), std::optional<bool>(true));
+        EXPECT_EQ(stage(kFixedLimit), std::optional<bool>(false));
+        EXPECT_EQ(stage(kFixedLimit + 1), std::optional<bool>(false));
+
+        // One term at the edge, and one just past it.
+        for (const double term : {0x1p33, std::nextafter(0x1p33, 1e300)}) {
+            soa.set_decision(state, 2, ti, term / eval.job_requirement(2).value());
+            const std::size_t changed[] = {2};
+            ASSERT_EQ(fixed_units(eval.job_requirement(2).value() * state.overprov[2]),
+                      kFixedLimit);
+            const PlanEvaluation ref = eval.evaluate(plan_of(state));
+            const bool feasible = soa.evaluate_candidate(state, changed);
+            EXPECT_FALSE(feasible);
+            expect_candidate(state, feasible, ref, "one term at the edge");
+            soa.revert(state);
+            expect_committed(eval, state, "one term, reverted");
+        }
+    }
+}
+
+/// The committed plan, its evaluation and its sums, for bitwise
+/// before/after comparisons.
+struct Committed {
+    std::vector<std::uint8_t> tier;
+    std::vector<double> overprov;
+    std::vector<double> runtime;
+    CapacityBreakdown caps;
+    double total = 0.0;
+    double vm = 0.0;
+    double storage = 0.0;
+    double utility = 0.0;
+    SoaSums sums;
+
+    explicit Committed(const SoaState& s)
+        : tier(s.tier),
+          overprov(s.overprov),
+          runtime(s.runtime),
+          caps(s.caps),
+          total(s.total_runtime),
+          vm(s.vm_cost),
+          storage(s.storage_cost),
+          utility(s.utility),
+          sums(s.sums()) {}
+};
+
+void expect_restored(const SoaState& state, const Committed& before, const std::string& where) {
+    EXPECT_TRUE(state.tier == before.tier) << where;
+    EXPECT_TRUE(state.sums() == before.sums) << where << ": committed sums";
+    EXPECT_TRUE(state.staged_sums() == before.sums) << where << ": staged sums";
+    expect_caps(state.caps, before.caps, where);
+    EXPECT_TRUE(same_bits(state.total_runtime, before.total)) << where;
+    EXPECT_TRUE(same_bits(state.vm_cost, before.vm)) << where;
+    EXPECT_TRUE(same_bits(state.storage_cost, before.storage)) << where;
+    EXPECT_TRUE(same_bits(state.utility, before.utility)) << where;
+    for (std::size_t i = 0; i < state.runtime.size(); ++i) {
+        EXPECT_TRUE(same_bits(state.runtime[i], before.runtime[i]))
+            << where << ": runtime of job " << i;
+        EXPECT_TRUE(same_bits(state.overprov[i], before.overprov[i]))
+            << where << ": factor of job " << i;
+    }
+}
+
+/// Seeded walks of round trips: a move then revert, a move then the move
+/// back before evaluation, and a move committed then moved back and
+/// committed must each restore every sum, the objStore maximum, the total
+/// and every committed field bit for bit. After every commit the sums must
+/// equal those a fresh init builds from the committed plan, and every
+/// field must equal evaluate()'s.
+class RoundTripWalk {
+public:
+    RoundTripWalk(const PlanEvaluator& eval, const TieringPlan& seed_plan, std::uint64_t seed)
+        : eval_(eval), soa_(eval), units_(move_units(eval, {})), rng_(seed) {
+        const PlanEvaluation pe = eval.evaluate(seed_plan);
+        EXPECT_TRUE(pe.feasible) << pe.infeasibility;
+        soa_.init(state_, seed_plan, pe);
+    }
+
+    /// Counts of what the walk reached.
+    int reverted = 0;
+    int moved_back = 0;
+    int committed_back = 0;
+    int holder_left = 0;
+
+    void run(int steps) {
+        for (step_ = 0; step_ < steps && !::testing::Test::HasFatalFailure(); ++step_) {
+            const Committed before(state_);
+            const double u = rng_.uniform();
+            const MoveUnit& unit = units_[rng_.below(units_.size())];
+            if (u < 0.3) {
+                stage(unit, before);
+                evaluate("move");
+                soa_.revert(state_);
+                ++reverted;
+                expect_restored(state_, before, where("move, revert"));
+            } else if (u < 0.55) {
+                stage(unit, before);
+                for (const std::size_t j : unit.jobs) {
+                    set(j, before.tier[j], before.overprov[j]);
+                }
+                ASSERT_TRUE(evaluate("move, move back"));
+                EXPECT_TRUE(state_.staged_sums() == before.sums) << where("move back, staged");
+                expect_caps(state_.cand_caps, before.caps, where("move back, candidate"));
+                EXPECT_TRUE(same_bits(state_.cand_total, before.total)) << where("move back");
+                EXPECT_TRUE(same_bits(state_.cand_utility, before.utility)) << where("move back");
+                soa_.commit(state_);
+                ++moved_back;
+                expect_restored(state_, before, where("move, move back, commit"));
+            } else if (u < 0.8) {
+                stage(unit, before);
+                if (!evaluate("move")) {
+                    soa_.revert(state_);
+                    continue;
+                }
+                commit("move, commit");
+                for (const std::size_t j : unit.jobs) {
+                    set(j, before.tier[j], before.overprov[j]);
+                }
+                ASSERT_TRUE(evaluate("move back"));
+                commit("move back, commit");
+                ++committed_back;
+                expect_restored(state_, before, where("move, commit, move back, commit"));
+            } else {
+                stage(unit, before);
+                if (evaluate("wander")) {
+                    commit("wander, commit");
+                } else {
+                    soa_.revert(state_);
+                }
+            }
+        }
+    }
+
+private:
+    std::string where(const std::string& what) const {
+        return "step " + std::to_string(step_) + " " + what;
+    }
+
+    void set(std::size_t job, std::size_t tier, double k) {
+        soa_.set_decision(state_, job, static_cast<std::uint8_t>(tier), k);
+        changed_.push_back(job);
+    }
+
+    /// Stage one to three layers of moves of `unit`: a drawn tier it may
+    /// take and a factor from the menu (rarely an extreme one).
+    void stage(const MoveUnit& unit, const Committed& before) {
+        static constexpr double kMenu[] = {1.0, 1.25, 1.5, 2.0, 3.0, 7.3, 40.0};
+        changed_.clear();
+        const double obj_max = before.sums.object_store_inter_max;
+        const int layers = 1 + static_cast<int>(rng_.below(3));
+        for (int layer = 0; layer < layers; ++layer) {
+            std::size_t t = rng_.below(cloud::kTierCount);
+            while ((unit.allowed_tiers & (1u << t)) == 0) t = rng_.below(cloud::kTierCount);
+            const double k = rng_.uniform() < 0.05 ? 1e12 : kMenu[rng_.below(std::size(kMenu))];
+            for (const std::size_t j : unit.jobs) set(j, t, k);
+        }
+        for (const std::size_t j : unit.jobs) {
+            if (before.tier[j] == tier_index(StorageTier::kObjectStore) &&
+                state_.tier[j] != before.tier[j] &&
+                eval_.workload().job(j).intermediate().value() == obj_max) {
+                ++holder_left;
+            }
+        }
+    }
+
+    bool evaluate(const std::string& what) {
+        const PlanEvaluation ref = eval_.evaluate(plan_of(state_));
+        const bool feasible = soa_.evaluate_candidate(state_, changed_);
+        expect_candidate(state_, feasible, ref, where(what));
+        changed_.clear();
+        return feasible;
+    }
+
+    void commit(const std::string& what) {
+        soa_.commit(state_);
+        expect_committed(eval_, state_, where(what));
+        // The incremental sums equal a fresh init's.
+        const TieringPlan plan = plan_of(state_);
+        SoaState fresh;
+        soa_.init(fresh, plan, eval_.evaluate(plan));
+        EXPECT_TRUE(fresh.sums() == state_.sums()) << where(what) << ": sums vs a fresh init";
+        EXPECT_TRUE(state_.staged_sums() == state_.sums()) << where(what);
+    }
+
+    const PlanEvaluator& eval_;
+    SoaEvaluator soa_;
+    std::vector<MoveUnit> units_;
+    Rng rng_;
+    SoaState state_;
+    std::vector<std::size_t> changed_;
+    int step_ = 0;
+};
+
+TEST(SoaCapacityWalk, RoundTripsRestoreSumsBitForBit) {
+    int reverted = 0;
+    int moved_back = 0;
+    int committed_back = 0;
+    int holder_left = 0;
+    for (const bool reuse_aware : {false, true}) {
+        const PlanEvaluator eval(testing::small_models(), hostile_workload(),
+                                 EvalOptions{.reuse_aware = reuse_aware});
+        for (const std::uint64_t seed : {11u, 12u}) {
+            TieringPlan plan = TieringPlan::uniform(eval.workload().size(),
+                                                    StorageTier::kObjectStore);
+            plan.set_decision(8, PlacementDecision{StorageTier::kPersistentHdd, 1.0});
+            RoundTripWalk walk(eval, plan, seed);
+            walk.run(600);
+            reverted += walk.reverted;
+            moved_back += walk.moved_back;
+            committed_back += walk.committed_back;
+            holder_left += walk.holder_left;
+        }
+    }
+    EXPECT_GT(reverted, 0);
+    EXPECT_GT(moved_back, 0);
+    EXPECT_GT(committed_back, 0);
+    EXPECT_GT(holder_left, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "lint/rules.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fixed_sum.hpp"
+#include "core/utility.hpp"
 #include "lint/analyzer.hpp"
 #include "test_support.hpp"
 
@@ -470,6 +473,61 @@ TEST(L017CapacityLimits, FlagsPerVmOverflow) {
     const Report report = run(in);
     ASSERT_EQ(count_rule(report, "L017"), 1u);
     EXPECT_EQ(report.findings.front().subject, "ephSSD");
+}
+
+// At the per-VM cap, lint and PlanEvaluator read one aggregate. ephSSD's
+// cap on the 5-worker cluster is 5 x 4 x 375 = 7500 GB. One Sort
+// contributes one fixed-point unit (2^-20 GB) under the cap, and four tiny
+// Sorts 0.4 units each: the exact fixed-point sum stays under the cap (the
+// tiny terms quantize to 0), while an index-order double sum would land
+// 0.6 units above it. The evaluator provisions 4 volumes per VM, so lint
+// must not flag the plan; one more unit on the big job crosses the cap for
+// both.
+TEST(L017CapacityLimits, AgreesWithTheEvaluatorAtTheCap) {
+    const auto& models = testing::small_models();
+    const int nvm = models.cluster().worker_count;
+    ASSERT_EQ(nvm, 5);
+    const double cap = 7500.0;
+    ASSERT_EQ(models.catalog().service(StorageTier::kEphemeralSsd).max_capacity_per_vm()->value(),
+              cap / nvm);
+
+    std::vector<JobSpec> jobs = {mk_job(1, AppKind::kSort, 1000.0)};
+    const double unit = core::kFixedUnit;
+    // A Sort needs 3x its input (Eq. 3); 0.4 units each.
+    for (int i = 0; i < 4; ++i) jobs.push_back(mk_job(2 + i, AppKind::kSort, 0.4 * unit / 3.0));
+    const double big_req = jobs[0].capacity_requirement().value();
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+        const double tiny = jobs[i].capacity_requirement().value();
+        ASSERT_GT(tiny, 0.3 * unit);
+        ASSERT_LT(tiny, 0.5 * unit);
+    }
+
+    for (const double units_under : {1.0, -1.0}) {
+        SCOPED_TRACE(units_under > 0 ? "under the cap" : "over the cap");
+        const double k = (cap - units_under * unit) / big_req;
+        std::vector<PlacementDecision> decisions(jobs.size(),
+                                                 {StorageTier::kEphemeralSsd, 1.0});
+        decisions[0].overprovision = k;
+        // The big term quantizes to the intended unit.
+        ASSERT_EQ(core::fixed_units(big_req * k),
+                  core::fixed_units(cap) - static_cast<std::int64_t>(units_under));
+        double index_order = 0.0;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            index_order += jobs[i].capacity_requirement().value() * decisions[i].overprovision;
+        }
+        EXPECT_GT(index_order, cap);
+
+        LintInput in;
+        in.jobs = &jobs;
+        in.decisions = &decisions;
+        in.models = &models;
+        in.catalog = &models.catalog();
+        const core::PlanEvaluator evaluator(models, workload::Workload(jobs));
+        const core::PlanEvaluation eval = evaluator.evaluate(core::TieringPlan(decisions));
+        const bool under = units_under > 0;
+        EXPECT_EQ(eval.feasible, under) << eval.infeasibility;
+        EXPECT_EQ(count_rule(run(in), "L017"), under ? 0u : 1u);
+    }
 }
 
 // --- L018 -----------------------------------------------------------------
