@@ -11,10 +11,12 @@
 //                                deadline workflows at default
 //                                AnnealingOptions on the pool
 //
-// Every row runs one untimed warm-up, then times several samples of the
-// same deterministic solve (7 in full mode) and reports their median and
-// interquartile range; iters_per_sec is the iteration count over the
-// median time. Every returned plan is re-evaluated with the uncached
+// Every row first runs one untimed warm-up; then the rows are timed
+// round-robin, one sample of each row per round (7 rounds in full mode),
+// so a burst of host load lands on one sample of several rows rather than
+// on a whole row's window. Each row reports the median and interquartile
+// range of its samples of the same deterministic solve; iters_per_sec is
+// the iteration count over the median time. Every returned plan is re-evaluated with the uncached
 // reference evaluator (PlanEvaluator::evaluate / WorkflowEvaluator::evaluate),
 // and the reported evaluation must equal it exactly; a mismatch exits 1.
 // Output: a JSON document written to BENCH_solver_throughput.json in the
@@ -27,6 +29,7 @@
 // `--smoke` shrinks the iteration counts so the CTest smoke target finishes
 // in seconds; the committed BENCH_solver_throughput.json comes from a full
 // run.
+#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -73,15 +76,18 @@ struct Samples {
     }
 };
 
-/// Run `once` for `warmups` untimed and `samples` timed repetitions;
-/// `once` returns its own elapsed seconds.
-template <class Fn>
-Samples sample(int warmups, int samples, Fn&& once) {
-    Samples out;
-    out.warmups = warmups;
-    for (int rep = 0; rep < warmups + samples; ++rep) {
-        const double s = once();
-        if (rep >= warmups) out.seconds.push_back(s);
+/// Run every row `warmups` times untimed, then `samples` timed rounds of
+/// one repetition of each row, in row order; a row returns its own elapsed
+/// seconds.
+std::vector<Samples> sample_round_robin(int warmups, int samples,
+                                        const std::vector<std::function<double()>>& rows) {
+    std::vector<Samples> out(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        out[r].warmups = warmups;
+        for (int rep = 0; rep < warmups; ++rep) (void)rows[r]();
+    }
+    for (int rep = 0; rep < samples; ++rep) {
+        for (std::size_t r = 0; r < rows.size(); ++r) out[r].seconds.push_back(rows[r]());
     }
     return out;
 }
@@ -184,17 +190,11 @@ int main(int argc, char** argv) {
     const core::AnnealingSolver chain_solver(evaluator, chain_opts);
     ChainTiming chain;
     bool chain_matches = true;
-    const Samples chain_samples = sample(warmups, samples, [&] {
+    const auto chain_row = [&] {
         chain = time_chain(evaluator, chain_solver, init);
         chain_matches = chain_matches && chain.matches_reference;
         return chain.seconds;
-    });
-    std::cerr << "single chain: " << fmt(chain_samples.rate(chain.iterations), 0)
-              << " it/s (median of " << samples << ", IQR "
-              << fmt(chain_samples.iqr() * 1e3, 2) << " ms), hit rate "
-              << fmt(chain.cache.hit_rate(), 3)
-              << (chain_matches ? "" : "  [WARNING: differs from reference evaluate()!]")
-              << "\n";
+    };
 
     // --- Tempered solve: 6 replicas on the pool, a fresh cache each.
     core::AnnealingOptions temper_opts;
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
     const core::AnnealingSolver temper_solver(evaluator, temper_opts);
     core::AnnealingResult temper_result;
     bool temper_matches = true;
-    const Samples temper_samples = sample(warmups, samples, [&] {
+    const auto temper_row = [&] {
         core::EvalCache temper_cache;
         const auto start = std::chrono::steady_clock::now();
         temper_result = temper_solver.solve(init, &pool, &temper_cache);
@@ -212,7 +212,34 @@ int main(int argc, char** argv) {
         temper_matches = temper_matches && matches_reference(evaluator, temper_result.plan,
                                                              temper_result.evaluation);
         return seconds;
-    });
+    };
+
+    // --- Workflow solves: the Fig. 9 deadline workflows at default options
+    // (smoke mode shortens the chains), one pass over all five per sample.
+    core::AnnealingOptions wf_opts;
+    if (args.smoke) wf_opts.iter_max = 600;
+    const std::vector<workload::Workflow> workflows =
+        workload::synthesize_deadline_workflows(11);
+    WorkflowTiming wf_timing;
+    bool wf_matches = true;
+    const auto wf_row = [&] {
+        wf_timing = time_workflows(models, workflows, wf_opts, pool);
+        wf_matches = wf_matches && wf_timing.matches_reference;
+        return wf_timing.seconds;
+    };
+
+    const std::vector<Samples> rows =
+        sample_round_robin(warmups, samples, {chain_row, temper_row, wf_row});
+    const Samples& chain_samples = rows[0];
+    const Samples& temper_samples = rows[1];
+    const Samples& wf_samples = rows[2];
+    std::cerr << "single chain: " << fmt(chain_samples.rate(chain.iterations), 0)
+              << " it/s (median of " << samples << ", IQR "
+              << fmt(chain_samples.iqr() * 1e3, 2) << " ms), hit rate "
+              << fmt(chain.cache.hit_rate(), 3)
+              << (chain_matches ? "" : "  [WARNING: differs from reference evaluate()!]")
+              << "\n";
+
     std::cerr << "tempering solve: " << temper_result.iterations << " iterations, median "
               << fmt(temper_samples.median() * 1e3, 2) << " ms (IQR "
               << fmt(temper_samples.iqr() * 1e3, 2) << " ms), "
@@ -223,19 +250,6 @@ int main(int argc, char** argv) {
               << (temper_matches ? "" : "  [WARNING: differs from reference evaluate()!]")
               << "\n";
 
-    // --- Workflow solves: the Fig. 9 deadline workflows at default options
-    // (smoke mode shortens the chains), one pass over all five per sample.
-    core::AnnealingOptions wf_opts;
-    if (args.smoke) wf_opts.iter_max = 600;
-    const std::vector<workload::Workflow> workflows =
-        workload::synthesize_deadline_workflows(11);
-    WorkflowTiming wf_timing;
-    bool wf_matches = true;
-    const Samples wf_samples = sample(warmups, samples, [&] {
-        wf_timing = time_workflows(models, workflows, wf_opts, pool);
-        wf_matches = wf_matches && wf_timing.matches_reference;
-        return wf_timing.seconds;
-    });
     std::cerr << "workflow tempering solves: " << wf_timing.iterations
               << " iterations, median " << fmt(wf_samples.median(), 3) << " s ("
               << fmt(wf_samples.rate(wf_timing.iterations), 0) << " it/s), "
