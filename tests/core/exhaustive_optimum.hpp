@@ -1,4 +1,4 @@
-// Exhaustive batch solver: the exact-optimum oracle for small instances.
+// Exhaustive solvers: the exact-optimum oracles for small instances.
 //
 // Scores every plan of a small workload — each job on each of the four
 // tiers at each over-provisioning factor of the annealer's menu — through
@@ -9,6 +9,13 @@
 // infeasible anyway, before any capacity or runtime is computed. A 3-job
 // instance is 36^3 = 46,656 plans; a 4-job one up to 1.7M, so runtimes are
 // memoized through an EvalCache (bit-identical to the uncached path).
+//
+// The workflow twin does the same for CAST++'s deadline mode (Eq. 8-10):
+// every workflow plan over four tiers x a factor menu, scored by a
+// caller-supplied score of WorkflowEvaluator::evaluate (the solver's:
+// -cost when the deadline holds, penalized by the overtime otherwise),
+// keeping the highest-scoring feasible plan. A pinned job takes only its
+// pinned tier.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +24,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/castpp.hpp"
 #include "core/eval_cache.hpp"
 #include "core/plan.hpp"
 #include "core/utility.hpp"
@@ -80,6 +88,67 @@ struct ExhaustiveOptimum {
                 if (!best.plan || eval.utility > best.evaluation.utility) {
                     best.plan = std::move(plan);
                     best.evaluation = std::move(eval);
+                }
+            }
+        }
+        // Odometer step, job 0 fastest.
+        std::size_t i = 0;
+        while (i < n && ++pick[i] == choices) pick[i++] = 0;
+        if (i == n) break;
+    }
+    return best;
+}
+
+struct ExhaustiveWorkflowOptimum {
+    /// The highest-scoring feasible plan and its evaluation; nullopt when
+    /// no plan is feasible.
+    std::optional<WorkflowPlan> plan;
+    WorkflowEvaluation evaluation;
+    double score = 0.0;
+    /// Plans scored, how many were feasible, and how many met the deadline.
+    std::size_t scored = 0;
+    std::size_t feasible = 0;
+    std::size_t meeting = 0;
+};
+
+/// The exact optimum of `evaluator`'s workflow over tiers x `factors` under
+/// `score(const WorkflowEvaluation&)`; the first plan in enumeration order
+/// wins a tie.
+template <class Score>
+[[nodiscard]] ExhaustiveWorkflowOptimum exhaustive_workflow_optimum(
+    const WorkflowEvaluator& evaluator, std::span<const double> factors, Score&& score) {
+    const workload::Workflow& wf = evaluator.workflow();
+    const std::size_t n = wf.size();
+    CAST_EXPECTS(n > 0 && !factors.empty());
+    const std::size_t choices = cloud::kTierCount * factors.size();
+    const auto tier_of = [&](std::size_t choice) {
+        return cloud::kAllTiers[choice / factors.size()];
+    };
+
+    EvalCache cache;
+    ExhaustiveWorkflowOptimum best;
+    std::vector<std::size_t> pick(n, 0);
+    WorkflowPlan plan{std::vector<PlacementDecision>(n)};
+    for (;;) {
+        bool legal = true;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto& pin = wf.jobs()[i].pinned_tier;
+            legal = legal && !(pin && *pin != tier_of(pick[i]));
+        }
+        if (legal) {
+            for (std::size_t i = 0; i < n; ++i) {
+                plan.decisions[i] = {tier_of(pick[i]), factors[pick[i] % factors.size()]};
+            }
+            WorkflowEvaluation eval = evaluator.evaluate(plan, &cache);
+            ++best.scored;
+            if (eval.feasible) {
+                ++best.feasible;
+                if (eval.meets_deadline) ++best.meeting;
+                const double s = score(eval);
+                if (!best.plan || s > best.score) {
+                    best.plan = plan;
+                    best.evaluation = std::move(eval);
+                    best.score = s;
                 }
             }
         }

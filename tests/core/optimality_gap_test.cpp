@@ -1,4 +1,4 @@
-// Optimality-gap gates: CAST and CAST++ against the exact optimum.
+// Optimality-gap gates: CAST, CAST++ and the workflow solver against the exact optimum.
 //
 // Every other solver gate compares the annealer with itself (goldens, FNV
 // pins) or with weaker baselines (greedy, uniform plans). Here a fixed set
@@ -26,11 +26,25 @@
 // The instances: 3 jobs (46,656 plans) and two of 4 jobs, with reuse
 // groups (the shared input counted once under CAST++, which co-locates
 // the group) and operator tier pins.
+//
+// The workflow half gates WorkflowSolver (CAST++'s deadline mode, Eq.
+// 8-10) the same way, on the solver's own score (-cost when the deadline
+// holds, penalized by the overtime otherwise): small seeded DAGs of
+// Facebook-bin jobs, some with a pin, one with a deadline no plan meets,
+// enumerated over the solver's extended factor menu (the options' menu
+// plus the saturating factors the solver adds). The options' menu is
+// shortened so each instance stays under 0.5M plans; the solver walks the
+// same menu. The gap is relative to the optimum's score. The bounds are
+// the values recorded when the gate was added, with the evaluator's
+// index-order double sums: the solver reached the optimum on 12 of 12
+// (worst gap 0). solve_greedy's numbers are printed beside them, ungated
+// (2 of 12 reached, worst gap 0.238 when recorded).
 #include "core/exhaustive_optimum.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -38,6 +52,7 @@
 
 #include "common/rng.hpp"
 #include "core/castpp.hpp"
+#include "core/reference_annealer.hpp"
 #include "test_support.hpp"
 #include "workload/facebook.hpp"
 
@@ -179,6 +194,142 @@ TEST(OptimalityGap, CastAndCastPlusPlusHoldTheirRecordedGaps) {
     EXPECT_LE(cast_stats.worst_gap, 1e-12);
     EXPECT_GE(castpp_stats.optimal, 22);
     EXPECT_LE(castpp_stats.worst_gap, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Workflow deadline mode.
+// ---------------------------------------------------------------------------
+
+/// The workflow seed set: instances 1-10 have 3 jobs, 101-102 have 4.
+std::vector<std::uint64_t> workflow_seeds() {
+    std::vector<std::uint64_t> seeds;
+    for (std::uint64_t s = 1; s <= 10; ++s) seeds.push_back(s);
+    seeds.push_back(101);
+    seeds.push_back(102);
+    return seeds;
+}
+
+/// The annealer's factor menu, shortened per instance size.
+AnnealingOptions workflow_options(std::uint64_t seed) {
+    AnnealingOptions o;
+    o.seed = seed;
+    o.overprov_choices = seed > 100 ? std::vector<double>{1.0, 2.0, 4.0}
+                                    : std::vector<double>{1.0, 1.5, 2.0, 4.0, 8.0};
+    return o;
+}
+
+/// Seeded workflow: each job after the first is fed by a random earlier
+/// one (the last of a 4-job instance by a second one too, when it can
+/// be), one job may carry a pin, and the deadline is drawn around the
+/// all-persSSD runtime. Instance 7's deadline is one second, which no
+/// plan meets.
+workload::Workflow make_workflow_instance(std::uint64_t seed) {
+    Rng rng(seed * 104723 + 5);
+    const int n = seed > 100 ? 4 : 3;
+    std::vector<workload::JobSpec> jobs;
+    std::vector<workload::WorkflowEdge> edges;
+    for (int i = 0; i < n; ++i) {
+        jobs.push_back(bin_job(rng, i + 1, draw_bin(rng)));
+        if (i > 0) {
+            const int from = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(i)));
+            edges.push_back({.from_job = from, .to_job = i + 1});
+            if (i == n - 1 && n == 4 && from != 1) {
+                edges.push_back({.from_job = 1, .to_job = n});
+            }
+        }
+    }
+    const workload::Workflow probe("wf" + std::to_string(seed), jobs, edges, Seconds{1.0});
+    const WorkflowEvaluation pers = WorkflowEvaluator(testing::paper_models(), probe)
+                                        .evaluate(WorkflowPlan::uniform(
+                                            jobs.size(), cloud::StorageTier::kPersistentSsd));
+    const double deadline =
+        seed == 7 ? 1.0 : pers.total_runtime.value() * (0.4 + 1.2 * rng.uniform());
+    if (seed % 3 == 0) {
+        const cloud::StorageTier tier = cloud::kAllTiers[rng.below(cloud::kTierCount)];
+        jobs[rng.below(jobs.size())].pinned_tier = tier;
+    }
+    return workload::Workflow(probe.name(), std::move(jobs), std::move(edges),
+                              Seconds{deadline});
+}
+
+/// The solver's factor menu: the options' factors plus the three around
+/// the per-VM capacity where persSSD saturates, as WorkflowSolver and the
+/// reference workflow annealer build it.
+std::vector<double> solver_menu(const WorkflowEvaluator& evaluator,
+                                const AnnealingOptions& options) {
+    std::vector<double> menu = options.overprov_choices;
+    const std::size_t n = evaluator.workflow().size();
+    const WorkflowPlan probe = WorkflowPlan::uniform(n, cloud::StorageTier::kPersistentSsd);
+    double total_req = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        total_req += evaluator.job_requirement(probe, i).value();
+    }
+    if (total_req > 0.0) {
+        const double saturating =
+            550.0 * evaluator.models().cluster().worker_count / total_req;
+        if (saturating > 1.0) {
+            menu.push_back(std::max(1.0, saturating / 2.0));
+            menu.push_back(saturating);
+            menu.push_back(saturating * 1.5);
+        }
+    }
+    return menu;
+}
+
+TEST(OptimalityGap, WorkflowSolverHoldsItsRecordedGap) {
+    const model::PerfModelSet& models = testing::paper_models();
+    GapStats solver_stats;
+    GapStats greedy_stats;
+    int pinned = 0;
+    int unmet = 0;
+    for (const std::uint64_t seed : workflow_seeds()) {
+        SCOPED_TRACE("workflow instance " + std::to_string(seed));
+        const WorkflowEvaluator evaluator(models, make_workflow_instance(seed));
+        const AnnealingOptions options = workflow_options(seed);
+        const reference::ReferenceWorkflowAnnealer ref(evaluator, options);
+        const auto score = [&](const WorkflowEvaluation& e) { return ref.score(e); };
+        const std::vector<double> menu = solver_menu(evaluator, options);
+        const reference::ExhaustiveWorkflowOptimum opt =
+            reference::exhaustive_workflow_optimum(evaluator, menu, score);
+        ASSERT_TRUE(opt.plan.has_value()) << "no feasible plan";
+        ASSERT_LE(opt.scored, 500000u);
+
+        const WorkflowSolver solver(evaluator, options);
+        const WorkflowSolveResult solved = solver.solve();
+        const WorkflowSolveResult greedy = solver.solve_greedy();
+        const double s = score(evaluator.evaluate(solved.plan));
+        const double g = score(evaluator.evaluate(greedy.plan));
+        EXPECT_EQ(s, score(solved.evaluation));
+        EXPECT_LE(s, opt.score) << "the solver beat the exhaustive optimum";
+        const double gap = (opt.score - s) / std::fabs(opt.score);
+        const double greedy_gap = (opt.score - g) / std::fabs(opt.score);
+        ++solver_stats.instances;
+        ++greedy_stats.instances;
+        if (gap <= 1e-12) ++solver_stats.optimal;
+        if (greedy_gap <= 1e-12) ++greedy_stats.optimal;
+        solver_stats.worst_gap = std::max(solver_stats.worst_gap, gap);
+        greedy_stats.worst_gap = std::max(greedy_stats.worst_gap, greedy_gap);
+        const bool has_pin =
+            std::ranges::any_of(evaluator.workflow().jobs(),
+                                [](const auto& j) { return j.pinned_tier.has_value(); });
+        pinned += has_pin ? 1 : 0;
+        unmet += opt.meeting == 0 ? 1 : 0;
+        std::printf("workflow %3llu jobs %zu plans %7zu feasible %7zu meeting %7zu%s  "
+                    "gap %.3e  greedy %.3e\n",
+                    static_cast<unsigned long long>(seed), evaluator.workflow().size(),
+                    opt.scored, opt.feasible, opt.meeting, has_pin ? " pinned" : "", gap,
+                    greedy_gap);
+    }
+    std::printf("%-13s optimum reached %2d/%d  worst gap %.17g\n", "WorkflowSolver",
+                solver_stats.optimal, solver_stats.instances, solver_stats.worst_gap);
+    std::printf("%-13s optimum reached %2d/%d  worst gap %.17g\n", "solve_greedy",
+                greedy_stats.optimal, greedy_stats.instances, greedy_stats.worst_gap);
+    EXPECT_GT(pinned, 0);
+    EXPECT_GT(unmet, 0);
+
+    ASSERT_EQ(solver_stats.instances, 12);
+    EXPECT_GE(solver_stats.optimal, 12);
+    EXPECT_LE(solver_stats.worst_gap, 1e-12);
 }
 
 }  // namespace
