@@ -12,11 +12,11 @@
 // advance in lock-step rounds, and swap states at round barriers, so hot
 // replicas keep exploring while cold ones refine, and the trajectory is a
 // pure function of (seed, chains) at ANY worker count. A single chain is
-// a one-rung ladder. The iteration loop, anneal_span, is the one the
-// workflow deadline solver (core/castpp.hpp) runs too. Every batch
-// iteration evaluates on the flat struct-of-arrays core
-// (core/soa_eval.hpp), allocation-free and bit-identical to the uncached
-// PlanEvaluator::evaluate, which stays the reference the tests hold it to.
+// a one-rung ladder. The iteration loop, anneal_span, and the flat
+// struct-of-arrays core it evaluates on (core/soa_eval.hpp) are the ones
+// the workflow deadline solver (core/castpp.hpp) runs too; the core is
+// allocation-free and bit-identical to the uncached PlanEvaluator::evaluate,
+// which stays the reference the tests hold it to.
 #pragma once
 
 #include <algorithm>

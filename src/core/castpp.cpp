@@ -1,10 +1,12 @@
 #include "core/castpp.hpp"
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
+#include "core/fixed_sum.hpp"
+#include "core/soa_eval.hpp"
 #include "lint/analyzer.hpp"
 #include "lint/checks.hpp"
 
@@ -13,6 +15,8 @@ namespace cast::core {
 namespace {
 using cloud::StorageTier;
 using cloud::tier_index;
+/// The score of an infeasible workflow plan.
+constexpr double kInfeasibleScore = -1e18;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -169,22 +173,15 @@ workload::Workflow validated(workload::Workflow workflow) {
 }  // namespace
 
 WorkflowEvaluator::WorkflowEvaluator(const model::PerfModelSet& models,
-                                     workload::Workflow workflow, EvalOptions options)
-    : models_(&models),
-      workflow_(validated(std::move(workflow))),
-      options_(options),
-      rates_(models),
-      reg_(models, workflow_.jobs(),
-           [this](std::size_t i, StorageTier t) { return staging_legs(i, t); }) {
-    const std::size_t n = workflow_.size();
-    input_.reserve(n);
-    inter_.reserve(n);
-    output_.reserve(n);
-    eph_backing_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+                                     workload::Workflow workflow)
+    : models_(&models), workflow_(validated(std::move(workflow))), rates_(models) {
+    for (std::size_t i = 0; i < workflow_.size(); ++i) {
         const workload::JobSpec& job = workflow_.jobs()[i];
         any_pinned_ = any_pinned_ || job.pinned_tier.has_value();
-        input_.push_back(job.input.value());
+        // Eq. 10: a job provisions its intermediate and output, plus its
+        // input unless the input is already resident.
+        req_resident_.push_back(job.intermediate().value() + job.output().value());
+        req_.push_back(req_resident_.back() + job.input.value());
         inter_.push_back(job.intermediate().value());
         output_.push_back(job.output().value());
         GigaBytes backing = job.output();
@@ -204,19 +201,15 @@ model::StagingLegs WorkflowEvaluator::staging_legs(std::size_t i, StorageTier ti
     return legs;
 }
 
-double WorkflowEvaluator::requirement(const WorkflowPlan& plan, std::size_t i) const {
-    // Eq. 10: a job provisions its intermediate and output, plus its input
-    // unless the input is already resident — i.e. every predecessor whose
-    // output feeds it lives on the same tier.
+GigaBytes WorkflowEvaluator::job_requirement(const WorkflowPlan& plan, std::size_t i) const {
+    // The input is resident when every predecessor whose output feeds the
+    // job lives on its tier.
     const StorageTier tier = plan.decisions[i].tier;
     const auto& preds = workflow_.predecessors(i);
-    bool input_resident = !preds.empty();
-    for (std::size_t p : preds) {
-        if (plan.decisions[p].tier != tier) input_resident = false;
-    }
-    double req = inter_[i] + output_[i];
-    if (!input_resident) req += input_[i];
-    return req;
+    const bool resident = !preds.empty() && std::ranges::all_of(preds, [&](std::size_t p) {
+        return plan.decisions[p].tier == tier;
+    });
+    return GigaBytes{resident ? req_resident_[i] : req_[i]};
 }
 
 Seconds WorkflowEvaluator::transfer_time(GigaBytes volume, StorageTier from,
@@ -232,22 +225,12 @@ Seconds WorkflowEvaluator::transfer_time(GigaBytes volume, StorageTier from,
     return Seconds{volume.megabytes() / cluster_mbps};
 }
 
-bool WorkflowEvaluator::begin_evaluation(const WorkflowPlan& plan,
-                                         WorkflowEvaluation& out) const {
+WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
+                                               EvalCache* cache) const {
     CAST_EXPECTS_MSG(plan.decisions.size() == workflow_.size(),
                      "plan/workflow size mismatch");
     for (const auto& d : plan.decisions) d.validate();
-    // Reset every field (a new field must be reset here too); clear()
-    // keeps the vectors' capacity.
-    out.feasible = false;
-    out.infeasibility.clear();
-    out.total_runtime = Seconds{0.0};
-    out.vm_cost = Dollars{0.0};
-    out.storage_cost = Dollars{0.0};
-    out.meets_deadline = false;
-    out.capacities = CapacityBreakdown{};
-    out.job_runtimes.clear();
-    out.transfer_times.clear();
+    WorkflowEvaluation out;
     if (any_pinned_) {
         // Operator pins via the shared lint check (same rule the deployer
         // and CLI enforce).
@@ -255,25 +238,33 @@ bool WorkflowEvaluator::begin_evaluation(const WorkflowPlan& plan,
         lint::check_tier_pins(workflow_.jobs(), plan.decisions, violations);
         if (!violations.empty()) {
             out.infeasibility = violations.front().message;
-            return false;
+            return out;
         }
     }
 
-    // --- Capacities (Eq. 10 + deployment conventions).
+    // --- Capacities (Eq. 10 + deployment conventions), as exact
+    // fixed-point sums.
+    std::array<FixedSum, cloud::kTierCount> sums;
     bool any_on_object_store = false;
     double max_object_store_inter = 0.0;
     for (std::size_t i = 0; i < workflow_.size(); ++i) {
         const auto& d = plan.decisions[i];
-        out.capacities.aggregate[tier_index(d.tier)] +=
-            GigaBytes{requirement(plan, i) * d.overprovision};
+        sums[tier_index(d.tier)].add(job_requirement(plan, i).value() * d.overprovision);
         if (d.tier == StorageTier::kEphemeralSsd) {
-            out.capacities.aggregate[tier_index(StorageTier::kObjectStore)] +=
-                GigaBytes{eph_backing_[i]};
+            sums[tier_index(StorageTier::kObjectStore)].add(eph_backing_[i]);
         }
         if (d.tier == StorageTier::kObjectStore) {
             any_on_object_store = true;
             if (inter_[i] > max_object_store_inter) max_object_store_inter = inter_[i];
         }
+    }
+    for (StorageTier t : cloud::kAllTiers) {
+        if (!sums[tier_index(t)].in_range()) {
+            out.infeasibility = "the plan's " + std::string(cloud::tier_name(t)) +
+                                " aggregate is beyond the exact fixed-point range";
+            return out;
+        }
+        out.capacities.aggregate[tier_index(t)] = GigaBytes{sums[tier_index(t)].value()};
     }
     try {
         provision_capacities(models_->catalog(), models_->cluster().worker_count,
@@ -283,36 +274,17 @@ bool WorkflowEvaluator::begin_evaluation(const WorkflowPlan& plan,
                              out.capacities);
     } catch (const ValidationError& e) {
         out.infeasibility = e.what();
-        return false;
+        return out;
     }
-    out.job_runtimes.assign(workflow_.size(), Seconds{0.0});
-    out.transfer_times.reserve(workflow_.edge_endpoints().size());
-    return true;
-}
 
-void WorkflowEvaluator::finish_evaluation(Seconds total, WorkflowEvaluation& out) const {
-    out.total_runtime = total;
-    // --- Cost (Eq. 8): the shared Eq. 5-6 formula over the workflow
-    // makespan, so workflow plans are costed exactly like tiering plans.
-    const auto [vm, store] = eq5_eq6_costs(rates_, total, out.capacities);
-    out.vm_cost = vm;
-    out.storage_cost = store;
-    out.meets_deadline = total <= workflow_.deadline();
-    out.feasible = true;
-}
-
-WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
-                                               EvalCache* cache) const {
-    WorkflowEvaluation out;
-    if (!begin_evaluation(plan, out)) return out;
-    const auto& per_vm = out.capacities.per_vm;
-    // --- Runtime: serial execution in topological order (Eq. 9's sum),
+    // --- Runtime: serial execution (Eq. 9's sum, the same in any order),
     // job estimates via REG plus staging legs, then the cross-tier
     // transfers on edges (the pipelining of §3.1.3: "the output of one job
     // is pipelined to another storage service where it acts as an input
     // for the subsequent job").
-    Seconds total{0.0};
-    for (std::size_t i : workflow_.topological_order()) {
+    const auto& per_vm = out.capacities.per_vm;
+    FixedSum total;
+    for (std::size_t i = 0; i < workflow_.size(); ++i) {
         const StorageTier t = plan.decisions[i].tier;
         const workload::JobSpec& job = workflow_.jobs()[i];
         const model::StagingLegs legs = staging_legs(i, t);
@@ -320,8 +292,8 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
             cache != nullptr
                 ? cache->job_runtime(*models_, job, t, per_vm[tier_index(t)], legs)
                 : models_->job_runtime(job, t, per_vm[tier_index(t)], legs);
-        out.job_runtimes[i] = runtime;
-        total += runtime;
+        out.job_runtimes.push_back(runtime);
+        total.add(runtime.value());
     }
     for (const auto [u, v] : workflow_.edge_endpoints()) {
         const StorageTier su = plan.decisions[u].tier;
@@ -329,75 +301,21 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
         const Seconds t = transfer_time(GigaBytes{output_[u]}, su, per_vm[tier_index(su)], sv,
                                         per_vm[tier_index(sv)]);
         out.transfer_times.push_back(t);
-        total += t;
+        total.add(t.value());
     }
-    finish_evaluation(total, out);
+    if (!total.in_range()) {
+        out.infeasibility = "the plan's total runtime is beyond the exact fixed-point range";
+        return out;
+    }
+    out.total_runtime = Seconds{total.value()};
+    // --- Cost (Eq. 8): the shared Eq. 5-6 formula over the workflow
+    // makespan, so workflow plans are costed exactly like tiering plans.
+    const auto [vm, store] = eq5_eq6_costs(rates_, out.total_runtime, out.capacities);
+    out.vm_cost = vm;
+    out.storage_cost = store;
+    out.meets_deadline = out.total_runtime <= workflow_.deadline();
+    out.feasible = true;
     return out;
-}
-
-void WorkflowEvaluator::evaluate_into(const WorkflowPlan& plan, RegMemo& memo,
-                                      WorkflowEvaluation& out, const Base* base) const {
-    // Only a feasible base carries runtimes to reuse.
-    if (base != nullptr && !base->evaluation.feasible) base = nullptr;
-    if (base != nullptr) {
-        CAST_EXPECTS_MSG(&base->evaluation != &out, "base evaluation aliases the output");
-        CAST_EXPECTS(base->plan.decisions.size() == workflow_.size() &&
-                     base->evaluation.job_runtimes.size() == workflow_.size() &&
-                     base->evaluation.transfer_times.size() == workflow_.edges().size());
-    }
-    if (!begin_evaluation(plan, out)) return;
-    reg_.bind(memo);
-    const auto& per_vm = out.capacities.per_vm;
-
-    // --- Delta reuse. A job's runtime is a pure function of (job, tier,
-    // the tier's per-VM capacity, staging legs), and the legs depend only
-    // on the tier and the fixed DAG. So a job that kept its tier, on a tier
-    // whose per-VM capacity is bit-equal to the base's, has the base's
-    // runtime bits; an edge whose endpoints both qualify has the base's
-    // transfer-time bits.
-    std::array<bool, cloud::kTierCount> same_capacity{};
-    if (base != nullptr) {
-        for (std::size_t ti = 0; ti < cloud::kTierCount; ++ti) {
-            same_capacity[ti] =
-                std::bit_cast<std::uint64_t>(per_vm[ti].value()) ==
-                std::bit_cast<std::uint64_t>(base->evaluation.capacities.per_vm[ti].value());
-        }
-    }
-    auto reusable = [&](std::size_t i) {
-        const StorageTier t = plan.decisions[i].tier;
-        return base != nullptr && base->plan.decisions[i].tier == t &&
-               same_capacity[tier_index(t)];
-    };
-
-    // --- Runtime and transfers as in evaluate(), from the REG kernels.
-    Seconds total{0.0};
-    for (std::size_t i : workflow_.topological_order()) {
-        Seconds t{0.0};
-        if (reusable(i)) {
-            t = base->evaluation.job_runtimes[i];
-        } else {
-            const std::size_t ti = tier_index(plan.decisions[i].tier);
-            t = Seconds{reg_.runtime(i, ti, per_vm[ti].value(), memo)};
-        }
-        out.job_runtimes[i] = t;
-        total += t;
-    }
-    const auto& endpoints = workflow_.edge_endpoints();
-    for (std::size_t k = 0; k < endpoints.size(); ++k) {
-        const auto [u, v] = endpoints[k];
-        Seconds t{0.0};
-        if (reusable(u) && reusable(v)) {
-            t = base->evaluation.transfer_times[k];
-        } else {
-            const std::size_t su = tier_index(plan.decisions[u].tier);
-            const std::size_t sv = tier_index(plan.decisions[v].tier);
-            t = Seconds{reg_.transfer_time(output_[u], su, per_vm[su].value(), sv,
-                                           per_vm[sv].value(), memo)};
-        }
-        out.transfer_times.push_back(t);
-        total += t;
-    }
-    finish_evaluation(total, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,39 +349,36 @@ WorkflowSolver::WorkflowSolver(const WorkflowEvaluator& evaluator, AnnealingOpti
 }
 
 double WorkflowSolver::score(const WorkflowEvaluation& eval) const {
-    if (!eval.feasible) return -1e18;
-    double s = -eval.total_cost().value();
+    return eval.feasible ? score(eval.total_runtime, eval.total_cost()) : kInfeasibleScore;
+}
+
+double WorkflowSolver::score(Seconds total_runtime, Dollars total_cost) const {
+    double s = -total_cost.value();
     const Seconds target{evaluator_->workflow().deadline().value() * deadline_safety_};
-    if (eval.total_runtime > target) {
-        const double overtime_min = (eval.total_runtime - target).minutes();
+    if (total_runtime > target) {
+        const double overtime_min = (total_runtime - target).minutes();
         s -= 1e3 * (1.0 + overtime_min);  // dominate any cost difference
     }
     return s;
 }
 
-struct WorkflowSolver::WfChainCtx : AnnealChain {
+struct WorkflowSolver::WfChain : AnnealChain {
     const WorkflowSolver* solver = nullptr;
-    WorkflowPlan curr;
-    WorkflowEvaluation curr_eval;
-    /// Move buffers: each move copy-assigns curr's decisions into `next`
-    /// and evaluates into `next_eval`; an accepted move swaps them with
-    /// curr/curr_eval. After the first moves they own enough capacity that
-    /// a move allocates nothing.
-    WorkflowPlan next;
-    WorkflowEvaluation next_eval;
-    /// REG factors per (tier, per-VM capacity) for evaluate_into; stays
-    /// with the replica across exchanges (its entries are plan-free).
-    RegMemo memo;
-    double next_score = 0.0;
+    const SoaEvaluator* core = nullptr;
+    SoaState state;
+    /// Scores of the committed plan, the staged candidate and the best
+    /// feasible plan (kInfeasibleScore until one is found).
+    double curr = 0.0;
+    double cand = 0.0;
+    double best = 0.0;
     /// DFS cursor; identical across replicas at round barriers (all run
     /// the same iteration count), so exchanges never need to swap it.
     std::size_t cursor = 0;
-    WorkflowPlan best_plan;
-    WorkflowEvaluation best_eval;
+    std::array<std::size_t, 1> changed{};
 
-    /// Always a move: a factor move to the job's own factor is still
-    /// evaluated and can still become the best (after an exchange the
-    /// current state may beat the replica's own best).
+    /// Always a move, pin-blind: a factor move to the job's own factor is
+    /// still evaluated and can still become the best (after an exchange
+    /// the current state may beat the replica's own best).
     bool propose(Rng& rng) {
         const AnnealingOptions& options = solver->options_;
         const std::vector<std::size_t>& dfs = solver->evaluator_->workflow().dfs_order();
@@ -471,51 +386,47 @@ struct WorkflowSolver::WfChainCtx : AnnealChain {
         // With an active_jobs mask, frozen jobs are skipped in DFS order —
         // the cursor advance is deterministic, so restricted solves keep
         // the bit-identity guarantees (the ctor rejects all-zero masks).
-        std::size_t job_idx = dfs[cursor];
+        std::size_t job = dfs[cursor];
         cursor = (cursor + 1) % dfs.size();
-        if (!options.active_jobs.empty()) {
-            while (options.active_jobs[job_idx] == 0) {
-                job_idx = dfs[cursor];
-                cursor = (cursor + 1) % dfs.size();
-            }
+        while (!options.active_jobs.empty() && options.active_jobs[job] == 0) {
+            job = dfs[cursor];
+            cursor = (cursor + 1) % dfs.size();
         }
-
-        next.decisions = curr.decisions;
-        PlacementDecision& d = next.decisions[job_idx];
+        std::uint8_t tier = state.tier[job];
+        double k = state.overprov[job];
         if (rng.uniform() < options.tier_move_probability) {
-            StorageTier t;
             do {
-                t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
-            } while (t == d.tier);
-            d.tier = t;
+                tier = static_cast<std::uint8_t>(rng.below(cloud::kTierCount));
+            } while (tier == state.tier[job]);
         } else {
-            d.overprovision =
-                options.overprov_choices[rng.below(options.overprov_choices.size())];
+            k = options.overprov_choices[rng.below(options.overprov_choices.size())];
         }
+        core->set_decision(state, job, tier, k);
+        changed[0] = job;
         return true;
     }
-    /// An infeasible neighbor scores -1e18 and still goes through the
-    /// Metropolis rule, consuming its draw.
+    /// A candidate that breaks a pin or overflows a limit scores
+    /// kInfeasibleScore and still goes through the Metropolis rule,
+    /// consuming its draw.
     bool evaluate() {
-        const WorkflowEvaluator::Base base{curr, curr_eval};
-        solver->evaluator_->evaluate_into(next, memo, next_eval, &base);
-        next_score = solver->score(next_eval);
+        const bool ok = core->evaluate_candidate(state, changed) && core->pins_hold(state);
+        cand = ok ? solver->score(Seconds{state.cand_total},
+                                  Dollars{state.cand_vm} + Dollars{state.cand_storage})
+                  : kInfeasibleScore;
         return true;
     }
-    [[nodiscard]] double candidate_score() const { return next_score; }
-    [[nodiscard]] double current_score() const { return solver->score(curr_eval); }
-    [[nodiscard]] double best_score() const { return solver->score(best_eval); }
-    /// Only a feasible neighbor becomes the best.
+    [[nodiscard]] double candidate_score() const { return cand; }
+    [[nodiscard]] double current_score() const { return curr; }
+    [[nodiscard]] double best_score() const { return best; }
     void save_best() {
-        if (!next_eval.feasible) return;
-        best_plan = next;
-        best_eval = next_eval;
+        best = cand;
+        core->save_best(state);
     }
     void commit() {
-        std::swap(curr, next);
-        std::swap(curr_eval, next_eval);
+        curr = cand;
+        core->commit(state);
     }
-    void revert() {}
+    void revert() { core->revert(state); }
 };
 
 WorkflowSolveResult WorkflowSolver::uniform_sweep(EvalCache* cache) const {
@@ -558,53 +469,57 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     const double fallback_score = score(fallback.evaluation);
     const double scale = std::max(1.0, std::fabs(fallback_score));
 
-    TemperingRun<WfChainCtx> run = run_tempering<WfChainCtx>(
+    const SoaEvaluator core(*evaluator_);
+    TemperingRun<WfChain> run = run_tempering<WfChain>(
         options_, pool,
-        [&](WfChainCtx& ctx, std::size_t r) {
+        [&](WfChain& chain, std::size_t r) {
             // Multi-start across replicas: start seeds divisible by 3 start
             // from the sweep's winner; the rest rotate the starting tier
             // (and a generous starting over-provision factor, since
             // block-tier speed needs pooled capacity) by seed. An
-            // infeasible start retreats to persSSD.
-            ctx.solver = this;
+            // infeasible start retreats to persSSD, and may stay infeasible
+            // when pins rule out every uniform plan.
+            chain.solver = this;
+            chain.core = &core;
             const std::uint64_t start_seed = options_.seed + 104729 * (r + 1);
-            if (start_seed % 3 == 0) {
-                ctx.curr = fallback.plan;
-                ctx.curr_eval = fallback.evaluation;
-            } else {
-                ctx.curr = WorkflowPlan::uniform(
+            WorkflowPlan start = fallback.plan;
+            WorkflowEvaluation start_eval = fallback.evaluation;
+            if (start_seed % 3 != 0) {
+                start = WorkflowPlan::uniform(
                     wf.size(), cloud::kAllTiers[start_seed % cloud::kAllTiers.size()],
                     options_.overprov_choices[(start_seed / 7) %
                                               options_.overprov_choices.size()]);
-                ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
+                start_eval = evaluator_->evaluate(start, cache);
             }
-            if (!ctx.curr_eval.feasible) {
-                ctx.curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
-                ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
+            if (!start_eval.feasible) {
+                start = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
+                start_eval = evaluator_->evaluate(start, cache);
             }
-            ctx.best_plan = ctx.curr;
-            ctx.best_eval = ctx.curr_eval;
+            core.init(chain.state, start);
+            chain.curr = score(start_eval);
+            chain.best = chain.curr;
         },
-        [&](WfChainCtx& ctx, Rng& rng, int begin, int end) {
-            return anneal_span(ctx, rng, begin, end, options_, scale, deadline);
+        [&](WfChain& chain, Rng& rng, int begin, int end) {
+            return anneal_span(chain, rng, begin, end, options_, scale, deadline);
         },
-        [&](const WfChainCtx& ctx) { return -ctx.current_score() / scale; },
-        [](WfChainCtx& a, WfChainCtx& b) {
+        [&](const WfChain& chain) { return -chain.curr / scale; },
+        [](WfChain& a, WfChain& b) {
+            SoaEvaluator::swap_current(a.state, b.state);
             std::swap(a.curr, b.curr);
-            std::swap(a.curr_eval, b.curr_eval);
         });
 
     // Best-so-far is feasible whenever any evaluated plan was — the
     // persSSD retreat guarantees one for every workflow the lint gate
-    // admits — and never worse than the sweep.
-    std::vector<WfChainCtx>& reps = run.replicas;
-    const std::size_t best = run.best_replica(&WfChainCtx::best_score);
+    // admits unless pins rule it out — and never worse than the sweep.
+    const std::size_t best = run.best_replica(&WfChain::best_score);
     WorkflowSolveResult chosen;
-    if (fallback_score > reps[best].best_score()) {
+    if (fallback_score > run.replicas[best].best) {
         chosen = std::move(fallback);
     } else {
-        chosen.plan = std::move(reps[best].best_plan);
-        chosen.evaluation = std::move(reps[best].best_eval);
+        // The replica's best snapshot (its start until a feasible plan
+        // replaced it), as the reference evaluates it.
+        chosen.plan.decisions = core.best_plan(run.replicas[best].state).decisions();
+        chosen.evaluation = evaluator_->evaluate(chosen.plan);
         chosen.best_chain = static_cast<int>(best);
     }
     for (const int n : run.stats.replica_iterations) chosen.iterations += n;

@@ -7,7 +7,8 @@
 //     inputs are provisioned and downloaded once;
 //   * Enhancement 2 — workflow awareness: per-workflow cost minimization
 //     under a completion deadline (Eq. 8-10), with cross-tier transfer
-//     times on DAG edges and DFS-order neighbor traversal.
+//     times on DAG edges and DFS-order neighbor traversal; its replicas
+//     anneal on the batch solver's SoA core (core/soa_eval.hpp).
 // This header also provides the data-reuse scenario economics of §3.1.3
 // (Fig. 3): utility of re-running a job n times over a reuse lifetime.
 #pragma once
@@ -18,7 +19,6 @@
 #include "core/annealing.hpp"
 #include "core/greedy.hpp"
 #include "core/plan.hpp"
-#include "core/reg_split.hpp"
 #include "core/utility.hpp"
 #include "workload/workflow.hpp"
 
@@ -131,52 +131,26 @@ struct WorkflowEvaluation {
 
 class WorkflowEvaluator {
 public:
-    WorkflowEvaluator(const model::PerfModelSet& models, workload::Workflow workflow,
-                      EvalOptions options = {});
+    WorkflowEvaluator(const model::PerfModelSet& models, workload::Workflow workflow);
 
     [[nodiscard]] const workload::Workflow& workflow() const { return workflow_; }
     [[nodiscard]] const model::PerfModelSet& models() const { return *models_; }
 
-    /// Eq. 8-10 evaluation of a workflow plan: serial execution in
-    /// topological order; a DAG edge whose endpoints sit on different tiers
-    /// pays a cross-tier transfer of the producer's output; root jobs on
-    /// ephSSD stage in from objStore, terminal jobs on ephSSD stage out.
-    /// The reference evaluation: per-job runtimes are
-    /// PerfModelSet::job_runtime calls, memoized through `cache` when one
-    /// is supplied (bit-identical: REG is deterministic), and transfers
-    /// are transfer_time() calls. Start plans, the uniform sweep, the
-    /// Deployer and outside checks evaluate here.
+    /// Eq. 8-10 evaluation of a workflow plan: serial execution of every
+    /// job; a DAG edge whose endpoints sit on different tiers pays a
+    /// cross-tier transfer of the producer's output; root jobs on ephSSD
+    /// stage in from objStore, terminal jobs on ephSSD stage out. The
+    /// reference the SoA core (core/soa_eval.hpp) is tested against: REG
+    /// runtimes are PerfModelSet::job_runtime calls, memoized through
+    /// `cache` when supplied (bit-identical), transfers transfer_time()
+    /// calls, and the Eq. 10 aggregates and the Eq. 9 total exact
+    /// fixed-point sums (core/fixed_sum.hpp), infeasible beyond range.
     [[nodiscard]] WorkflowEvaluation evaluate(const WorkflowPlan& plan,
                                               EvalCache* cache = nullptr) const;
 
-    /// A plan and its evaluation that evaluate_into() may reuse results
-    /// from (the annealing chain's current state).
-    struct Base {
-        const WorkflowPlan& plan;
-        const WorkflowEvaluation& evaluation;
-    };
-
-    /// evaluate() into a caller-owned buffer, for the annealing loop.
-    /// Every field of `out` is reset (vectors keep their capacity, so a
-    /// reused buffer allocates nothing), including on an infeasible early
-    /// return, which leaves both vectors empty. Runtimes and transfers come
-    /// from the REG split (core/reg_split.hpp): per-(job, tier) terms
-    /// built at construction and per-(tier, per-VM capacity) factors in
-    /// the caller's chain-private `memo`, with no EvalCache. With a
-    /// feasible `base`, a job whose tier matches the base plan's and whose
-    /// tier's per-VM capacity is bit-equal to the base's keeps the base
-    /// runtime, and an edge whose endpoints both pass that test keeps the
-    /// base transfer time. Capacities, the runtime total and the costs are
-    /// always recomputed over all jobs in the reference order, so `out`
-    /// bit-equals evaluate(plan).
-    void evaluate_into(const WorkflowPlan& plan, RegMemo& memo, WorkflowEvaluation& out,
-                       const Base* base = nullptr) const;
-
     /// Eq. 10 capacity requirement of one workflow job under a plan.
     [[nodiscard]] GigaBytes job_requirement(const WorkflowPlan& plan,
-                                            std::size_t job_idx) const {
-        return GigaBytes{requirement(plan, job_idx)};
-    }
+                                            std::size_t job_idx) const;
 
     /// Modeled time to move `volume` from tier `from` to tier `to` given
     /// per-VM capacities.
@@ -185,36 +159,30 @@ public:
                                         GigaBytes to_per_vm) const;
 
 private:
+    /// The SoA core reads the precomputed per-job terms directly, so the
+    /// two evaluations can never drift on inputs.
+    friend class SoaEvaluator;
+
     /// Staging legs of job `i` on `tier`: on ephSSD a root downloads its
     /// input and a terminal job uploads its output; nothing elsewhere.
     [[nodiscard]] model::StagingLegs staging_legs(std::size_t i,
                                                   cloud::StorageTier tier) const;
-    /// job_requirement as a raw GB double.
-    [[nodiscard]] double requirement(const WorkflowPlan& plan, std::size_t i) const;
-    /// The part of an evaluation both paths share: reset `out`, check the
-    /// operator pins, accumulate and provision the Eq. 10 capacities.
-    /// False (with out.infeasibility set) when the plan is infeasible.
-    bool begin_evaluation(const WorkflowPlan& plan, WorkflowEvaluation& out) const;
-    /// Total runtime, Eq. 5-6 costs and the deadline flag; marks `out`
-    /// feasible.
-    void finish_evaluation(Seconds total, WorkflowEvaluation& out) const;
 
     const model::PerfModelSet* models_;
     workload::Workflow workflow_;
-    EvalOptions options_;
     /// True when some job carries an operator tier pin.
     bool any_pinned_ = false;
-    /// Plan-invariant per-job volumes as raw doubles (GB).
-    std::vector<double> input_;
+    /// Plan-invariant per-job volumes as raw doubles (GB): the Eq. 10
+    /// requirement with and without a resident input, the intermediate and
+    /// output volumes, and the objStore backing of the job on ephSSD (its
+    /// output, plus its input for a root).
+    std::vector<double> req_;
+    std::vector<double> req_resident_;
     std::vector<double> inter_;
     std::vector<double> output_;
-    /// objStore backing of the job on ephSSD: its output, plus its input
-    /// for a root.
     std::vector<double> eph_backing_;
     /// Eq. 5-6 rates, looked up once.
     CostRates rates_;
-    /// REG split over the workflow's jobs and staging legs.
-    RegSplit reg_;
 };
 
 struct WorkflowSolveResult {
@@ -253,8 +221,8 @@ public:
     /// Tempered anneal over options.chains replicas (a single chain is a
     /// one-rung ladder). The uniform sweep and the replicas' start plans
     /// evaluate through `cache` when supplied, otherwise an internally
-    /// created one; the replicas score candidates on their own REG memos
-    /// and make no cache lookups.
+    /// created one; the replicas score candidates on the SoA core
+    /// (core/soa_eval.hpp) and make no cache lookups.
     [[nodiscard]] WorkflowSolveResult solve(ThreadPool* pool = nullptr,
                                             EvalCache* cache = nullptr) const;
     /// Greedy-only workflow answer: the best uniform plan over tiers x
@@ -269,17 +237,17 @@ private:
     /// penalized by the overtime so the search is pulled toward
     /// feasibility first.
     [[nodiscard]] double score(const WorkflowEvaluation& eval) const;
+    [[nodiscard]] double score(Seconds total_runtime, Dollars total_cost) const;
 
     /// Best-scoring uniform plan over tiers x over-provision factors, with
     /// its evaluation (best_chain -1): the multi-start anchor and result
     /// floor, run once per solve.
     [[nodiscard]] WorkflowSolveResult uniform_sweep(EvalCache* cache) const;
 
-    /// Per-replica search state, including the chain's REG memo, and the
-    /// workflow problem anneal_span runs: DFS-cursor moves, delta
-    /// evaluation against the current plan, score() to maximize. Defined
-    /// in the .cpp.
-    struct WfChainCtx;
+    /// One replica on the SoA core and the workflow problem anneal_span
+    /// runs: DFS-cursor moves, a pin check, score() to maximize. Defined in
+    /// the .cpp.
+    struct WfChain;
 
     const WorkflowEvaluator* evaluator_;
     AnnealingOptions options_;

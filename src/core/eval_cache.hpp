@@ -7,10 +7,10 @@
 // so greedy's single-job sweeps, the solvers' start-plan evaluations and
 // the workflow solver's uniform sweeps keep revisiting a small set of
 // (job, tier, capacity, legs) configurations. EvalCache memoizes exactly
-// that quadruple. Neither annealing inner loop comes here: the batch SoA
-// core and the workflow evaluator's evaluate_into both score candidates
-// through the REG split (core/reg_split.hpp), whose per-(job, tier) terms
-// and chain-private per-tier memo need no table.
+// that quadruple. Neither annealing inner loop comes here: both score
+// candidates on the SoA core (core/soa_eval.hpp) through the REG split
+// (core/reg_split.hpp), whose per-(job, tier) terms and chain-private
+// per-tier memo need no table.
 //
 // Keying. Jobs are identified by the fields job_runtime actually reads
 // (application class, input size, map/reduce task counts) rather than by

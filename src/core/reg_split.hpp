@@ -1,6 +1,6 @@
-// REG split at the line the model draws, shared by both annealers'
-// candidate scoring: the batch SoA core (core/soa_eval.hpp) and the
-// workflow evaluator's evaluate_into (core/castpp.hpp).
+// REG split at the line the model draws: how the SoA core
+// (core/soa_eval.hpp) scores both annealers' candidates, batch and
+// workflow, each under its own staging-leg convention.
 //
 // PerfModelSet::job_runtime computes, for a job on a tier provisioned at a
 // per-VM capacity,

@@ -1,7 +1,9 @@
 #include "core/soa_eval.hpp"
 
+#include <algorithm>
 #include <bit>
 
+#include "core/castpp.hpp"
 #include "lint/checks.hpp"
 
 namespace cast::core {
@@ -24,26 +26,62 @@ void for_each_bit(const std::vector<std::uint64_t>& words, Fn&& fn) {
 }
 }  // namespace
 
-SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
-    : aos_(&evaluator),
-      n_(evaluator.workload().size()),
-      nvm_(evaluator.models().cluster().worker_count),
-      rates_(evaluator.models()),
-      reg_(evaluator.models(), evaluator.workload().jobs(),
-           [&evaluator](std::size_t job, StorageTier t) {
-               model::StagingLegs legs = model::StagingLegs::for_tier(t);
-               legs.download_input = legs.download_input && evaluator.pays_input_download(job);
-               return legs;
-           }) {
+SoaEvaluator::SoaEvaluator(const PlanEvaluator* aos, const model::PerfModelSet& models,
+                           std::span<const workload::JobSpec> jobs,
+                           const RegSplit::LegsFn& legs)
+    : aos_(aos),
+      models_(&models),
+      n_(jobs.size()),
+      nvm_(models.cluster().worker_count),
+      rates_(models),
+      reg_(models, jobs, legs) {
     req_.reserve(n_);
+    req_resident_.reserve(n_);
     backing_units_.reserve(n_);
     inter_.reserve(n_);
+    preds_.resize(n_);
+    succs_.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+        if (jobs[i].pinned_tier) {
+            pins_.emplace_back(i, static_cast<std::uint8_t>(tier_index(*jobs[i].pinned_tier)));
+        }
+    }
+}
+
+SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
+    : SoaEvaluator(&evaluator, evaluator.models(), evaluator.workload().jobs(),
+                   [&evaluator](std::size_t job, StorageTier t) {
+                       model::StagingLegs legs = model::StagingLegs::for_tier(t);
+                       legs.download_input =
+                           legs.download_input && evaluator.pays_input_download(job);
+                       return legs;
+                   }) {
     for (std::size_t i = 0; i < n_; ++i) {
         // The stored terms are bitwise the evaluator's own precomputed
         // ones, so the sums below quantize the same doubles it does.
         req_.push_back(evaluator.req_[i].value());
+        req_resident_.push_back(evaluator.req_[i].value());
         backing_units_.push_back(fixed_units(evaluator.eph_backing_[i].value()));
         inter_.push_back(evaluator.inter_[i].value());
+    }
+}
+
+SoaEvaluator::SoaEvaluator(const WorkflowEvaluator& evaluator)
+    : SoaEvaluator(nullptr, evaluator.models(), evaluator.workflow().jobs(),
+                   [&evaluator](std::size_t job, StorageTier t) {
+                       return evaluator.staging_legs(job, t);
+                   }) {
+    const workload::Workflow& wf = evaluator.workflow();
+    for (std::size_t i = 0; i < n_; ++i) {
+        req_.push_back(evaluator.req_[i]);
+        req_resident_.push_back(evaluator.req_resident_[i]);
+        backing_units_.push_back(fixed_units(evaluator.eph_backing_[i]));
+        inter_.push_back(evaluator.inter_[i]);
+        preds_[i] = wf.predecessors(i);
+        succs_[i] = wf.successors(i);
+    }
+    for (const auto [u, v] : wf.edge_endpoints()) {
+        edges_.push_back({u, v, evaluator.output_[u]});
     }
 }
 
@@ -58,44 +96,57 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
         lint::check_reuse_group_split(aos_->workload().jobs(), plan.decisions(), violations);
     }
     CAST_EXPECTS_MSG(violations.empty(), violations.front().message);
-    state.tier.resize(n_);
-    state.overprov.resize(n_);
-    state.runtime.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-        state.tier[i] = static_cast<std::uint8_t>(tier_index(plan.decision(i).tier));
-        state.overprov[i] = plan.decision(i).overprovision;
-        state.runtime[i] = eval.job_runtimes[i].value();
-    }
-    const std::size_t words = (n_ + 63) / 64;
-    for (auto& m : state.members) m.assign(words, 0);
-    SoaSums& sums = state.sums_;
-    sums = {};
-    for (std::size_t i = 0; i < n_; ++i) {
-        const std::uint8_t t = state.tier[i];
-        state.members[t][i / 64] |= std::uint64_t{1} << (i % 64);
-        sums.tier[t].add(req_[i] * state.overprov[i]);
-        if (t == kEph) sums.tier[kObj].add_units(backing_units_[i]);
-        if (t == kObj) {
-            ++sums.on_object_store;
-            if (inter_[i] > sums.object_store_inter_max) sums.object_store_inter_max = inter_[i];
-        }
-        sums.runtime.add(state.runtime[i]);
-    }
-    CAST_EXPECTS_MSG(sums.runtime.in_range() &&
-                         sums.runtime.value() == eval.total_runtime.value(),
-                     "the seed evaluation's total runtime is not its plan's");
-    state.cand_sums_ = sums;
-    state.cand_rescan_ = false;
+    state.runtime.clear();
+    for (const Seconds t : eval.job_runtimes) state.runtime.push_back(t.value());
     state.caps = eval.capacities;
     state.total_runtime = eval.total_runtime.value();
     state.vm_cost = eval.vm_cost.value();
     state.storage_cost = eval.storage_cost.value();
     state.utility = eval.utility;
+    state.feasible = true;
+    seed(state, plan.decisions());
+    CAST_EXPECTS_MSG(state.sums_.runtime.in_range() &&
+                         state.sums_.runtime.value() == eval.total_runtime.value(),
+                     "the seed evaluation's total runtime is not its plan's");
+}
+
+void SoaEvaluator::init(SoaState& state, const WorkflowPlan& plan) const {
+    CAST_EXPECTS_MSG(plan.decisions.size() == n_, "plan/workflow size mismatch");
+    state.runtime.assign(n_ + edges_.size(), 0.0);
+    state.feasible = false;
+    seed(state, plan.decisions);
+}
+
+void SoaEvaluator::seed(SoaState& state, std::span<const PlacementDecision> plan) const {
+    state.tier.resize(n_);
+    state.overprov.resize(n_);
+    const std::size_t words = (n_ + 63) / 64;
+    for (auto& m : state.members) m.assign(words, 0);
+    SoaSums& sums = state.sums_;
+    sums = {};
+    for (std::size_t i = 0; i < n_; ++i) {
+        state.tier[i] = static_cast<std::uint8_t>(tier_index(plan[i].tier));
+        state.overprov[i] = plan[i].overprovision;
+    }
+    for (std::size_t i = 0; i < n_; ++i) {
+        const std::uint8_t t = state.tier[i];
+        state.members[t][i / 64] |= std::uint64_t{1} << (i % 64);
+        sums.tier[t].add_units(term_units(state, i));
+        if (t == kEph) sums.tier[kObj].add_units(backing_units_[i]);
+        if (t == kObj) {
+            ++sums.on_object_store;
+            if (inter_[i] > sums.object_store_inter_max) sums.object_store_inter_max = inter_[i];
+        }
+    }
+    for (const double t : state.runtime) sums.runtime.add(t);
+    state.cand_sums_ = sums;
+    state.cand_rescan_ = false;
+    state.cand_feasible = false;
 
     state.decision_undo.clear();
     state.runtime_undo.clear();
     state.decision_undo.reserve(n_);
-    state.runtime_undo.reserve(n_);
+    state.runtime_undo.reserve(state.runtime.size());
 
     state.best_tier = state.tier;
     state.best_overprov = state.overprov;
@@ -109,6 +160,15 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
     reg_.bind(state.memo_);
 }
 
+std::int64_t SoaEvaluator::term_units(const SoaState& state, std::size_t job) const {
+    // Eq. 10: the input is resident when every predecessor shares the
+    // job's tier; a job without predecessors pays its full requirement.
+    const std::uint8_t t = state.tier[job];
+    bool resident = !preds_[job].empty();
+    for (const std::size_t p : preds_[job]) resident = resident && state.tier[p] == t;
+    return fixed_units((resident ? req_resident_[job] : req_[job]) * state.overprov[job]);
+}
+
 void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t tier_idx,
                                 double overprov) const {
     const std::uint8_t was = state.tier[job];
@@ -116,12 +176,20 @@ void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t t
     const std::uint64_t bit = std::uint64_t{1} << (job % 64);
     state.members[was][job / 64] &= ~bit;
     state.members[tier_idx][job / 64] |= bit;
-    // Move the job's terms between the staged sums, and keep the persSSD
-    // floor's inputs: a join raises the maximum, the leaving holder of the
-    // maximum asks for a rescan.
+    // Re-stage the terms of the job and of its successors (their input
+    // residency follows its tier); keep the persSSD floor's inputs: a join
+    // raises the maximum, the leaving holder of the maximum asks a rescan.
     SoaSums& staged = state.cand_sums_;
-    staged.tier[was].sub_units(fixed_units(req_[job] * state.overprov[job]));
-    staged.tier[tier_idx].add_units(fixed_units(req_[job] * overprov));
+    staged.tier[was].sub_units(term_units(state, job));
+    for (const std::size_t s : succs_[job]) {
+        staged.tier[state.tier[s]].sub_units(term_units(state, s));
+    }
+    state.tier[job] = tier_idx;
+    state.overprov[job] = overprov;
+    staged.tier[tier_idx].add_units(term_units(state, job));
+    for (const std::size_t s : succs_[job]) {
+        staged.tier[state.tier[s]].add_units(term_units(state, s));
+    }
     if (was == kEph) staged.tier[kObj].sub_units(backing_units_[job]);
     if (tier_idx == kEph) staged.tier[kObj].add_units(backing_units_[job]);
     if (was == kObj && tier_idx != kObj) {
@@ -134,16 +202,24 @@ void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t t
             staged.object_store_inter_max = inter_[job];
         }
     }
-    state.tier[job] = tier_idx;
-    state.overprov[job] = overprov;
+}
+
+bool SoaEvaluator::pins_hold(const SoaState& state) const {
+    return std::ranges::all_of(pins_, [&](const auto& pin) {
+        return state.tier[pin.first] == pin.second;
+    });
 }
 
 bool SoaEvaluator::evaluate_candidate(SoaState& state,
                                       std::span<const std::size_t> changed) const {
     state.runtime_undo.clear();
-    // --- Capacities, bit-identical to PlanEvaluator::capacities (see the
-    // header): a tier whose staged sum is its committed one keeps its
-    // committed values, unless it is persSSD and the floor moved.
+    state.cand_feasible = false;
+    // A committed state without a valid evaluation keeps nothing: every
+    // tier re-provisions, every runtime and transfer re-derives.
+    const bool full = !state.feasible;
+    // --- Capacities, bit-identical to the reference's (see the header): a
+    // tier whose staged sum is its committed one keeps its committed
+    // values, unless it is persSSD and the floor moved.
     SoaSums& staged = state.cand_sums_;
     const SoaSums& committed = state.sums_;
     if (state.cand_rescan_) {
@@ -161,7 +237,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
     state.cand_caps = state.caps;
     for (std::size_t ti = 0; ti < cloud::kTierCount; ++ti) {
         const FixedSum& sum = staged.tier[ti];
-        if (sum == committed.tier[ti] && !(ti == kPers && floor_moved)) continue;
+        if (!full && sum == committed.tier[ti] && !(ti == kPers && floor_moved)) continue;
         if (!sum.in_range()) return false;
         double agg = sum.value();
         if (ti == kPers && on_object_store) {
@@ -171,39 +247,54 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
         }
         state.cand_caps.aggregate[ti] = GigaBytes{agg};
         try {
-            provision_tier(aos_->models().catalog(), nvm_, cloud::kAllTiers[ti],
-                           state.cand_caps);
+            provision_tier(models_->catalog(), nvm_, cloud::kAllTiers[ti], state.cand_caps);
         } catch (const ValidationError&) {
             return false;
         }
     }
 
-    // --- Runtime reuse: bitwise per-VM comparison decides reusability per
-    // tier (a tier where no runtime depends on capacity, such as objStore
-    // under the paper's models, always reuses); the members of
-    // capacity-shifted tiers and the changed jobs re-derive through the
-    // REG kernel, each adjusting the total by its quantized difference.
+    // --- Runtime reuse: a bitwise per-VM comparison decides reusability
+    // per tier (a tier where no runtime depends on capacity, such as
+    // objStore under the paper's models, keeps its runtimes anyway); the
+    // members of capacity-shifted tiers, the changed jobs and the edges
+    // they touch re-derive through the REG kernels, each adjusting the
+    // total by its quantized difference.
+    const auto& per_vm = state.cand_caps.per_vm;
+    std::array<bool, cloud::kTierCount> same_vm{};
     std::array<bool, cloud::kTierCount> reusable{};
     for (std::size_t ti = 0; ti < cloud::kTierCount; ++ti) {
-        reusable[ti] = !reg_.capacity_sensitive(ti) ||
-                       state.caps.per_vm[ti].value() == state.cand_caps.per_vm[ti].value();
+        same_vm[ti] = !full && state.caps.per_vm[ti].value() == per_vm[ti].value();
+        reusable[ti] = same_vm[ti] || (!full && !reg_.capacity_sensitive(ti));
     }
     FixedSum total = committed.runtime;
-    const auto rederive = [&](std::size_t job) {
-        const std::size_t ti = state.tier[job];
-        const double t = reg_.runtime(job, ti, state.cand_caps.per_vm[ti].value(), state.memo_);
-        const double was = state.runtime[job];
+    const auto restage = [&](std::size_t k, double t) {
+        const double was = state.runtime[k];
         if (t == was) return;
         total.sub_units(fixed_units(was));
         total.add_units(fixed_units(t));
-        state.runtime_undo.push_back({static_cast<std::uint32_t>(job), was});
-        state.runtime[job] = t;
+        state.runtime_undo.push_back({static_cast<std::uint32_t>(k), was});
+        state.runtime[k] = t;
+    };
+    const auto rederive = [&](std::size_t job) {
+        const std::size_t ti = state.tier[job];
+        restage(job, reg_.runtime(job, ti, per_vm[ti].value(), state.memo_));
     };
     for (std::size_t ti = 0; ti < cloud::kTierCount; ++ti) {
         if (!reusable[ti]) for_each_bit(state.members[ti], rederive);
     }
     for (const std::size_t j : changed) {
         if (reusable[state.tier[j]]) rederive(j);
+    }
+    const auto moved = [&](std::size_t j) {
+        return std::ranges::find(changed, j) != changed.end();
+    };
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+        const Edge& edge = edges_[e];
+        const std::size_t from = state.tier[edge.from];
+        const std::size_t to = state.tier[edge.to];
+        if (same_vm[from] && same_vm[to] && !moved(edge.from) && !moved(edge.to)) continue;
+        restage(n_ + e, reg_.transfer_time(edge.volume, from, per_vm[from].value(), to,
+                                           per_vm[to].value(), state.memo_));
     }
     if (!total.in_range()) {
         restore_runtimes(state);
@@ -217,6 +308,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
     state.cand_vm = vm.value();
     state.cand_storage = store.value();
     state.cand_utility = tenant_utility(Seconds{seconds}, vm + store);
+    state.cand_feasible = true;
     return true;
 }
 
@@ -226,6 +318,7 @@ void SoaEvaluator::commit(SoaState& state) const {
     state.vm_cost = state.cand_vm;
     state.storage_cost = state.cand_storage;
     state.utility = state.cand_utility;
+    state.feasible = state.cand_feasible;
     state.sums_ = state.cand_sums_;
     state.decision_undo.clear();
     state.runtime_undo.clear();
@@ -278,6 +371,7 @@ void SoaEvaluator::swap_current(SoaState& a, SoaState& b) {
     std::swap(a.vm_cost, b.vm_cost);
     std::swap(a.storage_cost, b.storage_cost);
     std::swap(a.utility, b.utility);
+    std::swap(a.feasible, b.feasible);
 }
 
 TieringPlan SoaEvaluator::best_plan(const SoaState& state) const {

@@ -1,80 +1,65 @@
-// Struct-of-arrays evaluation core for the annealing hot loop.
-//
-// A move touches one job (or one reuse group, or one app class), yet a
-// TieringPlan copy plus a fresh PlanEvaluation per move would copy ~16·n
-// bytes of decisions and the whole runtime vector every iteration. At
-// ~1 µs per iteration those copies would dominate the solver's cache
-// behaviour.
-//
-// SoaEvaluator keeps ONE flat state per replica and mutates it in place:
+// Struct-of-arrays evaluation core: the one candidate evaluator of both
+// annealers, Algorithm 2's batch chains (Eq. 2-6) and the workflow
+// deadline chains (Eq. 8-10), and of the incremental re-planner's repair
+// pass. Each replica owns ONE flat state, mutated in place:
 //
 //   tier[]      job -> tier index        (uint8, contiguous)
 //   overprov[]  job -> k_i               (double, contiguous)
-//   runtime[]   job -> REG seconds       (double, contiguous)
+//   runtime[]   job -> REG seconds, then one transfer per DAG edge
 //
-// plus plan-invariant per-job capacity terms (req, ephSSD backing,
-// intermediate size) and per-(job, tier) REG terms, unwrapped from their
-// unit types into raw double arrays. A candidate move writes an undo log
-// instead of copying the plan, and reverting a rejected move replays the
-// log — the steady-state iteration does zero heap allocation. The
-// annealer and the incremental re-planner's repair pass both score
-// candidates through set_decision -> evaluate_candidate -> commit/revert.
+// plus plan-invariant per-job capacity terms and per-(job, tier) REG
+// terms as raw doubles. A candidate move (set_decision ->
+// evaluate_candidate -> commit/revert) writes an undo log instead of
+// copying the plan, so the steady-state iteration allocates nothing.
+//
+// One core for both problems, told apart by data alone. A job's Eq. 3/10
+// term is (resident ? req_resident : req_full) · k, where resident means
+// it has predecessors and all of them share its tier (Eq. 10's input
+// residency); batch jobs have no predecessors, so they keep the batch
+// evaluator's req_ doubles. The total is the runtimes plus one transfer
+// per DAG edge (Eq. 9); a batch workload has no edges. Staging legs are
+// the RegSplit's (core/reg_split.hpp).
 //
 // Equivalence contract: evaluate_candidate is bit-identical in every
-// field to PlanEvaluator::evaluate of the candidate plan. Both build the
-// Eq. 3 aggregates, the objStore aggregate and the Eq. 4 total as exact
-// fixed-point sums (core/fixed_sum.hpp): each term is quantized once to
-// units of 2^-20 GB or 2^-20 s and the units add exactly, so a sum has
-// the same bits in any order and ±term adjustments never drift from a
-// re-sum. Costs go through the shared eq5_eq6_costs on rates hoisted once
-// per evaluator. Runtimes come from the shared REG split
-// (core/reg_split.hpp), with no shared memo table: its per-(job, tier)
-// terms are built at construction through the same model calls
-// PerfModelSet::job_runtime makes, and each SoaState owns the RegMemo of
-// per-(tier, per-VM capacity) factors. The tests hold this core to the
-// uncached evaluate() along full annealing trajectories, along hostile
-// random walks (tests/core/soa_capacity_test.cpp) and to
-// PerfModelSet::job_runtime across the spline knots.
+// field to the reference evaluation of the candidate plan
+// (PlanEvaluator::evaluate, WorkflowEvaluator::evaluate). All of them
+// build the per-tier aggregates and the total as exact fixed-point sums
+// (core/fixed_sum.hpp), which have the same bits in any order, so ±term
+// adjustments never drift from a re-sum; costs go through eq5_eq6_costs,
+// runtimes and transfers through the REG split with a RegMemo per state.
+// tests/core/soa_capacity_test.cpp holds the core to the uncached
+// references along hostile random walks.
 //
-// Sums in O(changed). Each SoaState keeps its committed sums — per tier,
-// the Eq. 3 terms RN(reqᵢ·kᵢ) of its residents (objStore also takes each
-// ephSSD resident's backing volume) and the Eq. 4 runtime total — and a
-// staged copy. set_decision moves the job's terms from its old tier's
-// staged sum to its new one at once, so stacked decisions on one job net
-// out exactly; commit copies the staged sums over the committed ones and
-// revert copies them back. A tier whose staged sum equals its committed
-// one keeps its committed aggregate and per-VM capacity; any other is
-// range-checked, floored (persSSD, by the objStore reservation) and
-// provisioned through provision_capacities' own per-tier step
-// (provision_tier). The persSSD floor's inputs are kept the same way: the
-// count of objStore residents and their largest intermediate volume, which
-// a join raises at once; only when the job holding that maximum leaves
-// does evaluate_candidate rescan objStore's members. A shifted floor
-// re-provisions persSSD.
+// Sums in O(changed). Each state keeps committed sums (per tier, its
+// residents' terms, objStore also each ephSSD resident's backing volume;
+// the total) and a staged copy. set_decision re-stages the terms of the
+// job and of its successors, whose residency follows its tier; commit and
+// revert copy one copy onto the other. A tier whose staged sum equals its
+// committed one keeps its committed capacities; any other is range-
+// checked, floored (persSSD, by the objStore reservation, whose inputs
+// are kept the same way) and provisioned through provision_tier.
 //
-// Runtimes in O(changed) too, up to one limit. A job whose decision did
-// not move keeps its committed runtime when its tier's per-VM capacity is
-// bitwise unchanged (or no runtime on that tier depends on capacity); the
-// members of capacity-shifted tiers and the changed jobs re-derive
-// through the REG kernel, and each re-derived runtime adjusts the staged
-// total by its quantized difference. Re-deriving the members of a
-// capacity-shifted tier is the one pass left that is not O(changed).
+// Runtimes in O(changed), up to one limit. A job keeps its committed
+// runtime unless it moved or its tier's per-VM capacity changed (and a
+// runtime there depends on it); an edge keeps its transfer unless an
+// endpoint moved or either endpoint's tier changed its per-VM capacity.
+// The rest re-derive, adjusting the staged total by quantized
+// differences. Re-deriving the members of a capacity-shifted tier is the
+// one pass left that is not O(changed).
 //
-// Feasible by construction: placement legality (operator tier pins, Eq. 7
-// reuse-group co-location) is decided once, where moves are generated,
-// and never re-checked per candidate. init is the one place a plan enters
-// the flat state; it checks its seed once with the shared lint checks.
-// Both writers (the annealer and the repair pass) then stage only moves
-// drawn from move_units (core/annealing.hpp), which keep pins and, when
-// the evaluator is reuse-aware, move reuse groups whole. So
-// evaluate_candidate rejects only candidates that overflow a provider
-// capacity limit. TieringPlan stays the boundary type for
-// Deployer/serve/lint; best_plan builds it from the best snapshot.
+// Feasibility. Batch chains are feasible by construction: init checks the
+// seed's pins and reuse groups with the shared lint checks, and every
+// later move comes from move_units (core/annealing.hpp). Workflow moves
+// are pin-blind; the chain rejects those pins_hold refuses, and a replica
+// may commit an infeasible plan, after which the next candidate evaluates
+// in full. evaluate_candidate itself rejects only provider-limit
+// overflows and sums beyond their exact range.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/fixed_sum.hpp"
@@ -84,13 +69,16 @@
 
 namespace cast::core {
 
+struct WorkflowPlan;
+class WorkflowEvaluator;
+
 /// The fixed-point sums and persSSD floor inputs of one plan, as the SoA
 /// core keeps them (see the header).
 struct SoaSums {
-    /// Per tier, its residents' Eq. 3 terms; objStore also holds the
+    /// Per tier, its residents' Eq. 3/10 terms; objStore also holds the
     /// ephSSD residents' backing volumes.
     std::array<FixedSum, cloud::kTierCount> tier{};
-    /// The Eq. 4 runtime total.
+    /// The Eq. 4/9 total: runtimes and edge transfers.
     FixedSum runtime;
     /// Jobs on objStore, and the largest intermediate volume there (0 when
     /// none): the persSSD floor's inputs.
@@ -109,13 +97,15 @@ struct SoaState {
     std::vector<std::uint8_t> tier;
     std::vector<double> overprov;
 
-    // --- committed evaluation
+    // --- committed evaluation; with `feasible` false (a workflow chain's
+    //     infeasible plan) only the sums are valid
     std::vector<double> runtime;
     CapacityBreakdown caps;
     double total_runtime = 0.0;
     double vm_cost = 0.0;
     double storage_cost = 0.0;
     double utility = 0.0;
+    bool feasible = true;
 
     // --- candidate scratch (valid between evaluate_candidate and
     //     commit/revert; runtime[] itself is mutated under the undo log)
@@ -124,6 +114,7 @@ struct SoaState {
     double cand_vm = 0.0;
     double cand_storage = 0.0;
     double cand_utility = 0.0;
+    bool cand_feasible = false;
 
     // --- tier membership: bit i of members[t] is set when job i is on
     //     tier t. Mirrors tier[] including staged moves; revert restores.
@@ -154,9 +145,10 @@ struct SoaState {
 
     /// The committed sums, and the candidate's: set_decision adjusts the
     /// staged tier sums and floor inputs at once, evaluate_candidate sets
-    /// the staged runtime total, commit and revert copy one onto the other.
+    /// the staged total, commit and revert copy one onto the other.
     [[nodiscard]] const SoaSums& sums() const { return sums_; }
     [[nodiscard]] const SoaSums& staged_sums() const { return cand_sums_; }
+    [[nodiscard]] const RegMemo& memo() const { return memo_; }
 
 private:
     friend class SoaEvaluator;
@@ -171,14 +163,15 @@ private:
 };
 
 /// Allocation-free incremental evaluation over SoaState. Constructed once
-/// per solve from the PlanEvaluator (whose models/workload/options it
-/// reads); const and thread-safe — replicas each own a SoaState and share
-/// one SoaEvaluator.
+/// per solve from the reference evaluator (whose models and per-job terms
+/// it reads); const and thread-safe — replicas each own a SoaState and
+/// share one SoaEvaluator.
 class SoaEvaluator {
 public:
     explicit SoaEvaluator(const PlanEvaluator& evaluator);
+    explicit SoaEvaluator(const WorkflowEvaluator& evaluator);
 
-    [[nodiscard]] std::size_t size() const { return n_; }
+    /// The batch evaluator the core was built over (batch cores only).
     [[nodiscard]] const PlanEvaluator& evaluator() const { return *aos_; }
 
     /// Seed `state` from an already-evaluated feasible plan. Reserves all
@@ -186,24 +179,35 @@ public:
     /// PreconditionError when the plan breaks a tier pin or, if reuse-aware,
     /// splits a reuse group.
     void init(SoaState& state, const TieringPlan& plan, const PlanEvaluation& eval) const;
+    /// Seed `state` from a workflow plan, feasible or not, without an
+    /// evaluation: the first candidate evaluates in full.
+    void init(SoaState& state, const WorkflowPlan& plan) const;
 
     /// Stage one decision change into the candidate: undo-logged; the
-    /// job's membership bit and its terms in the staged sums move with it.
+    /// job's membership bit moves, and its terms and its successors' move
+    /// in the staged sums.
     void set_decision(SoaState& state, std::size_t job, std::uint8_t tier_idx,
                       double overprov) const;
 
+    /// Whether the staged plan keeps every operator tier pin. Batch moves
+    /// keep pins by construction; workflow chains reject candidates that
+    /// break one.
+    [[nodiscard]] bool pins_hold(const SoaState& state) const;
+
     /// Evaluate the staged candidate incrementally against the committed
-    /// state; `changed` lists the jobs touched since the last
-    /// commit/revert. Checks provider capacity limits and the sums' exact
-    /// range only (see the contract above). Returns feasibility; on true
-    /// the cand_* scalars and cand_caps hold the candidate's evaluation
-    /// (runtime[] already holds its runtimes, under the undo log). On
-    /// false the runtimes are untouched — only the decision log needs
-    /// reverting.
+    /// state (in full when that has no valid evaluation); `changed` lists
+    /// the jobs touched since the last commit/revert. Checks provider
+    /// capacity limits and the sums' exact range only (see the contract
+    /// above). Returns feasibility, also kept in cand_feasible; on true the
+    /// cand_* scalars and cand_caps hold the candidate's evaluation
+    /// (runtime[] already holds its runtimes, under the undo log). On false
+    /// the runtimes are untouched — only the decision log needs reverting.
     [[nodiscard]] bool evaluate_candidate(SoaState& state,
                                           std::span<const std::size_t> changed) const;
 
     /// Accept the candidate: promote cand_* to committed, clear the logs.
+    /// An infeasible candidate is committed as a plan without a valid
+    /// evaluation.
     void commit(SoaState& state) const;
 
     /// Reject the candidate: replay both undo logs.
@@ -225,21 +229,40 @@ public:
     [[nodiscard]] PlanEvaluation best_evaluation(const SoaState& state) const;
 
 private:
+    /// The part both constructors share: the REG split over `jobs` under
+    /// `legs`, the cost rates and the pins.
+    SoaEvaluator(const PlanEvaluator* aos, const model::PerfModelSet& models,
+                 std::span<const workload::JobSpec> jobs, const RegSplit::LegsFn& legs);
+    /// Both inits after the committed evaluation is set: the plan, its
+    /// sums and memberships, empty logs and the best snapshot.
+    void seed(SoaState& state, std::span<const PlacementDecision> plan) const;
+    /// Job `job`'s Eq. 3/10 term in units under the staged plan.
+    [[nodiscard]] std::int64_t term_units(const SoaState& state, std::size_t job) const;
     /// Restores the runtimes the runtime undo log holds, newest first.
     static void restore_runtimes(SoaState& state);
 
     const PlanEvaluator* aos_;
+    const model::PerfModelSet* models_;
     std::size_t n_ = 0;
     int nvm_ = 0;
-    /// Plan-invariant per-job capacity terms: the Eq. 3 requirement and
-    /// the intermediate volume as raw doubles (GB), the ephSSD backing
-    /// volume already in fixed-point units.
+    /// Plan-invariant per-job terms: the Eq. 3/10 requirement with and
+    /// without a resident input and the intermediate volume as raw doubles
+    /// (GB), the ephSSD backing volume already in fixed-point units.
     std::vector<double> req_;
+    std::vector<double> req_resident_;
     std::vector<std::int64_t> backing_units_;
     std::vector<double> inter_;
+    /// The DAG (empty for a batch workload): per-job predecessors and
+    /// successors, and per edge its endpoints and the volume it moves.
+    std::vector<std::vector<std::size_t>> preds_;
+    std::vector<std::vector<std::size_t>> succs_;
+    struct Edge { std::size_t from, to; double volume; };
+    std::vector<Edge> edges_;
+    /// Operator tier pins: (job, tier index).
+    std::vector<std::pair<std::size_t, std::uint8_t>> pins_;
     /// Eq. 5-6 rates, looked up once.
     CostRates rates_;
-    /// REG split over the workload's jobs (the batch staging conventions).
+    /// REG split over the jobs, under the problem's staging conventions.
     RegSplit reg_;
 };
 

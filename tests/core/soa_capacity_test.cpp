@@ -26,8 +26,11 @@
 #include "common/rng.hpp"
 #include "core/fixed_sum.hpp"
 #include "core/annealing.hpp"
+#include "core/castpp.hpp"
+#include "core/eval_cache.hpp"
 #include "core/utility.hpp"
 #include "test_support.hpp"
+#include "workload/facebook.hpp"
 
 namespace cast::core {
 namespace {
@@ -915,6 +918,368 @@ TEST(SoaCapacityWalk, RoundTripsRestoreSumsBitForBit) {
     EXPECT_GT(moved_back, 0);
     EXPECT_GT(committed_back, 0);
     EXPECT_GT(holder_left, 0);
+}
+
+// --- Workflow mode (Eq. 8-10) ----------------------------------------------
+//
+// The same core over a DAG: a job's term follows its predecessors' tiers,
+// the total carries one transfer per edge, moves are pin-blind and
+// checked by pins_hold, and a replica may commit an infeasible plan, after
+// which the next candidate evaluates in full. Every step is held to
+// WorkflowEvaluator::evaluate in every field, transfer_times included; a
+// candidate that breaks a pin is also held to an evaluator of the same
+// workflow without pins, which computes what the core computes.
+
+workload::Workflow without_pins(const workload::Workflow& wf) {
+    std::vector<workload::JobSpec> jobs = wf.jobs();
+    for (auto& job : jobs) job.pinned_tier.reset();
+    return workload::Workflow(wf.name(), std::move(jobs), wf.edges(), wf.deadline());
+}
+
+/// `wf` with job `i` pinned to `tier` for each (i, tier).
+workload::Workflow pinned(const workload::Workflow& wf,
+                          std::vector<std::pair<std::size_t, StorageTier>> pins) {
+    std::vector<workload::JobSpec> jobs = wf.jobs();
+    for (const auto& [i, tier] : pins) jobs[i].pinned_tier = tier;
+    return workload::Workflow(wf.name() + "-pinned", std::move(jobs), wf.edges(),
+                              wf.deadline());
+}
+
+WorkflowPlan workflow_plan_of(const SoaState& state) {
+    return WorkflowPlan{plan_of(state).decisions()};
+}
+
+/// The staged candidate's fields (or, with `candidate` false, the committed
+/// ones) against `want`, bit for bit: capacities, every runtime and
+/// transfer, the total, the costs and the deadline flag.
+void expect_workflow_fields(const SoaState& state, bool candidate, const workload::Workflow& wf,
+                            const WorkflowEvaluation& want, const std::string& where) {
+    ASSERT_TRUE(want.feasible) << where << ": " << want.infeasibility;
+    expect_caps(candidate ? state.cand_caps : state.caps, want.capacities, where);
+    const double total = candidate ? state.cand_total : state.total_runtime;
+    EXPECT_TRUE(same_bits(total, want.total_runtime.value())) << where << ": total";
+    EXPECT_TRUE(same_bits(candidate ? state.cand_vm : state.vm_cost, want.vm_cost.value()))
+        << where << ": VM cost";
+    EXPECT_TRUE(same_bits(candidate ? state.cand_storage : state.storage_cost,
+                          want.storage_cost.value()))
+        << where << ": storage cost";
+    EXPECT_EQ(total <= wf.deadline().value(), want.meets_deadline) << where;
+    const std::size_t n = want.job_runtimes.size();
+    ASSERT_EQ(state.runtime.size(), n + want.transfer_times.size()) << where;
+    for (std::size_t k = 0; k < state.runtime.size(); ++k) {
+        const Seconds w = k < n ? want.job_runtimes[k] : want.transfer_times[k - n];
+        EXPECT_TRUE(same_bits(state.runtime[k], w.value()))
+            << where << (k < n ? ": runtime of job " : ": transfer on edge ")
+            << (k < n ? k : k - n);
+    }
+}
+
+/// What the workflow walks reached, summed over a test's walks.
+struct WorkflowCoverage {
+    int feasible = 0;
+    int overflows = 0;
+    int pin_breaks = 0;
+    int residency_flips = 0;
+    int eph_roots = 0;
+    int eph_terminals = 0;
+    int infeasible_commits = 0;
+    int recoveries = 0;
+    int swaps = 0;
+    int reverted = 0;
+    int round_trips = 0;
+};
+
+/// One seeded walk over two replicas of a workflow: one or two staged
+/// moves (a job, sometimes also a DAG neighbour), a factor menu that
+/// reaches past every tier's per-VM limit, and accepts that keep
+/// infeasible candidates now and then. Reverts and round trips (a move
+/// committed, then moved back and committed) must restore every sum bit
+/// for bit.
+class WorkflowWalk {
+public:
+    WorkflowWalk(const WorkflowEvaluator& eval, const WorkflowPlan& start, std::uint64_t seed,
+                 WorkflowCoverage& cov, EvalCache* cache = nullptr)
+        : eval_(eval),
+          unpinned_(eval.models(), without_pins(eval.workflow())),
+          soa_(eval),
+          rng_(seed),
+          cov_(cov),
+          cache_(cache) {
+        for (SoaState& s : states_) soa_.init(s, start);
+        EXPECT_FALSE(states_[0].feasible);
+        expect_committed(states_[0], "init");
+    }
+
+    void run(int steps) {
+        for (step_ = 0; step_ < steps && !::testing::Test::HasFatalFailure(); ++step_) {
+            if (rng_.uniform() < 0.04) {
+                SoaEvaluator::swap_current(states_[0], states_[1]);
+                ++cov_.swaps;
+                expect_committed(states_[0], where("after swap, replica 0"));
+                expect_committed(states_[1], where("after swap, replica 1"));
+                continue;
+            }
+            SoaState& state = states_[rng_.below(2)];
+            const Committed before(state);
+            const bool was_feasible = state.feasible;
+            stage(state);
+            const std::vector<std::size_t> moved = changed_;
+            const bool ok = evaluate(state, "candidate");
+            const double u = rng_.uniform();
+            if (u < (ok ? 0.5 : 0.2)) {
+                if (ok && rng_.uniform() < 0.3) soa_.save_best(state);
+                soa_.commit(state);
+                cov_.infeasible_commits += state.feasible ? 0 : 1;
+                cov_.recoveries += !was_feasible && state.feasible ? 1 : 0;
+                expect_committed(state, where("after commit"));
+            } else if (u < 0.8) {
+                soa_.revert(state);
+                ++cov_.reverted;
+                EXPECT_TRUE(state.sums() == before.sums) << where("revert");
+                EXPECT_TRUE(state.staged_sums() == before.sums) << where("revert, staged");
+                EXPECT_TRUE(state.tier == before.tier) << where("revert");
+                expect_committed(state, where("after revert"));
+            } else {
+                soa_.commit(state);
+                for (const std::size_t j : moved) {
+                    set(state, j, before.tier[j], before.overprov[j]);
+                }
+                (void)evaluate(state, "move back");
+                soa_.commit(state);
+                ++cov_.round_trips;
+                EXPECT_TRUE(state.tier == before.tier) << where("round trip");
+                EXPECT_TRUE(state.sums().tier == before.sums.tier) << where("round trip");
+                EXPECT_EQ(state.sums().on_object_store, before.sums.on_object_store);
+                EXPECT_TRUE(same_bits(state.sums().object_store_inter_max,
+                                      before.sums.object_store_inter_max));
+                if (was_feasible) EXPECT_TRUE(state.feasible) << where("round trip");
+                if (was_feasible) {
+                    EXPECT_TRUE(state.overprov == before.overprov) << where("round trip");
+                    EXPECT_TRUE(state.sums() == before.sums) << where("round trip");
+                    expect_caps(state.caps, before.caps, where("round trip"));
+                    EXPECT_TRUE(same_bits(state.total_runtime, before.total));
+                    EXPECT_TRUE(same_bits(state.vm_cost, before.vm));
+                    EXPECT_TRUE(same_bits(state.storage_cost, before.storage));
+                    for (std::size_t k = 0; k < state.runtime.size(); ++k) {
+                        EXPECT_TRUE(same_bits(state.runtime[k], before.runtime[k]))
+                            << where("round trip") << ": term " << k;
+                    }
+                }
+                expect_committed(state, where("after round trip"));
+            }
+        }
+    }
+
+private:
+    static constexpr double kMenu[] = {1.0, 1.25, 2.0, 3.0, 8.0, 40.0, 400.0, 4000.0};
+
+    std::string where(const std::string& what) const {
+        return "step " + std::to_string(step_) + " " + what;
+    }
+
+    void set(SoaState& state, std::size_t job, std::size_t tier, double k) {
+        soa_.set_decision(state, job, static_cast<std::uint8_t>(tier), k);
+        changed_.push_back(job);
+    }
+
+    /// A tier move (to another tier) or a factor move of `job`.
+    void move(SoaState& state, std::size_t job) {
+        std::size_t t = state.tier[job];
+        double k = state.overprov[job];
+        if (rng_.uniform() < 0.6) {
+            while (t == state.tier[job]) t = rng_.below(cloud::kTierCount);
+        } else {
+            k = kMenu[rng_.below(std::size(kMenu))];
+        }
+        set(state, job, t, k);
+    }
+
+    /// One job's move, sometimes stacked with a second move of the job or a
+    /// move of one of its DAG neighbours; counts successor residency flips.
+    void stage(SoaState& state) {
+        const workload::Workflow& wf = eval_.workflow();
+        changed_.clear();
+        const WorkflowPlan before = workflow_plan_of(state);
+        const std::size_t job = rng_.below(wf.size());
+        move(state, job);
+        const double u = rng_.uniform();
+        if (u < 0.1) {
+            move(state, job);
+        } else if (u < 0.35) {
+            const auto& preds = wf.predecessors(job);
+            const auto& succs = wf.successors(job);
+            const std::size_t deg = preds.size() + succs.size();
+            if (deg > 0) {
+                const std::size_t pick = rng_.below(deg);
+                move(state, pick < preds.size() ? preds[pick] : succs[pick - preds.size()]);
+            }
+        }
+        const WorkflowPlan after = workflow_plan_of(state);
+        for (std::size_t s = 0; s < wf.size(); ++s) {
+            const bool was = eval_.job_requirement(before, s).value() <
+                             wf.jobs()[s].capacity_requirement().value();
+            const bool now = eval_.job_requirement(after, s).value() <
+                             wf.jobs()[s].capacity_requirement().value();
+            cov_.residency_flips += was != now ? 1 : 0;
+        }
+    }
+
+    /// Evaluates the staged candidate and holds it to evaluate(); true when
+    /// it is feasible with its pins.
+    bool evaluate(SoaState& state, const std::string& what) {
+        const workload::Workflow& wf = eval_.workflow();
+        const WorkflowPlan plan = workflow_plan_of(state);
+        const WorkflowEvaluation ref = eval_.evaluate(plan);
+        const WorkflowEvaluation free = unpinned_.evaluate(plan);
+        const bool core_ok = soa_.evaluate_candidate(state, changed_);
+        const bool ok = core_ok && soa_.pins_hold(state);
+        changed_.clear();
+        expect_members(state, where(what));
+        EXPECT_EQ(state.cand_feasible, core_ok) << where(what);
+        EXPECT_EQ(ok, ref.feasible) << where(what) << ": " << ref.infeasibility;
+        EXPECT_EQ(core_ok, free.feasible) << where(what) << ": " << free.infeasibility;
+        if (!core_ok || !free.feasible) {
+            ++cov_.overflows;
+            return ok;
+        }
+        expect_workflow_fields(state, true, wf, free, where(what + " (unpinned)"));
+        if (!ok) {
+            ++cov_.pin_breaks;
+            return ok;
+        }
+        ++cov_.feasible;
+        expect_workflow_fields(state, true, wf, ref, where(what));
+        if (cache_ != nullptr) {
+            expect_workflow_fields(state, true, wf, eval_.evaluate(plan, cache_),
+                                   where(what + " (cached)"));
+        }
+        for (std::size_t i = 0; i < wf.size(); ++i) {
+            if (plan.decisions[i].tier != StorageTier::kEphemeralSsd) continue;
+            cov_.eph_roots += wf.predecessors(i).empty() ? 1 : 0;
+            cov_.eph_terminals += wf.successors(i).empty() ? 1 : 0;
+        }
+        return ok;
+    }
+
+    /// The committed sums against a fresh init's, and, when the committed
+    /// state claims an evaluation, every field against evaluate()'s.
+    void expect_committed(const SoaState& state, const std::string& where) {
+        ASSERT_TRUE(state.decision_undo.empty() && state.runtime_undo.empty()) << where;
+        expect_members(state, where);
+        const WorkflowPlan plan = workflow_plan_of(state);
+        const WorkflowEvaluation free = unpinned_.evaluate(plan);
+        SoaState fresh;
+        soa_.init(fresh, plan);
+        EXPECT_TRUE(fresh.sums().tier == state.sums().tier) << where << ": vs a fresh init";
+        EXPECT_TRUE(state.staged_sums() == state.sums()) << where;
+        if (state.feasible) expect_workflow_fields(state, false, eval_.workflow(), free, where);
+    }
+
+    const WorkflowEvaluator& eval_;
+    const WorkflowEvaluator unpinned_;
+    SoaEvaluator soa_;
+    Rng rng_;
+    WorkflowCoverage& cov_;
+    EvalCache* cache_;
+    std::array<SoaState, 2> states_;
+    std::vector<std::size_t> changed_;
+    int step_ = 0;
+};
+
+void expect_workflow_coverage(const WorkflowCoverage& cov, bool pins) {
+    EXPECT_GT(cov.feasible, 0);
+    EXPECT_GT(cov.overflows, 0);
+    EXPECT_GT(cov.residency_flips, 0);
+    EXPECT_GT(cov.eph_roots, 0);
+    EXPECT_GT(cov.eph_terminals, 0);
+    EXPECT_GT(cov.infeasible_commits, 0);
+    EXPECT_GT(cov.recoveries, 0);
+    EXPECT_GT(cov.swaps, 0);
+    EXPECT_GT(cov.reverted, 0);
+    EXPECT_GT(cov.round_trips, 0);
+    if (pins) {
+        EXPECT_GT(cov.pin_breaks, 0);
+    }
+}
+
+TEST(WorkflowDeltaEvaluation, SyntheticWorkflowsMatchReference) {
+    // The Fig. 9 workflows (4-9 jobs, chains with fan-in) of three seeds.
+    WorkflowCoverage cov;
+    for (const std::uint64_t wf_seed : {11u, 3u, 2024u}) {
+        for (const auto& wf : workload::synthesize_deadline_workflows(wf_seed)) {
+            SCOPED_TRACE(wf.name() + " (workflow seed " + std::to_string(wf_seed) + ")");
+            const WorkflowEvaluator eval(testing::small_models(), wf);
+            const WorkflowPlan start =
+                WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
+            WorkflowWalk(eval, start, wf_seed * 31 + wf.size(), cov).run(800);
+        }
+    }
+    expect_workflow_coverage(cov, /*pins=*/false);
+}
+
+TEST(WorkflowDeltaEvaluation, SearchLogWorkflowMatchesReferenceWithAndWithoutCache) {
+    const WorkflowEvaluator eval(testing::small_models(), workload::make_search_log_workflow());
+    const WorkflowPlan start = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
+    EvalCache cache;
+    WorkflowCoverage cov;
+    WorkflowWalk(eval, start, 5, cov, &cache).run(3000);
+    WorkflowWalk(eval, start, 6, cov).run(3000);
+    expect_workflow_coverage(cov, /*pins=*/false);
+}
+
+TEST(WorkflowDeltaEvaluation, PinnedWorkflowMatchesReference) {
+    const workload::Workflow base = workload::make_search_log_workflow();
+    const WorkflowPlan start = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
+    WorkflowCoverage cov;
+    // Pins the persSSD start keeps.
+    const WorkflowEvaluator kept(
+        testing::small_models(),
+        pinned(base, {{0, StorageTier::kPersistentSsd}, {3, StorageTier::kPersistentSsd}}));
+    WorkflowWalk(kept, start, 7, cov).run(3000);
+    // Pins no uniform plan keeps: the walk starts infeasible (a pinned
+    // start) and must recover.
+    const WorkflowEvaluator apart(
+        testing::small_models(),
+        pinned(base, {{1, StorageTier::kObjectStore}, {2, StorageTier::kEphemeralSsd}}));
+    WorkflowWalk(apart, start, 8, cov).run(3000);
+    expect_workflow_coverage(cov, /*pins=*/true);
+}
+
+TEST(WorkflowDeltaEvaluation, InfeasibleCommittedStateEvaluatesInFull) {
+    // Capacities and runtimes of a committed state without a valid
+    // evaluation must not leak into the next candidate: neither a fresh
+    // init's nor a committed overflow's.
+    const WorkflowEvaluator eval(testing::small_models(), workload::make_search_log_workflow());
+    const WorkflowPlan ok = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
+    const WorkflowPlan overflow = WorkflowPlan::uniform(4, StorageTier::kEphemeralSsd, 400.0);
+    const WorkflowEvaluation want = eval.evaluate(ok);
+    ASSERT_FALSE(eval.evaluate(overflow).feasible);
+    const SoaEvaluator soa(eval);
+    const std::vector<std::size_t> all{0, 1, 2, 3};
+    const auto stage = [&](SoaState& state, const WorkflowPlan& plan) {
+        for (const std::size_t i : all) {
+            soa.set_decision(state, i,
+                             static_cast<std::uint8_t>(tier_index(plan.decisions[i].tier)),
+                             plan.decisions[i].overprovision);
+        }
+    };
+    SoaState state;
+    soa.init(state, ok);
+    EXPECT_FALSE(state.feasible);
+    stage(state, ok);
+    ASSERT_TRUE(soa.evaluate_candidate(state, all));
+    expect_workflow_fields(state, true, eval.workflow(), want, "after init");
+    soa.commit(state);
+    EXPECT_TRUE(state.feasible);
+    stage(state, overflow);
+    ASSERT_FALSE(soa.evaluate_candidate(state, all));
+    soa.commit(state);
+    EXPECT_FALSE(state.feasible);
+    stage(state, ok);
+    ASSERT_TRUE(soa.evaluate_candidate(state, all));
+    expect_workflow_fields(state, true, eval.workflow(), want, "after a committed overflow");
+    soa.commit(state);
+    expect_workflow_fields(state, false, eval.workflow(), want, "committed");
 }
 
 }  // namespace

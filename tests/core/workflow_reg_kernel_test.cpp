@@ -1,10 +1,11 @@
-// Differential test of the workflow evaluator's REG kernels. Runtimes and
-// cross-tier transfer times built from the shared REG split
-// (core/reg_split.hpp) and a chain-private memo must equal
-// PerfModelSet::job_runtime and WorkflowEvaluator::transfer_time bit for
-// bit, and evaluate_into with a memo must equal the reference evaluate()
-// along a long annealing-shaped walk. A workflow solve's EvalCache traffic
-// is its uniform sweep's and start plans', never the anneal loop's.
+// Differential test of the workflow REG kernels. Runtimes and cross-tier
+// transfer times built from the shared REG split (core/reg_split.hpp) and
+// a chain-private memo must equal PerfModelSet::job_runtime and
+// WorkflowEvaluator::transfer_time bit for bit, and the SoA core's
+// candidates (core/soa_eval.hpp), scored through them, must equal the
+// reference evaluate() along a long annealing-shaped walk. A workflow
+// solve's EvalCache traffic is its uniform sweep's and start plans', never
+// the anneal loop's.
 #include "core/reg_split.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "common/rng.hpp"
 #include "core/castpp.hpp"
 #include "core/eval_cache.hpp"
+#include "core/soa_eval.hpp"
 #include "lint/checks.hpp"
 #include "test_support.hpp"
 
@@ -308,7 +310,35 @@ void expect_bit_equal(const WorkflowEvaluation& got, const WorkflowEvaluation& w
     EXPECT_EQ(got.meets_deadline, want.meets_deadline);
 }
 
-TEST(WorkflowRegKernel, EvaluateIntoMatchesDirectModelCalls) {
+/// The SoA core's staged candidate as a WorkflowEvaluation.
+WorkflowEvaluation candidate_evaluation(const SoaState& state, const workload::Workflow& wf) {
+    WorkflowEvaluation e;
+    e.feasible = true;
+    e.total_runtime = Seconds{state.cand_total};
+    e.vm_cost = Dollars{state.cand_vm};
+    e.storage_cost = Dollars{state.cand_storage};
+    e.meets_deadline = e.total_runtime <= wf.deadline();
+    e.capacities = state.cand_caps;
+    for (std::size_t k = 0; k < state.runtime.size(); ++k) {
+        auto& terms = k < wf.size() ? e.job_runtimes : e.transfer_times;
+        terms.push_back(Seconds{state.runtime[k]});
+    }
+    return e;
+}
+
+/// Stages every decision of `plan` into `state`; returns the jobs touched.
+std::vector<std::size_t> stage_plan(const SoaEvaluator& soa, SoaState& state,
+                                    const WorkflowPlan& plan) {
+    std::vector<std::size_t> changed;
+    for (std::size_t i = 0; i < plan.decisions.size(); ++i) {
+        const auto tier = static_cast<std::uint8_t>(tier_index(plan.decisions[i].tier));
+        soa.set_decision(state, i, tier, plan.decisions[i].overprovision);
+        changed.push_back(i);
+    }
+    return changed;
+}
+
+TEST(WorkflowRegKernel, SoaCandidateMatchesDirectModelCalls) {
     const model::PerfModelSet& models = testing::small_models();
     const workload::Workflow wf = kernel_workflow();
     const WorkflowEvaluator eval(models, wf);
@@ -326,12 +356,15 @@ TEST(WorkflowRegKernel, EvaluateIntoMatchesDirectModelCalls) {
         WorkflowPlan{{obj, eph, hdd, ssd, eph, obj, hdd}},
         WorkflowPlan{{ssd, hdd, obj, eph, hdd, ssd, obj}},
     };
-    RegMemo memo;
-    WorkflowEvaluation out;
+    const SoaEvaluator soa(eval);
+    SoaState state;
+    soa.init(state, plans.back());
     for (std::size_t p = 0; p < plans.size(); ++p) {
         SCOPED_TRACE("plan " + std::to_string(p));
         const WorkflowPlan& plan = plans[p];
-        eval.evaluate_into(plan, memo, out);
+        const std::vector<std::size_t> changed = stage_plan(soa, state, plan);
+        ASSERT_TRUE(soa.evaluate_candidate(state, changed));
+        const WorkflowEvaluation out = candidate_evaluation(state, wf);
         const WorkflowEvaluation want = eval.evaluate(plan);
         ASSERT_TRUE(want.feasible) << want.infeasibility;
         expect_bit_equal(out, want);
@@ -351,12 +384,13 @@ TEST(WorkflowRegKernel, EvaluateIntoMatchesDirectModelCalls) {
             EXPECT_EQ(bits(out.transfer_times[k].value()), bits(direct.value()))
                 << "edge " << k;
         }
+        soa.commit(state);
     }
 }
 
 TEST(WorkflowRegKernel, PinnedRandomWalkBitEqualsEvaluate) {
-    // A walk shaped like the solver's (single-job tier or factor moves,
-    // the current state as base, accepts that swap buffers, infeasible
+    // A walk shaped like the solver's (single-job tier or factor moves
+    // staged on the SoA core, a pin check, accepts that commit, infeasible
     // candidates sometimes accepted) with one memo for all of it.
     std::vector<workload::JobSpec> jobs = kernel_workflow().jobs();
     jobs[2].pinned_tier = StorageTier::kPersistentSsd;
@@ -368,55 +402,56 @@ TEST(WorkflowRegKernel, PinnedRandomWalkBitEqualsEvaluate) {
     constexpr double kFactors[] = {1.0, 1.25, 2.0, 3.0, 8.0, 40.0, 400.0, 4000.0};
     constexpr int kSteps = 12000;
     Rng rng(20);
-    WorkflowPlan curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
-    WorkflowPlan next;
-    RegMemo memo;
-    WorkflowEvaluation curr_eval;
-    WorkflowEvaluation next_eval;
-    eval.evaluate_into(curr, memo, curr_eval);
-    expect_bit_equal(curr_eval, eval.evaluate(curr));
+    const WorkflowPlan start = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
+    const SoaEvaluator soa(eval);
+    SoaState state;
+    soa.init(state, start);
     int feasible = 0;
     int pin_violations = 0;
     int overflows = 0;
     for (int step = 0; step < kSteps; ++step) {
-        next.decisions = curr.decisions;
-        PlacementDecision& d = next.decisions[rng.below(wf.size())];
+        const std::size_t job = rng.below(wf.size());
+        std::size_t t = state.tier[job];
+        double k = state.overprov[job];
         if (rng.uniform() < 0.6) {
-            StorageTier t = d.tier;
-            do {
-                t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
-            } while (t == d.tier);
-            d.tier = t;
+            while (t == state.tier[job]) t = rng.below(cloud::kAllTiers.size());
         } else {
-            d.overprovision = kFactors[rng.below(std::size(kFactors))];
+            k = kFactors[rng.below(std::size(kFactors))];
         }
-        const WorkflowEvaluator::Base base{curr, curr_eval};
-        eval.evaluate_into(next, memo, next_eval, &base);
+        soa.set_decision(state, job, static_cast<std::uint8_t>(t), k);
+        const std::size_t changed[] = {job};
+        const bool ok = soa.evaluate_candidate(state, changed) && soa.pins_hold(state);
+        WorkflowPlan next{std::vector<PlacementDecision>(wf.size())};
+        for (std::size_t i = 0; i < wf.size(); ++i) {
+            next.decisions[i] = {cloud::kAllTiers[state.tier[i]], state.overprov[i]};
+        }
         const WorkflowEvaluation want = eval.evaluate(next);
         SCOPED_TRACE("step " + std::to_string(step));
-        expect_bit_equal(next_eval, want);
+        ASSERT_EQ(ok, want.feasible) << want.infeasibility;
+        if (ok) expect_bit_equal(candidate_evaluation(state, wf), want);
         if (::testing::Test::HasFailure()) return;
         std::vector<lint::Finding> violations;
         lint::check_tier_pins(wf.jobs(), next.decisions, violations);
         if (!violations.empty()) {
             ++pin_violations;
-            EXPECT_FALSE(next_eval.feasible);
-            EXPECT_EQ(next_eval.infeasibility, violations.front().message);
-        } else if (next_eval.feasible) {
+            EXPECT_FALSE(soa.pins_hold(state));
+            EXPECT_EQ(want.infeasibility, violations.front().message);
+        } else if (ok) {
             ++feasible;
         } else {
             ++overflows;
         }
-        if (rng.uniform() < (next_eval.feasible ? 0.6 : 0.2)) {
-            std::swap(curr, next);
-            std::swap(curr_eval, next_eval);
+        if (rng.uniform() < (ok ? 0.6 : 0.2)) {
+            soa.commit(state);
+        } else {
+            soa.revert(state);
         }
     }
     EXPECT_GT(feasible, kSteps / 10);
     EXPECT_GT(pin_violations, 0);
     EXPECT_GT(overflows, 0);
     // The memo serves most lookups.
-    EXPECT_LT(memo.refreshes(), static_cast<std::uint64_t>(kSteps));
+    EXPECT_LT(state.memo().refreshes(), static_cast<std::uint64_t>(kSteps));
 }
 
 TEST(WorkflowRegKernel, SolveCacheLookupsDoNotGrowWithIterations) {

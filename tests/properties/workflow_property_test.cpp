@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "core/castpp.hpp"
+#include "core/fixed_sum.hpp"
 #include "test_support.hpp"
 #include "workload/workflow.hpp"
 
@@ -86,10 +87,17 @@ TEST_P(DagSweep, EvaluatorRuntimeDecomposes) {
         core::WorkflowPlan::uniform(wf.size(), cloud::StorageTier::kPersistentSsd);
     const auto e = eval.evaluate(plan);
     ASSERT_TRUE(e.feasible);
-    double sum = 0.0;
-    for (const auto& t : e.job_runtimes) sum += t.value();
-    for (const auto& t : e.transfer_times) sum += t.value();
-    EXPECT_NEAR(e.total_runtime.value(), sum, 1e-6);
+    // Eq. 9's total is the exact fixed-point sum of the job runtimes and
+    // the edge transfers, the same bits in any order.
+    core::FixedSum sum;
+    for (auto it = e.transfer_times.rbegin(); it != e.transfer_times.rend(); ++it) {
+        sum.add(it->value());
+    }
+    for (auto it = e.job_runtimes.rbegin(); it != e.job_runtimes.rend(); ++it) {
+        sum.add(it->value());
+    }
+    ASSERT_TRUE(sum.in_range());
+    EXPECT_EQ(e.total_runtime.value(), sum.value());
 }
 
 TEST_P(DagSweep, UniformPlanHasNoTransfers) {
