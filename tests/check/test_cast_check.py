@@ -56,6 +56,8 @@ class RuleFiresExactlyWhereExpected(unittest.TestCase):
         "serve/adhoc_cerr.cpp": [("C010", 8), ("C010", 9)],
         "solver/annealing.cpp": [("C011", 12), ("C011", 13), ("C011", 14)],
         "solver/castpp.cpp": [("C011", 11), ("C011", 12)],
+        "solver/soa_eval.hpp": [("C011", 9), ("C011", 10)],
+        "solver/fixed_sum.hpp": [("C011", 8)],
     }
 
     def test_each_rule_fires_at_expected_lines(self):

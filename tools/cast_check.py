@@ -39,10 +39,10 @@ Rules (stable IDs, mirrored in DESIGN.md):
   C011  node-based containers (std::map / std::unordered_map / std::set /
         std::unordered_set / std::multimap / std::multiset) in the solver
         hot-path files (annealing.{hpp,cpp}, castpp.cpp, utility.cpp,
-        soa_eval.cpp, reg_split.{hpp,cpp} — the SoA discipline:
-        per-iteration state lives in flat arrays; the memo table in
-        eval_cache.cpp is the one sanctioned exception and is scoped out
-        by file)
+        soa_eval.{hpp,cpp}, fixed_sum.hpp, reg_split.{hpp,cpp} — the SoA
+        discipline: per-iteration state lives in flat arrays; the memo
+        table in eval_cache.cpp is the one sanctioned exception and is
+        scoped out by file)
 
 Implementation is a libclang/regex hybrid: when python bindings for
 libclang are importable they refine C006 (true declaration parsing);
@@ -75,9 +75,11 @@ HOT_PATH_BASENAMES = ("flow_engine.hpp", "flow_engine.cpp", "phase_runner.hpp",
 # The SoA solver hot path (C011): no node-based containers per iteration.
 # eval_cache.cpp is deliberately absent — its map is the sanctioned
 # memoization structure.
-# annealing.hpp holds the shared anneal loop; castpp.cpp the workflow problem.
+# annealing.hpp holds the shared anneal loop; castpp.cpp the workflow problem;
+# soa_eval.hpp the replica state (DAG data included) and fixed_sum.hpp its sums.
 SOLVER_HOT_BASENAMES = ("annealing.hpp", "annealing.cpp", "castpp.cpp", "utility.cpp",
-                        "soa_eval.cpp", "reg_split.hpp", "reg_split.cpp")
+                        "soa_eval.hpp", "soa_eval.cpp", "fixed_sum.hpp", "reg_split.hpp",
+                        "reg_split.cpp")
 
 NO_TSA_BUDGET = 3
 
