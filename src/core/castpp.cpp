@@ -202,8 +202,6 @@ model::StagingLegs WorkflowEvaluator::staging_legs(std::size_t i, StorageTier ti
 }
 
 GigaBytes WorkflowEvaluator::job_requirement(const WorkflowPlan& plan, std::size_t i) const {
-    // The input is resident when every predecessor whose output feeds the
-    // job lives on its tier.
     const StorageTier tier = plan.decisions[i].tier;
     const auto& preds = workflow_.predecessors(i);
     const bool resident = !preds.empty() && std::ranges::all_of(preds, [&](std::size_t p) {
@@ -242,8 +240,7 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
         }
     }
 
-    // --- Capacities (Eq. 10 + deployment conventions), as exact
-    // fixed-point sums.
+    // --- Capacities (Eq. 10 + deployment conventions), exact sums.
     std::array<FixedSum, cloud::kTierCount> sums;
     bool any_on_object_store = false;
     double max_object_store_inter = 0.0;
@@ -362,10 +359,15 @@ double WorkflowSolver::score(Seconds total_runtime, Dollars total_cost) const {
     return s;
 }
 
-struct WorkflowSolver::WfChain : AnnealChain {
+/// Cache-line aligned: replicas sit side by side and anneal on different
+/// workers, and every iteration writes both ends of a chain.
+struct alignas(64) WorkflowSolver::WfChain : AnnealChain {
     const WorkflowSolver* solver = nullptr;
     const SoaEvaluator* core = nullptr;
     SoaState state;
+    /// The start plan, seeded into `state` by the worker that first anneals
+    /// the replica, so its buffers come from that worker's heap arena.
+    WorkflowPlan start;
     /// Scores of the committed plan, the staged candidate and the best
     /// feasible plan (kInfeasibleScore until one is found).
     double curr = 0.0;
@@ -406,8 +408,7 @@ struct WorkflowSolver::WfChain : AnnealChain {
         return true;
     }
     /// A candidate that breaks a pin or overflows a limit scores
-    /// kInfeasibleScore and still goes through the Metropolis rule,
-    /// consuming its draw.
+    /// kInfeasibleScore and still consumes its Metropolis draw.
     bool evaluate() {
         const bool ok = core->evaluate_candidate(state, changed) && core->pins_hold(state);
         cand = ok ? solver->score(Seconds{state.cand_total},
@@ -495,11 +496,12 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
                 start = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
                 start_eval = evaluator_->evaluate(start, cache);
             }
-            core.init(chain.state, start);
+            chain.start = std::move(start);
             chain.curr = score(start_eval);
             chain.best = chain.curr;
         },
         [&](WfChain& chain, Rng& rng, int begin, int end) {
+            if (begin == 0) core.init(chain.state, chain.start);
             return anneal_span(chain, rng, begin, end, options_, scale, deadline);
         },
         [&](const WfChain& chain) { return -chain.curr / scale; },

@@ -159,8 +159,7 @@ public:
                                         GigaBytes to_per_vm) const;
 
 private:
-    /// The SoA core reads the precomputed per-job terms directly, so the
-    /// two evaluations can never drift on inputs.
+    /// The SoA core reads the per-job terms, so the two never drift.
     friend class SoaEvaluator;
 
     /// Staging legs of job `i` on `tier`: on ephSSD a root downloads its
@@ -244,9 +243,8 @@ private:
     /// floor, run once per solve.
     [[nodiscard]] WorkflowSolveResult uniform_sweep(EvalCache* cache) const;
 
-    /// One replica on the SoA core and the workflow problem anneal_span
-    /// runs: DFS-cursor moves, a pin check, score() to maximize. Defined in
-    /// the .cpp.
+    /// One replica on the SoA core: DFS-cursor moves, a pin check, score()
+    /// to maximize. Defined in the .cpp.
     struct WfChain;
 
     const WorkflowEvaluator* evaluator_;

@@ -118,9 +118,19 @@ void SoaEvaluator::init(SoaState& state, const WorkflowPlan& plan) const {
 }
 
 void SoaEvaluator::seed(SoaState& state, std::span<const PlacementDecision> plan) const {
+    // Replicas anneal on different workers: a cache line of slack behind
+    // each buffer a candidate writes keeps a small workflow's buffers off
+    // the lines of a replica seeded next to it.
+    const auto reserve = [](auto& v, std::size_t n) { v.reserve(n + 64 / sizeof(v[0])); };
+    const std::size_t words = (n_ + 63) / 64;
+    reserve(state.tier, n_);
+    reserve(state.overprov, n_);
+    reserve(state.runtime, state.runtime.size());
+    reserve(state.decision_undo, n_);
+    reserve(state.runtime_undo, state.runtime.size());
+    for (auto& m : state.members) reserve(m, words);
     state.tier.resize(n_);
     state.overprov.resize(n_);
-    const std::size_t words = (n_ + 63) / 64;
     for (auto& m : state.members) m.assign(words, 0);
     SoaSums& sums = state.sums_;
     sums = {};
@@ -145,8 +155,6 @@ void SoaEvaluator::seed(SoaState& state, std::span<const PlacementDecision> plan
 
     state.decision_undo.clear();
     state.runtime_undo.clear();
-    state.decision_undo.reserve(n_);
-    state.runtime_undo.reserve(state.runtime.size());
 
     state.best_tier = state.tier;
     state.best_overprov = state.overprov;
@@ -214,8 +222,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
                                       std::span<const std::size_t> changed) const {
     state.runtime_undo.clear();
     state.cand_feasible = false;
-    // A committed state without a valid evaluation keeps nothing: every
-    // tier re-provisions, every runtime and transfer re-derives.
+    // Without a valid committed evaluation, everything re-derives.
     const bool full = !state.feasible;
     // --- Capacities, bit-identical to the reference's (see the header): a
     // tier whose staged sum is its committed one keeps its committed
@@ -253,12 +260,9 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
         }
     }
 
-    // --- Runtime reuse: a bitwise per-VM comparison decides reusability
-    // per tier (a tier where no runtime depends on capacity, such as
-    // objStore under the paper's models, keeps its runtimes anyway); the
-    // members of capacity-shifted tiers, the changed jobs and the edges
-    // they touch re-derive through the REG kernels, each adjusting the
-    // total by its quantized difference.
+    // --- Runtimes and transfers (see the header): the members of
+    // capacity-shifted tiers, the changed jobs and the edges a move or a
+    // shift touched re-derive, each adjusting the total by its difference.
     const auto& per_vm = state.cand_caps.per_vm;
     std::array<bool, cloud::kTierCount> same_vm{};
     std::array<bool, cloud::kTierCount> reusable{};

@@ -14,46 +14,41 @@
 //
 // One core for both problems, told apart by data alone. A job's Eq. 3/10
 // term is (resident ? req_resident : req_full) · k, where resident means
-// it has predecessors and all of them share its tier (Eq. 10's input
-// residency); batch jobs have no predecessors, so they keep the batch
-// evaluator's req_ doubles. The total is the runtimes plus one transfer
-// per DAG edge (Eq. 9); a batch workload has no edges. Staging legs are
-// the RegSplit's (core/reg_split.hpp).
+// it has predecessors and all of them share its tier; batch jobs have no
+// predecessors, so they keep the batch evaluator's req_ doubles. The
+// total is the runtimes plus one transfer per DAG edge (Eq. 9); a batch
+// workload has no edges. Staging legs are the RegSplit's.
 //
 // Equivalence contract: evaluate_candidate is bit-identical in every
 // field to the reference evaluation of the candidate plan
-// (PlanEvaluator::evaluate, WorkflowEvaluator::evaluate). All of them
-// build the per-tier aggregates and the total as exact fixed-point sums
+// (PlanEvaluator::evaluate, WorkflowEvaluator::evaluate). Both build the
+// tier aggregates and the total as exact fixed-point sums
 // (core/fixed_sum.hpp), which have the same bits in any order, so ±term
 // adjustments never drift from a re-sum; costs go through eq5_eq6_costs,
-// runtimes and transfers through the REG split with a RegMemo per state.
-// tests/core/soa_capacity_test.cpp holds the core to the uncached
-// references along hostile random walks.
+// runtimes and transfers through the REG split (core/reg_split.hpp) with
+// a RegMemo per state. tests/core/soa_capacity_test.cpp holds the core to
+// the uncached references along hostile random walks.
 //
-// Sums in O(changed). Each state keeps committed sums (per tier, its
-// residents' terms, objStore also each ephSSD resident's backing volume;
-// the total) and a staged copy. set_decision re-stages the terms of the
-// job and of its successors, whose residency follows its tier; commit and
-// revert copy one copy onto the other. A tier whose staged sum equals its
-// committed one keeps its committed capacities; any other is range-
-// checked, floored (persSSD, by the objStore reservation, whose inputs
-// are kept the same way) and provisioned through provision_tier.
+// O(changed). Each state keeps committed sums and a staged copy;
+// set_decision re-stages the terms of the job and of its successors,
+// commit and revert copy one copy onto the other. A tier whose staged sum
+// equals its committed one keeps its committed capacities; any other is
+// range-checked, floored (persSSD, by the objStore reservation, whose
+// inputs are kept the same way) and provisioned through provision_tier.
+// A job keeps its runtime unless it moved or its tier's per-VM capacity
+// changed (and a runtime there depends on it); an edge keeps its transfer
+// unless an endpoint moved or either endpoint's tier's per-VM capacity
+// changed. The rest re-derive, adjusting the staged total by quantized
+// differences; re-deriving a capacity-shifted tier's members is the one
+// pass left that is not O(changed).
 //
-// Runtimes in O(changed), up to one limit. A job keeps its committed
-// runtime unless it moved or its tier's per-VM capacity changed (and a
-// runtime there depends on it); an edge keeps its transfer unless an
-// endpoint moved or either endpoint's tier changed its per-VM capacity.
-// The rest re-derive, adjusting the staged total by quantized
-// differences. Re-deriving the members of a capacity-shifted tier is the
-// one pass left that is not O(changed).
-//
-// Feasibility. Batch chains are feasible by construction: init checks the
-// seed's pins and reuse groups with the shared lint checks, and every
-// later move comes from move_units (core/annealing.hpp). Workflow moves
-// are pin-blind; the chain rejects those pins_hold refuses, and a replica
-// may commit an infeasible plan, after which the next candidate evaluates
-// in full. evaluate_candidate itself rejects only provider-limit
-// overflows and sums beyond their exact range.
+// Feasibility. Batch moves come from move_units (core/annealing.hpp) and
+// init checks the seed's pins and reuse groups once, so batch chains are
+// feasible by construction. Workflow moves are pin-blind: the chain
+// rejects those pins_hold refuses, and a replica may commit an infeasible
+// plan, after which the next candidate evaluates in full.
+// evaluate_candidate itself rejects only provider-limit overflows and
+// sums beyond their exact range.
 #pragma once
 
 #include <array>
@@ -189,9 +184,8 @@ public:
     void set_decision(SoaState& state, std::size_t job, std::uint8_t tier_idx,
                       double overprov) const;
 
-    /// Whether the staged plan keeps every operator tier pin. Batch moves
-    /// keep pins by construction; workflow chains reject candidates that
-    /// break one.
+    /// Whether the staged plan keeps every operator tier pin (batch moves
+    /// do by construction; workflow chains check).
     [[nodiscard]] bool pins_hold(const SoaState& state) const;
 
     /// Evaluate the staged candidate incrementally against the committed
@@ -205,9 +199,8 @@ public:
     [[nodiscard]] bool evaluate_candidate(SoaState& state,
                                           std::span<const std::size_t> changed) const;
 
-    /// Accept the candidate: promote cand_* to committed, clear the logs.
-    /// An infeasible candidate is committed as a plan without a valid
-    /// evaluation.
+    /// Accept the candidate: promote cand_* to committed (an infeasible one
+    /// leaves the plan without a valid evaluation), clear the logs.
     void commit(SoaState& state) const;
 
     /// Reject the candidate: replay both undo logs.

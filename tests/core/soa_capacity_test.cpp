@@ -1052,8 +1052,8 @@ public:
                 EXPECT_EQ(state.sums().on_object_store, before.sums.on_object_store);
                 EXPECT_TRUE(same_bits(state.sums().object_store_inter_max,
                                       before.sums.object_store_inter_max));
-                if (was_feasible) EXPECT_TRUE(state.feasible) << where("round trip");
                 if (was_feasible) {
+                    EXPECT_TRUE(state.feasible) << where("round trip");
                     EXPECT_TRUE(state.overprov == before.overprov) << where("round trip");
                     EXPECT_TRUE(state.sums() == before.sums) << where("round trip");
                     expect_caps(state.caps, before.caps, where("round trip"));
