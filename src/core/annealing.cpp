@@ -60,6 +60,7 @@ struct SoaChain : AnnealChain {
     const SoaEvaluator* core = nullptr;
     const std::vector<MoveUnit>* units = nullptr;
     SoaState state;
+    std::size_t start = 0;  ///< index of the start plan `state` is seeded from
     /// Changed-job scratch, reused across iterations.
     std::vector<std::size_t> changed;
 
@@ -194,14 +195,17 @@ AnnealingResult AnnealingSolver::solve(const TieringPlan& initial, ThreadPool* p
     TemperingRun<SoaChain> run = run_tempering<SoaChain>(
         options_, pool,
         [&](SoaChain& chain, std::size_t r) {
-            const std::size_t s = r % starts.size();
             chain.options = &options_;
             chain.core = soa;
             chain.units = &units;
-            soa->init(chain.state, starts[s], start_evals[s]);
-            chain.changed.reserve(evaluator_->workload().size());
+            chain.start = r % starts.size();
         },
         [&](SoaChain& chain, Rng& rng, int begin, int end) {
+            // Seeded on its worker: replicas seeded back to back share cache lines.
+            if (begin == 0) {
+                soa->init(chain.state, starts[chain.start], start_evals[chain.start]);
+                chain.changed.reserve(evaluator_->workload().size());
+            }
             return anneal_span(chain, rng, begin, end, options_, u_scale, deadline);
         },
         [&](const SoaChain& chain) { return -chain.state.utility / u_scale; },

@@ -365,14 +365,11 @@ struct alignas(64) WorkflowSolver::WfChain : AnnealChain {
     const WorkflowSolver* solver = nullptr;
     const SoaEvaluator* core = nullptr;
     SoaState state;
-    /// The start plan, seeded into `state` by the worker that first anneals
-    /// the replica, so its buffers come from that worker's heap arena.
+    /// The start plan, seeded into `state` on a worker as SoaChain's is.
     WorkflowPlan start;
     /// Scores of the committed plan, the staged candidate and the best
     /// feasible plan (kInfeasibleScore until one is found).
-    double curr = 0.0;
-    double cand = 0.0;
-    double best = 0.0;
+    double curr = 0.0, cand = 0.0, best = 0.0;
     /// DFS cursor; identical across replicas at round barriers (all run
     /// the same iteration count), so exchanges never need to swap it.
     std::size_t cursor = 0;
@@ -388,12 +385,11 @@ struct alignas(64) WorkflowSolver::WfChain : AnnealChain {
         // With an active_jobs mask, frozen jobs are skipped in DFS order —
         // the cursor advance is deterministic, so restricted solves keep
         // the bit-identity guarantees (the ctor rejects all-zero masks).
-        std::size_t job = dfs[cursor];
-        cursor = (cursor + 1) % dfs.size();
-        while (!options.active_jobs.empty() && options.active_jobs[job] == 0) {
+        std::size_t job = 0;
+        do {
             job = dfs[cursor];
             cursor = (cursor + 1) % dfs.size();
-        }
+        } while (!options.active_jobs.empty() && options.active_jobs[job] == 0);
         std::uint8_t tier = state.tier[job];
         double k = state.overprov[job];
         if (rng.uniform() < options.tier_move_probability) {

@@ -35,12 +35,9 @@ SoaEvaluator::SoaEvaluator(const PlanEvaluator* aos, const model::PerfModelSet& 
       nvm_(models.cluster().worker_count),
       rates_(models),
       reg_(models, jobs, legs) {
-    req_.reserve(n_);
-    req_resident_.reserve(n_);
     backing_units_.reserve(n_);
-    inter_.reserve(n_);
-    preds_.resize(n_);
-    succs_.resize(n_);
+    preds_.at.assign(n_ + 1, 0);
+    succs_.at.assign(n_ + 1, 0);
     for (std::size_t i = 0; i < n_; ++i) {
         if (jobs[i].pinned_tier) {
             pins_.emplace_back(i, static_cast<std::uint8_t>(tier_index(*jobs[i].pinned_tier)));
@@ -56,14 +53,16 @@ SoaEvaluator::SoaEvaluator(const PlanEvaluator& evaluator)
                            legs.download_input && evaluator.pays_input_download(job);
                        return legs;
                    }) {
+    req_.reserve(n_);
+    inter_.reserve(n_);
     for (std::size_t i = 0; i < n_; ++i) {
         // The stored terms are bitwise the evaluator's own precomputed
         // ones, so the sums below quantize the same doubles it does.
         req_.push_back(evaluator.req_[i].value());
-        req_resident_.push_back(evaluator.req_[i].value());
         backing_units_.push_back(fixed_units(evaluator.eph_backing_[i].value()));
         inter_.push_back(evaluator.inter_[i].value());
     }
+    req_resident_ = req_;
 }
 
 SoaEvaluator::SoaEvaluator(const WorkflowEvaluator& evaluator)
@@ -72,13 +71,18 @@ SoaEvaluator::SoaEvaluator(const WorkflowEvaluator& evaluator)
                        return evaluator.staging_legs(job, t);
                    }) {
     const workload::Workflow& wf = evaluator.workflow();
+    const auto add_distinct = [](Adjacency& adj, std::size_t i, std::vector<std::size_t> jobs) {
+        std::ranges::sort(jobs);
+        adj.to.insert(adj.to.end(), jobs.begin(), std::unique(jobs.begin(), jobs.end()));
+        adj.at[i + 1] = static_cast<std::uint32_t>(adj.to.size());
+    };
+    req_ = evaluator.req_;
+    req_resident_ = evaluator.req_resident_;
+    inter_ = evaluator.inter_;
     for (std::size_t i = 0; i < n_; ++i) {
-        req_.push_back(evaluator.req_[i]);
-        req_resident_.push_back(evaluator.req_resident_[i]);
         backing_units_.push_back(fixed_units(evaluator.eph_backing_[i]));
-        inter_.push_back(evaluator.inter_[i]);
-        preds_[i] = wf.predecessors(i);
-        succs_[i] = wf.successors(i);
+        add_distinct(preds_, i, wf.predecessors(i));
+        add_distinct(succs_, i, wf.successors(i));
     }
     for (const auto [u, v] : wf.edge_endpoints()) {
         edges_.push_back({u, v, evaluator.output_[u]});
@@ -112,26 +116,26 @@ void SoaEvaluator::init(SoaState& state, const TieringPlan& plan,
 
 void SoaEvaluator::init(SoaState& state, const WorkflowPlan& plan) const {
     CAST_EXPECTS_MSG(plan.decisions.size() == n_, "plan/workflow size mismatch");
-    state.runtime.assign(n_ + edges_.size(), 0.0);
+    // Replicas anneal on different workers: a cache line of slack behind
+    // each buffer a candidate writes keeps a small workflow's buffers off
+    // the lines of a replica seeded next to it.
+    const auto reserve = [](auto& v, std::size_t n) { v.reserve(n + 64 / sizeof(v[0])); };
+    const std::size_t terms = n_ + edges_.size();
+    reserve(state.tier, n_);
+    reserve(state.overprov, n_);
+    reserve(state.runtime, terms);
+    reserve(state.decision_undo, n_);
+    reserve(state.runtime_undo, terms);
+    for (auto& m : state.members) reserve(m, (n_ + 63) / 64);
+    state.runtime.assign(terms, 0.0);
     state.feasible = false;
     seed(state, plan.decisions);
 }
 
 void SoaEvaluator::seed(SoaState& state, std::span<const PlacementDecision> plan) const {
-    // Replicas anneal on different workers: a cache line of slack behind
-    // each buffer a candidate writes keeps a small workflow's buffers off
-    // the lines of a replica seeded next to it.
-    const auto reserve = [](auto& v, std::size_t n) { v.reserve(n + 64 / sizeof(v[0])); };
-    const std::size_t words = (n_ + 63) / 64;
-    reserve(state.tier, n_);
-    reserve(state.overprov, n_);
-    reserve(state.runtime, state.runtime.size());
-    reserve(state.decision_undo, n_);
-    reserve(state.runtime_undo, state.runtime.size());
-    for (auto& m : state.members) reserve(m, words);
     state.tier.resize(n_);
     state.overprov.resize(n_);
-    for (auto& m : state.members) m.assign(words, 0);
+    for (auto& m : state.members) m.assign((n_ + 63) / 64, 0);
     SoaSums& sums = state.sums_;
     sums = {};
     for (std::size_t i = 0; i < n_; ++i) {
@@ -155,6 +159,8 @@ void SoaEvaluator::seed(SoaState& state, std::span<const PlacementDecision> plan
 
     state.decision_undo.clear();
     state.runtime_undo.clear();
+    state.decision_undo.reserve(n_);
+    state.runtime_undo.reserve(state.runtime.size());
 
     state.best_tier = state.tier;
     state.best_overprov = state.overprov;
@@ -168,12 +174,12 @@ void SoaEvaluator::seed(SoaState& state, std::span<const PlacementDecision> plan
     reg_.bind(state.memo_);
 }
 
-std::int64_t SoaEvaluator::term_units(const SoaState& state, std::size_t job) const {
+inline std::int64_t SoaEvaluator::term_units(const SoaState& state, std::size_t job) const {
     // Eq. 10: the input is resident when every predecessor shares the
     // job's tier; a job without predecessors pays its full requirement.
     const std::uint8_t t = state.tier[job];
     bool resident = !preds_[job].empty();
-    for (const std::size_t p : preds_[job]) resident = resident && state.tier[p] == t;
+    for (const std::uint32_t p : preds_[job]) resident = resident && state.tier[p] == t;
     return fixed_units((resident ? req_resident_[job] : req_[job]) * state.overprov[job]);
 }
 
@@ -188,16 +194,13 @@ void SoaEvaluator::set_decision(SoaState& state, std::size_t job, std::uint8_t t
     // residency follows its tier); keep the persSSD floor's inputs: a join
     // raises the maximum, the leaving holder of the maximum asks a rescan.
     SoaSums& staged = state.cand_sums_;
+    const auto succs = succs_[job];
     staged.tier[was].sub_units(term_units(state, job));
-    for (const std::size_t s : succs_[job]) {
-        staged.tier[state.tier[s]].sub_units(term_units(state, s));
-    }
+    for (const std::uint32_t s : succs) staged.tier[state.tier[s]].sub_units(term_units(state, s));
     state.tier[job] = tier_idx;
     state.overprov[job] = overprov;
     staged.tier[tier_idx].add_units(term_units(state, job));
-    for (const std::size_t s : succs_[job]) {
-        staged.tier[state.tier[s]].add_units(term_units(state, s));
-    }
+    for (const std::uint32_t s : succs) staged.tier[state.tier[s]].add_units(term_units(state, s));
     if (was == kEph) staged.tier[kObj].sub_units(backing_units_[job]);
     if (tier_idx == kEph) staged.tier[kObj].add_units(backing_units_[job]);
     if (was == kObj && tier_idx != kObj) {
@@ -224,9 +227,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
     state.cand_feasible = false;
     // Without a valid committed evaluation, everything re-derives.
     const bool full = !state.feasible;
-    // --- Capacities, bit-identical to the reference's (see the header): a
-    // tier whose staged sum is its committed one keeps its committed
-    // values, unless it is persSSD and the floor moved.
+    // --- Capacities (see the header); a moved floor re-provisions persSSD.
     SoaSums& staged = state.cand_sums_;
     const SoaSums& committed = state.sums_;
     if (state.cand_rescan_) {
@@ -260,9 +261,7 @@ bool SoaEvaluator::evaluate_candidate(SoaState& state,
         }
     }
 
-    // --- Runtimes and transfers (see the header): the members of
-    // capacity-shifted tiers, the changed jobs and the edges a move or a
-    // shift touched re-derive, each adjusting the total by its difference.
+    // --- Runtimes and transfers (see the header).
     const auto& per_vm = state.cand_caps.per_vm;
     std::array<bool, cloud::kTierCount> same_vm{};
     std::array<bool, cloud::kTierCount> reusable{};

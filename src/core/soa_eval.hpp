@@ -29,26 +29,23 @@
 // a RegMemo per state. tests/core/soa_capacity_test.cpp holds the core to
 // the uncached references along hostile random walks.
 //
-// O(changed). Each state keeps committed sums and a staged copy;
-// set_decision re-stages the terms of the job and of its successors,
-// commit and revert copy one copy onto the other. A tier whose staged sum
-// equals its committed one keeps its committed capacities; any other is
-// range-checked, floored (persSSD, by the objStore reservation, whose
-// inputs are kept the same way) and provisioned through provision_tier.
-// A job keeps its runtime unless it moved or its tier's per-VM capacity
-// changed (and a runtime there depends on it); an edge keeps its transfer
-// unless an endpoint moved or either endpoint's tier's per-VM capacity
-// changed. The rest re-derive, adjusting the staged total by quantized
-// differences; re-deriving a capacity-shifted tier's members is the one
-// pass left that is not O(changed).
+// O(changed). set_decision re-stages the terms of the job and of its
+// successors in a staged copy of the committed sums; commit and revert
+// copy one onto the other. A tier whose staged sum is its committed one
+// keeps its capacities; any other is range-checked, floored (persSSD, by
+// the objStore reservation, whose inputs are kept alike) and provisioned.
+// A runtime re-derives only if its job moved or its tier's per-VM
+// capacity changed (and it depends on it), a transfer only if an endpoint
+// moved or an endpoint tier's per-VM capacity changed, each adjusting the
+// staged total by its quantized difference; re-deriving a capacity-shifted
+// tier's members is the one pass left that is not O(changed).
 //
-// Feasibility. Batch moves come from move_units (core/annealing.hpp) and
-// init checks the seed's pins and reuse groups once, so batch chains are
-// feasible by construction. Workflow moves are pin-blind: the chain
-// rejects those pins_hold refuses, and a replica may commit an infeasible
-// plan, after which the next candidate evaluates in full.
-// evaluate_candidate itself rejects only provider-limit overflows and
-// sums beyond their exact range.
+// Feasibility. Batch chains are feasible by construction (move_units in
+// core/annealing.hpp; init checks the seed's pins and reuse groups).
+// Workflow moves are pin-blind: the chain rejects what pins_hold refuses,
+// and a replica may commit an infeasible plan, after which the next
+// candidate evaluates in full. evaluate_candidate itself rejects only
+// provider-limit overflows and sums beyond their exact range.
 #pragma once
 
 #include <array>
@@ -83,10 +80,9 @@ struct SoaSums {
     friend bool operator==(const SoaSums&, const SoaSums&) = default;
 };
 
-/// Per-chain flat solver state operated on by SoaEvaluator. Owns the
-/// committed plan + evaluation, the candidate scratch, the undo logs, the
-/// best-so-far snapshot and the chain's REG memo. Plain data;
-/// all invariants live in the evaluator.
+/// Per-chain flat solver state operated on by SoaEvaluator: the committed
+/// plan + evaluation, candidate scratch, undo logs, the best-so-far
+/// snapshot and the chain's REG memo. Plain data; SoaEvaluator keeps it.
 struct SoaState {
     // --- committed plan
     std::vector<std::uint8_t> tier;
@@ -167,12 +163,14 @@ public:
     explicit SoaEvaluator(const WorkflowEvaluator& evaluator);
 
     /// The batch evaluator the core was built over (batch cores only).
-    [[nodiscard]] const PlanEvaluator& evaluator() const { return *aos_; }
+    [[nodiscard]] const PlanEvaluator& evaluator() const {
+        CAST_EXPECTS(aos_ != nullptr);
+        return *aos_;
+    }
 
-    /// Seed `state` from an already-evaluated feasible plan. Reserves all
-    /// vectors; nothing below allocates afterwards. Throws
-    /// PreconditionError when the plan breaks a tier pin or, if reuse-aware,
-    /// splits a reuse group.
+    /// Seed `state` from an already-evaluated feasible plan, reserving every
+    /// vector (nothing below allocates). Throws PreconditionError when the
+    /// plan breaks a tier pin or, if reuse-aware, splits a reuse group.
     void init(SoaState& state, const TieringPlan& plan, const PlanEvaluation& eval) const;
     /// Seed `state` from a workflow plan, feasible or not, without an
     /// evaluation: the first candidate evaluates in full.
@@ -245,10 +243,16 @@ private:
     std::vector<double> req_resident_;
     std::vector<std::int64_t> backing_units_;
     std::vector<double> inter_;
-    /// The DAG (empty for a batch workload): per-job predecessors and
-    /// successors, and per edge its endpoints and the volume it moves.
-    std::vector<std::vector<std::size_t>> preds_;
-    std::vector<std::vector<std::size_t>> succs_;
+    /// The DAG (no edges for batch): each job's distinct predecessors and
+    /// successors in CSR form, job i's being to[at[i], at[i + 1]), and per
+    /// edge, repeats included, its endpoints and the volume it moves.
+    struct Adjacency {
+        std::vector<std::uint32_t> at, to;
+        std::span<const std::uint32_t> operator[](std::size_t i) const {
+            return {to.data() + at[i], at[i + 1] - at[i]};
+        }
+    };
+    Adjacency preds_, succs_;
     struct Edge { std::size_t from, to; double volume; };
     std::vector<Edge> edges_;
     /// Operator tier pins: (job, tier index).

@@ -974,10 +974,14 @@ void expect_workflow_fields(const SoaState& state, bool candidate, const workloa
     }
 }
 
-/// What the workflow walks reached, summed over a test's walks.
+/// What one workflow walk reached.
 struct WorkflowCoverage {
     int feasible = 0;
     int overflows = 0;
+    /// Consecutive candidates that turned from feasible to not, and back.
+    int feasible_then_infeasible = 0;
+    int infeasible_then_feasible = 0;
+    int accepts = 0;
     int pin_breaks = 0;
     int residency_flips = 0;
     int eph_roots = 0;
@@ -1007,6 +1011,7 @@ public:
           cache_(cache) {
         for (SoaState& s : states_) soa_.init(s, start);
         EXPECT_FALSE(states_[0].feasible);
+        prev_ok_ = eval_.evaluate(start).feasible;
         expect_committed(states_[0], "init");
     }
 
@@ -1026,9 +1031,13 @@ public:
             const std::vector<std::size_t> moved = changed_;
             const bool ok = evaluate(state, "candidate");
             const double u = rng_.uniform();
+            cov_.feasible_then_infeasible += prev_ok_ && !ok ? 1 : 0;
+            cov_.infeasible_then_feasible += !prev_ok_ && ok ? 1 : 0;
+            prev_ok_ = ok;
             if (u < (ok ? 0.5 : 0.2)) {
                 if (ok && rng_.uniform() < 0.3) soa_.save_best(state);
                 soa_.commit(state);
+                ++cov_.accepts;
                 cov_.infeasible_commits += state.feasible ? 0 : 1;
                 cov_.recoveries += !was_feasible && state.feasible ? 1 : 0;
                 expect_committed(state, where("after commit"));
@@ -1143,6 +1152,12 @@ private:
             return ok;
         }
         expect_workflow_fields(state, true, wf, free, where(what + " (unpinned)"));
+        // The staging legs are held to evaluate() here, pins or not.
+        for (std::size_t i = 0; i < wf.size(); ++i) {
+            if (plan.decisions[i].tier != StorageTier::kEphemeralSsd) continue;
+            cov_.eph_roots += wf.predecessors(i).empty() ? 1 : 0;
+            cov_.eph_terminals += wf.successors(i).empty() ? 1 : 0;
+        }
         if (!ok) {
             ++cov_.pin_breaks;
             return ok;
@@ -1152,11 +1167,6 @@ private:
         if (cache_ != nullptr) {
             expect_workflow_fields(state, true, wf, eval_.evaluate(plan, cache_),
                                    where(what + " (cached)"));
-        }
-        for (std::size_t i = 0; i < wf.size(); ++i) {
-            if (plan.decisions[i].tier != StorageTier::kEphemeralSsd) continue;
-            cov_.eph_roots += wf.predecessors(i).empty() ? 1 : 0;
-            cov_.eph_terminals += wf.successors(i).empty() ? 1 : 0;
         }
         return ok;
     }
@@ -1183,12 +1193,23 @@ private:
     EvalCache* cache_;
     std::array<SoaState, 2> states_;
     std::vector<std::size_t> changed_;
+    bool prev_ok_ = false;
     int step_ = 0;
 };
 
-void expect_workflow_coverage(const WorkflowCoverage& cov, bool pins) {
+/// Runs one seeded walk of `steps` steps and holds it, on its own, to
+/// every case a walk must reach (pin breaks only when `pins`).
+void walk_covering_every_case(const WorkflowEvaluator& eval, const WorkflowPlan& start,
+                              std::uint64_t seed, int steps, bool pins,
+                              EvalCache* cache = nullptr) {
+    SCOPED_TRACE("walk seed " + std::to_string(seed));
+    WorkflowCoverage cov;
+    WorkflowWalk(eval, start, seed, cov, cache).run(steps);
     EXPECT_GT(cov.feasible, 0);
     EXPECT_GT(cov.overflows, 0);
+    EXPECT_GT(cov.feasible_then_infeasible, 0);
+    EXPECT_GT(cov.infeasible_then_feasible, 0);
+    EXPECT_GT(cov.accepts, 0);
     EXPECT_GT(cov.residency_flips, 0);
     EXPECT_GT(cov.eph_roots, 0);
     EXPECT_GT(cov.eph_terminals, 0);
@@ -1204,45 +1225,63 @@ void expect_workflow_coverage(const WorkflowCoverage& cov, bool pins) {
 
 TEST(WorkflowDeltaEvaluation, SyntheticWorkflowsMatchReference) {
     // The Fig. 9 workflows (4-9 jobs, chains with fan-in) of three seeds.
-    WorkflowCoverage cov;
     for (const std::uint64_t wf_seed : {11u, 3u, 2024u}) {
         for (const auto& wf : workload::synthesize_deadline_workflows(wf_seed)) {
             SCOPED_TRACE(wf.name() + " (workflow seed " + std::to_string(wf_seed) + ")");
             const WorkflowEvaluator eval(testing::small_models(), wf);
             const WorkflowPlan start =
                 WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
-            WorkflowWalk(eval, start, wf_seed * 31 + wf.size(), cov).run(800);
+            EvalCache cache;
+            walk_covering_every_case(eval, start, wf_seed * 31 + wf.size(), 1500,
+                                     /*pins=*/false, &cache);
         }
     }
-    expect_workflow_coverage(cov, /*pins=*/false);
 }
 
 TEST(WorkflowDeltaEvaluation, SearchLogWorkflowMatchesReferenceWithAndWithoutCache) {
     const WorkflowEvaluator eval(testing::small_models(), workload::make_search_log_workflow());
     const WorkflowPlan start = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
     EvalCache cache;
-    WorkflowCoverage cov;
-    WorkflowWalk(eval, start, 5, cov, &cache).run(3000);
-    WorkflowWalk(eval, start, 6, cov).run(3000);
-    expect_workflow_coverage(cov, /*pins=*/false);
+    walk_covering_every_case(eval, start, 5, 3000, /*pins=*/false, &cache);
+    walk_covering_every_case(eval, start, 6, 3000, /*pins=*/false);
 }
 
 TEST(WorkflowDeltaEvaluation, PinnedWorkflowMatchesReference) {
     const workload::Workflow base = workload::make_search_log_workflow();
     const WorkflowPlan start = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
-    WorkflowCoverage cov;
+    EvalCache cache;
     // Pins the persSSD start keeps.
     const WorkflowEvaluator kept(
         testing::small_models(),
         pinned(base, {{0, StorageTier::kPersistentSsd}, {3, StorageTier::kPersistentSsd}}));
-    WorkflowWalk(kept, start, 7, cov).run(3000);
+    walk_covering_every_case(kept, start, 7, 3000, /*pins=*/true, &cache);
     // Pins no uniform plan keeps: the walk starts infeasible (a pinned
     // start) and must recover.
     const WorkflowEvaluator apart(
         testing::small_models(),
         pinned(base, {{1, StorageTier::kObjectStore}, {2, StorageTier::kEphemeralSsd}}));
-    WorkflowWalk(apart, start, 8, cov).run(3000);
-    expect_workflow_coverage(cov, /*pins=*/true);
+    EvalCache apart_cache;
+    walk_covering_every_case(apart, start, 8, 3000, /*pins=*/true, &apart_cache);
+}
+
+TEST(WorkflowDeltaEvaluation, RepeatedEdgesMatchReference) {
+    // A workflow may list an edge twice: its volume moves twice (one
+    // transfer per listed edge), but the consumer's Eq. 10 term, which a
+    // move of the producer re-stages, is counted once.
+    const workload::Workflow base = workload::make_search_log_workflow();
+    std::vector<workload::WorkflowEdge> edges = base.edges();
+    edges.push_back(edges[0]);  // Grep -> Sort
+    edges.push_back(edges[2]);  // Sort -> Join
+    edges.push_back(edges[2]);
+    const WorkflowEvaluator eval(
+        testing::small_models(),
+        workload::Workflow(base.name() + "-repeated", base.jobs(), std::move(edges),
+                           base.deadline()));
+    ASSERT_EQ(eval.workflow().successors(0).size(), 2u);
+    ASSERT_EQ(eval.workflow().predecessors(3).size(), 4u);
+    const WorkflowPlan start = WorkflowPlan::uniform(4, StorageTier::kPersistentSsd);
+    EvalCache cache;
+    walk_covering_every_case(eval, start, 9, 3000, /*pins=*/false, &cache);
 }
 
 TEST(WorkflowDeltaEvaluation, InfeasibleCommittedStateEvaluatesInFull) {
